@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 from .gf import field_from_order
 from .linalg import (dot, is_invertible, mat_inv, mat_mul, mat_vec, monic_rep,
@@ -244,14 +243,15 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
                 image[u] = f
                 image[f] = u
     delta = VertexPerm(g, image)
-    vec_mask = (1 << g.nv) - 1
     want = 0
     for v in range(g.nv):
         want |= 1 << rho.image[v]
     have = 0
     for v in range(g.nv):
         have |= 1 << delta.image[v]
-    assert have == want, "delta misses rho's side pattern"
+    if have != want:
+        # rho(V) and delta(V) have equal size, so some vertex is missing
+        raise DecompositionError("delta", {"missing": list(_bits(want & ~have))})
     return delta
 
 
@@ -389,21 +389,26 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
 
 # ---------- enumeration ----------
 
-def _automorphism_search(adj: list[int], collect: list | None = None) -> int:
-    """Count (and optionally collect) all adjacency-preserving bijections
-    of an arbitrary graph given as bitset rows.  Plain forward-checking
+# vertex-level searches (enumeration, class stabilizers) are guarded at
+# this many vertices, and the quotient search at this many classes per side
+MAX_ENUM_VERTICES = 20
+MAX_QUOTIENT_CLASSES = 32
+
+
+def _automorphism_search(adj: list[int], init: dict[int, int],
+                         collect: list | None = None) -> int:
+    """Count (and optionally collect) the adjacency-preserving injections
+    of the vertices in init into the graph given as bitset rows, where
+    init[v] is the mask of vertices v may map to.  With every vertex in
+    init these are automorphisms; the masks colour the search, so only
+    colour-respecting maps are counted.  Plain forward-checking
     backtracking; no structural assumptions."""
     n = len(adj)
-    if n == 0:
-        if collect is not None:
-            collect.append(())
-        return 1
-    full = (1 << n) - 1
-    degs = [a.bit_count() for a in adj]
-    bydeg: dict[int, int] = {}
-    for v in range(n):
-        bydeg[degs[v]] = bydeg.get(degs[v], 0) | (1 << v)
-    init = [bydeg[degs[v]] for v in range(n)]
+    cands0 = [0] * n
+    domain = 0
+    for v, mask in init.items():
+        cands0[v] = mask
+        domain |= 1 << v
     image = [0] * n
     count = 0
 
@@ -454,36 +459,41 @@ def _automorphism_search(adj: list[int], collect: list | None = None) -> int:
                 image[v] = c
                 rec(ncands, rem2)
 
-    rec(init, full)
+    rec(cands0, domain)
     return count
 
 
-_AUTOS_CACHE: dict[tuple, tuple] = {}
+def _degree_colouring(adj: list[int]) -> dict[int, int]:
+    """Every vertex with the mask of all vertices of its degree."""
+    bydeg: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        bydeg[d] = bydeg.get(d, 0) | (1 << v)
+    return {v: bydeg[row.bit_count()] for v, row in enumerate(adj)}
 
 
-def _graph_key(g: LfGraph) -> tuple:
-    return (g.field.p, g.field.k, g.field.modulus, g.n)
-
-
-def all_automorphisms(g: LfGraph, max_vertices: int = 20) -> tuple:
-    """Every automorphism as an image tuple, via direct vertex search."""
+def _check_enum_size(g: LfGraph, max_vertices: int) -> None:
     if g.num_vertices > max_vertices:
         raise ValueError(
             f"direct enumeration is limited to {max_vertices} vertices")
-    key = _graph_key(g)
-    if key not in _AUTOS_CACHE:
-        out: list = []
-        _automorphism_search(g.adj, out)
-        _AUTOS_CACHE[key] = tuple(out)
-    return _AUTOS_CACHE[key]
 
 
-def iter_automorphisms(g: LfGraph, max_vertices: int = 20):
+def all_automorphisms(g: LfGraph,
+                      max_vertices: int = MAX_ENUM_VERTICES) -> tuple:
+    """Every automorphism as an image tuple, via direct vertex search."""
+    _check_enum_size(g, max_vertices)
+    out: list = []
+    _automorphism_search(g.adj, _degree_colouring(g.adj), out)
+    return tuple(out)
+
+
+def iter_automorphisms(g: LfGraph, max_vertices: int = MAX_ENUM_VERTICES):
     for img in all_automorphisms(g, max_vertices):
         yield VertexPerm(g, img)
 
 
-def quotient_adjacency(g: LfGraph, max_classes: int = 32) -> list[int]:
+def quotient_adjacency(g: LfGraph,
+                       max_classes: int = MAX_QUOTIENT_CLASSES) -> list[int]:
     """Bitset adjacency of the class quotient (classes as single nodes)."""
     lines = g.lines()
     half = len(lines) // 2
@@ -500,57 +510,45 @@ def quotient_adjacency(g: LfGraph, max_classes: int = 32) -> list[int]:
 
 
 def count_automorphisms(g: LfGraph, method: str = "quotient",
-                        max_vertices: int = 20, max_classes: int = 32) -> int:
+                        max_vertices: int = MAX_ENUM_VERTICES,
+                        max_classes: int = MAX_QUOTIENT_CLASSES) -> int:
     """Exact automorphism count.
 
-    method "vertex": direct enumeration of vertex bijections (small graphs).
+    method "vertex": direct search over vertex bijections (small graphs).
     method "quotient": enumerate automorphisms of the class quotient, then
     multiply by the within-class factor ((q-1)!)^(2M); any quotient
     automorphism lifts because classes are twins of size q-1.
     """
     if method == "vertex":
-        return len(all_automorphisms(g, max_vertices))
+        _check_enum_size(g, max_vertices)
+        return _automorphism_search(g.adj, _degree_colouring(g.adj))
     if method == "quotient":
         qadj = quotient_adjacency(g, max_classes)
-        base = _automorphism_search(qadj)
+        base = _automorphism_search(qadj, _degree_colouring(qadj))
         m = len(qadj) // 2
         return base * math.factorial(g.q - 1) ** (2 * m)
     raise ValueError(f"unknown method {method!r}")
 
 
-def count_class_stabilizers(g: LfGraph, max_vertices: int = 20) -> int:
-    """Enumerated automorphisms that map every twin class to itself."""
-    lof = [g.line_of(v) for v in range(g.num_vertices)]
-    count = 0
-    for img in all_automorphisms(g, max_vertices):
-        if all(lof[t] == lof[v] for v, t in enumerate(img)):
-            count += 1
-    return count
+def count_class_stabilizers(g: LfGraph,
+                            max_vertices: int = MAX_ENUM_VERTICES) -> int:
+    """Automorphisms that map every twin class to itself, counted by one
+    search in which each vertex may only map inside its own class."""
+    _check_enum_size(g, max_vertices)
+    masks = [g.line_mask(line) for line in g.lines()]
+    return _automorphism_search(
+        g.adj, {v: masks[g.line_of(v)] for v in range(g.num_vertices)})
 
 
 def count_component_isomorphisms(g: LfGraph) -> int:
-    """Brute count of adjacency-preserving bijections between the first
-    two components (n = 2 only)."""
+    """Adjacency-preserving bijections from the first component onto the
+    second (n = 2 only), counted by one search that maps each vertex of
+    the first component into the second."""
     if g.n != 2:
         raise ValueError("component isomorphisms are counted for n = 2 only")
     comps = g.components()
-    src, dst = comps[0], comps[1]
-    k = len(src)
-    count = 0
-    for pi in permutations(dst):
-        ok = True
-        for s in range(k):
-            row = g.adj[src[s]]
-            prow = g.adj[pi[s]]
-            for t in range(s + 1, k):
-                if ((row >> src[t]) & 1) != ((prow >> pi[t]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    dst = sum(1 << v for v in comps[1])
+    return _automorphism_search(g.adj, {v: dst for v in comps[0]})
 
 
 # ---------- closed-form counts ----------

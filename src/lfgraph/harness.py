@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from .gf import field_from_order
 from .graph import (FUN, VEC, LfGraph, build, domination_number, export,
                     is_dominating)
-from .autos import (DecompositionError, LineActionError, VertexPerm,
+from .autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
+                    DecompositionError, LineActionError, VertexPerm,
                     all_automorphisms, automorphism_defect, check_structure,
                     compose, count_automorphisms, count_class_stabilizers,
                     count_component_isomorphisms, decompose,
@@ -135,10 +136,10 @@ def _skip(reason: str, formula: int | None = None):
 
 
 def _sample_autos(g: LfGraph, rng) -> tuple[list[VertexPerm], str]:
-    if g.num_vertices <= 20:
+    if (g.num_vertices <= MAX_ENUM_VERTICES
+            and count_automorphisms(g) <= EXHAUSTIVE_GROUP):
         imgs = all_automorphisms(g)
-        if len(imgs) <= EXHAUSTIVE_GROUP:
-            return [VertexPerm(g, im) for im in imgs], f"all {len(imgs)}"
+        return [VertexPerm(g, im) for im in imgs], f"all {len(imgs)}"
     perms = [random_automorphism(g, rng) for _ in range(SAMPLE_COUNT)]
     return perms, f"sampled {SAMPLE_COUNT}"
 
@@ -314,9 +315,9 @@ def _run_card_gen(g, rng, deep):
         return _skip("applies to n >= 3 only")
     formula = formula_card_general(g.q, g.n)
     half = (g.q ** g.n - 1) // (g.q - 1)
-    if half > 32:
-        return _skip("quotient enumeration is limited to 32 classes per side",
-                     formula)
+    if half > MAX_QUOTIENT_CLASSES:
+        return _skip("quotient enumeration is limited to "
+                     f"{MAX_QUOTIENT_CLASSES} classes per side", formula)
     if not deep and (g.q, g.n) != (2, 3):
         return _skip("brute oracle beyond (2, 3) is opt-in; rerun with --deep",
                      formula)
@@ -327,9 +328,9 @@ def _run_card_gen(g, rng, deep):
 
 def _run_card_stab(g, rng, deep):
     formula = formula_twin_stabilizer(g.q, g.n)
-    if g.num_vertices > 20:
-        return _skip("vertex-level enumeration is limited to 20 vertices",
-                     formula)
+    if g.num_vertices > MAX_ENUM_VERTICES:
+        return _skip("vertex-level enumeration is limited to "
+                     f"{MAX_ENUM_VERTICES} vertices", formula)
     oracle = count_class_stabilizers(g)
     verdict = "match" if oracle == formula else "mismatch"
     return formula, oracle, verdict, None

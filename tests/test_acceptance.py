@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single pass/fail line (visible with -s or -rA) and
-enforces its own wall-clock bound.  Shared graphs and cached enumerations
-come from conftest/graph_for, matching how the library is meant to be used.
+enforces its own wall-clock bound.  Shared graphs come from
+conftest/graph_for; enumerations search afresh on every call.
 """
 
 import json

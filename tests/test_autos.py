@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,7 +16,7 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            line_action, perm_from_json, perm_to_json, phi_bar,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
-                           tau_from_table, _vec_partners)
+                           tau_from_table, _delta_impl, _vec_partners)
 from lfgraph.linalg import identity, mat_mul, random_invertible
 
 from conftest import graph_for
@@ -238,6 +239,19 @@ def test_delta_asymmetric_crossing():
     assert all(rest.image[v] < g.nv for v in range(g.nv))
 
 
+def test_delta_rejects_non_automorphism():
+    """A vector swapped with its own mirror is no automorphism; the side
+    check must raise, not assert, so it also holds under python -O."""
+    g = graph_for(3, 2)
+    u = g.lines()[0].members[0]
+    img = list(range(g.num_vertices))
+    img[u], img[g.mirror(u)] = g.mirror(u), u
+    with pytest.raises(DecompositionError) as exc:
+        _delta_impl(g, VertexPerm(g, img))
+    if exc.value.step != "delta":
+        pytest.fail(f"wrong step {exc.value.step!r}")
+
+
 def test_delta_exhaustive_2_2():
     g = graph_for(2, 2)
     for rho in iter_automorphisms(g):
@@ -344,6 +358,10 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         all_automorphisms(graph_for(4, 2))  # 30 vertices
     with pytest.raises(ValueError):
+        count_automorphisms(graph_for(4, 2), method="vertex")
+    with pytest.raises(ValueError):
+        count_class_stabilizers(graph_for(4, 2))
+    with pytest.raises(ValueError):
         count_automorphisms(graph_for(2, 2), method="nope")
 
 
@@ -370,12 +388,31 @@ def test_class_stabilizers():
     assert count_class_stabilizers(graph_for(3, 2)) == 256
     assert formula_twin_stabilizer(3, 2) == 256
     assert formula_twin_stabilizer(2, 3) == 1
+    # the reference: enumerate the whole group, keep the class-fixing ones
+    g = graph_for(3, 2)
+    lof = [g.line_of(v) for v in range(g.num_vertices)]
+    assert sum(all(lof[t] == lof[v] for v, t in enumerate(img))
+               for img in all_automorphisms(g)) == 256
 
 
-@pytest.mark.parametrize("q", [2, 3])
+def _brute_component_isomorphisms(g):
+    """Reference count: try every bijection of the first component onto
+    the second."""
+    src, dst = g.components()[:2]
+    return sum(all(((g.adj[src[s]] >> src[t]) & 1)
+                   == ((g.adj[pi[s]] >> pi[t]) & 1)
+                   for s in range(len(src)) for t in range(s + 1, len(src)))
+               for pi in permutations(dst))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_component_isomorphisms(q):
     g = graph_for(q, 2)
-    assert count_component_isomorphisms(g) == formula_component_isos(q)
+    got = count_component_isomorphisms(g)
+    assert got == {2: 2, 3: 8, 4: 72, 5: 1152}[q]
+    assert got == formula_component_isos(q)
+    if q <= 4:
+        assert got == _brute_component_isomorphisms(g)
 
 
 def test_formula_values():

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from lfgraph.harness import (CLAIM_IDS, DEFAULT_SEED, REGISTRY, main,
-                             report_to_json, report_to_text, run_verify)
+from lfgraph.harness import (CLAIM_IDS, DEFAULT_MATRIX, DEFAULT_SEED,
+                             REGISTRY, main, report_to_json, report_to_text,
+                             run_verify)
 
 
 def claims_by_id(report):
@@ -61,6 +62,21 @@ def test_report_3_2_all_match():
     assert by["CARD-N2"].oracle == 98304
     assert by["CARD-STAB"].oracle == 256
     assert by["DOM-WHOLE-STD"].verdict == "match"
+
+
+def test_sampler_choice_on_default_matrix():
+    """Groups of at most EXHAUSTIVE_GROUP members are swept in full, larger
+    ones sampled; the choice shows in every sampling claim's witness."""
+    want = {(2, 2): "all 48", (2, 3): "all 336", (3, 2): "sampled 100",
+            (4, 2): "sampled 100", (3, 3): "sampled 100"}
+    assert set(want) == set(DEFAULT_MATRIX)
+    sampling = ("STRUCT-GEN", "STRUCT-N2", "DECOMP")
+    for (q, n), how in want.items():
+        by = claims_by_id(run_verify(q, n, claims=sampling))
+        for cid in sampling:
+            if cid == "STRUCT-N2" and n != 2:
+                continue
+            assert by[cid].witness == {"method": how}, (q, n, cid)
 
 
 def test_claim_filter():
