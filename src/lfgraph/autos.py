@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .gf import field_from_order
-from .linalg import (dot, is_invertible, mat_inv, mat_mul, mat_vec, monic_rep,
+from .linalg import (dot, identity, is_invertible, mat_inv, mat_mul, monic_rep,
                      random_invertible, rank, transpose)
-from .graph import FUN, VEC, LfGraph, _bits, build
+from .graph import FUN, VEC, LfGraph, _bits, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -75,12 +75,13 @@ def identity_perm(g: LfGraph) -> VertexPerm:
 # ---------- adjacency preservation ----------
 
 def automorphism_defect(g: LfGraph, perm: VertexPerm):
-    """None if perm preserves adjacency, else a broken edge (x, y)."""
+    """None if perm preserves adjacency, else a broken edge (x, y).  Every
+    edge has one vector endpoint x, so only the vector rows are scanned."""
     adj = g.adj
     img = perm.image
-    for x in range(g.num_vertices):
+    for x, ys in enumerate(_row_lists(adj[:g.nv])):
         row = adj[img[x]]
-        for y in _bits(adj[x]):
+        for y in ys:
             if not (row >> img[y]) & 1:
                 return (x, y)
     return None
@@ -102,14 +103,9 @@ def permute_mask(perm: VertexPerm, mask: int) -> int:
 
 def chi_p(g: LfGraph, P) -> VertexPerm:
     """v -> P v on vectors, f_u -> f_{(P^-1)^T u} on functionals."""
-    F = g.field
-    Pinv_t = transpose(mat_inv(F, P))
     nv = g.nv
-    image = [0] * g.num_vertices
-    for vid, coords in enumerate(g.vec_coords()):
-        image[vid] = g.vec_id(mat_vec(F, P, coords))
-        image[vid + nv] = g.vec_id(mat_vec(F, Pinv_t, coords)) + nv
-    return VertexPerm(g, image)
+    funs = _map_ids(g, transpose(mat_inv(g.field, P)))
+    return VertexPerm(g, _map_ids(g, P) + [t + nv for t in funs])
 
 
 def pi_extend(g: LfGraph, j: int) -> VertexPerm:
@@ -118,12 +114,8 @@ def pi_extend(g: LfGraph, j: int) -> VertexPerm:
     if not 0 <= j < F.k:
         raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
     nv = g.nv
-    image = [0] * g.num_vertices
-    for vid, coords in enumerate(g.vec_coords()):
-        tid = g.vec_id(tuple(F.frobenius(c, j) for c in coords))
-        image[vid] = tid
-        image[vid + nv] = tid + nv
-    return VertexPerm(g, image)
+    vecs = _map_ids(g, identity(g.n), [F.frobenius(c, j) for c in F.elements()])
+    return VertexPerm(g, vecs + [t + nv for t in vecs])
 
 
 def sigma_swap(g: LfGraph) -> VertexPerm:
@@ -168,17 +160,14 @@ def phi_bar(g: LfGraph, phi) -> VertexPerm:
     phi = tuple(phi)
     if len(phi) != F.q or phi[0] != 0 or sorted(phi) != list(range(F.q)):
         raise ValueError("phi must be a permutation of the field fixing 0")
-    nv = g.nv
+    nv, q = g.nv, F.q
     image = list(range(g.num_vertices))
-    for vid, (c, d) in enumerate(g.vec_coords()):
-        a, b = c, d
-        if a != 0:
-            u = (a, F.mul(a, phi[F.mul(F.inv(a), b)]))
-            image[vid + nv] = g.vec_id(u) + nv
-        if c != 0 and d != 0:
-            t = phi[F.neg(F.mul(c, F.inv(d)))]
-            v = (c, F.neg(F.mul(c, F.inv(t))))
-            image[vid] = g.vec_id(v)
+    for vid in range(nv):
+        c, d = divmod(vid + 1, q)
+        if c != 0:
+            image[vid + nv] = c * q + F.mul(c, phi[F.div(d, c)]) - 1 + nv
+            if d != 0:
+                image[vid] = c * q + F.neg(F.div(c, phi[F.neg(F.div(c, d))])) - 1
     return VertexPerm(g, image)
 
 
@@ -187,15 +176,11 @@ def _vec_partners(g: LfGraph) -> list[int]:
     if g._n2_partner is None:
         if g.n != 2:
             raise ValueError("orthogonal pairing applies to n = 2 only")
-        F = g.field
+        # the neighbours of vector (c, d) are the functional line of (d, -c)
         lines = g.lines()
         half = len(lines) // 2
-        rep_idx = {lines[i].rep: i for i in range(half)}
-        partner = []
-        for i in range(half):
-            c, d = lines[i].rep
-            partner.append(rep_idx[monic_rep(F, (d, F.neg(c)))])
-        g._n2_partner = partner
+        g._n2_partner = [g.line_of(g.adj[line.members[0]].bit_length() - 1) - half
+                         for line in lines[:half]]
     return g._n2_partner
 
 
@@ -219,13 +204,10 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
             m = g.line_of(t) - half
             crossing[partner[m]] = True
     image = list(range(g.num_vertices))
-    done = set()
     for i in range(half):
-        if i in done:
-            continue
         j = partner[i]
-        done.add(i)
-        done.add(j)
+        if j < i:
+            continue  # partner is an involution: the pair was handled at j
         if i == j:
             if crossing[i]:
                 _mirror_line(g, image, lines[i])
@@ -243,12 +225,8 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
                 image[u] = f
                 image[f] = u
     delta = VertexPerm(g, image)
-    want = 0
-    for v in range(g.nv):
-        want |= 1 << rho.image[v]
-    have = 0
-    for v in range(g.nv):
-        have |= 1 << delta.image[v]
+    vside = (1 << g.nv) - 1
+    want, have = permute_mask(rho, vside), permute_mask(delta, vside)
     if have != want:
         # rho(V) and delta(V) have equal size, so some vertex is missing
         raise DecompositionError("delta", {"missing": list(_bits(want & ~have))})
@@ -703,9 +681,8 @@ def _basis_change(g: LfGraph, rho_p: VertexPerm):
     n = g.n
     cols = []
     for i in range(n):
-        e = tuple(1 if t == i else 0 for t in range(n))
-        tid = rho_p.image[g.vec_id(e)]
-        side, coords = g.coords_of(tid)
+        # e_i is the packed value q^(n-1-i)
+        side, coords = g.coords_of(rho_p.image[g.q ** (n - 1 - i) - 1])
         if side != VEC:
             raise DecompositionError("side-mixed", {"basis": i})
         cols.append(coords)
@@ -745,10 +722,9 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
     for axis in range(1, n):
         tab = [0] * q
         for a in F.units():
-            coords = [0] * n
-            coords[0] = 1
-            coords[axis] = a
-            side, img = g.coords_of(rho1.image[g.vec_id(tuple(coords))])
+            # the vector id of e1 + a*e_axis
+            vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
+            side, img = g.coords_of(rho1.image[vid])
             m = monic_rep(F, img)
             ok = (m[0] == 1 and m[axis] != 0
                   and all(m[t] == 0 for t in range(n) if t not in (0, axis)))

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product, repeat
 
 from .gf import Field
-from .linalg import dot, kernel_basis, scalar_mul, span_nonzero
 
 VEC = "vec"
 FUN = "fun"
@@ -29,6 +28,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_lists(rows):
+    """Yield the set bits of each row as a list, decoding lazily; equal
+    rows (twins) share one decoded list."""
+    seen: dict[int, list[int]] = {}
+    for r in rows:
+        ys = seen.get(r)
+        if ys is None:
+            ys = seen[r] = list(_bits(r))
+        yield ys
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,6 @@ class LfGraph:
         self.adj = adj
         self._lines = None
         self._line_of = None
-        self._vec_coords = None
         self._n2_partner = None
 
     # ---------- vertex indexing ----------
@@ -88,12 +97,6 @@ class LfGraph:
             coords.append(c)
         return side, tuple(reversed(coords))
 
-    def vec_coords(self) -> list[tuple]:
-        """Coordinates of every vector vertex, indexed by vector id."""
-        if self._vec_coords is None:
-            self._vec_coords = [self.coords_of(v)[1] for v in range(self.nv)]
-        return self._vec_coords
-
     # ---------- basic invariants ----------
 
     def degree(self, vid: int) -> int:
@@ -106,10 +109,10 @@ class LfGraph:
         return all(row.bit_count() == want for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
+        """Every (vector, functional) edge, sorted."""
         out = []
-        for v in range(self.nv):
-            out.extend((v, f) for f in _bits(self.adj[v]))
-        out.sort()
+        for v, fs in enumerate(_row_lists(self.adj[:self.nv])):
+            out += zip(repeat(v, len(fs)), fs)
         return out
 
     def components(self) -> list[list[int]]:
@@ -132,24 +135,17 @@ class LfGraph:
 
     # ---------- scalar classes ----------
 
-    def _monic_reps(self):
-        """All monic vectors of GF(q)^n in ascending lexicographic order."""
-        from itertools import product
-        for lead in range(self.n - 1, -1, -1):
-            for tail in product(range(self.q), repeat=self.n - 1 - lead):
-                yield (0,) * lead + (1,) + tail
-
     def lines(self) -> list[Line]:
         """Scalar classes, vector side first, each side in lex order of rep."""
         if self._lines is None:
-            F = self.field
-            vec_lines = []
-            fun_lines = []
-            for rep in self._monic_reps():
-                members = sorted(self.vec_id(scalar_mul(F, r, rep)) for r in F.units())
-                vec_lines.append(Line(VEC, rep, tuple(members)))
-                fun_lines.append(Line(FUN, rep, tuple(m + self.nv for m in members)))
-            self._lines = vec_lines + fun_lines
+            F, q = self.field, self.q
+            # monic reps in lex order: leading 1 followed by m free digits
+            reps = [(0,) * (self.n - 1 - m) + (1,) + tail
+                    for m in range(self.n) for tail in product(range(q), repeat=m)]
+            vec_lines = [Line(VEC, rep, tuple(sorted(
+                self.vec_id([F._mul[r][c] for c in rep]) for r in F.units()))) for rep in reps]
+            self._lines = vec_lines + [
+                Line(FUN, ln.rep, tuple(t + self.nv for t in ln.members)) for ln in vec_lines]
             lof = [0] * self.num_vertices
             for idx, line in enumerate(self._lines):
                 for m in line.members:
@@ -194,20 +190,57 @@ def build(field: Field, n: int, max_vertices: int = 100_000) -> LfGraph:
             f"graph would have {2 * nv} vertices, over the {max_vertices} guard")
     g = LfGraph(field, n, [0] * (2 * nv))
     adj = g.adj
-    # one kernel per functional class: members of the class share it
-    for rep in g._monic_reps():
-        kmask = 0
-        for w in span_nonzero(field, kernel_basis(field, rep)):
-            kmask |= 1 << g.vec_id(w)
-        fmask = 0
-        fids = [g.fun_id(scalar_mul(field, r, rep)) for r in field.units()]
-        for fid in fids:
-            fmask |= 1 << fid
-        for fid in fids:
-            adj[fid] = kmask
-        for vid in _bits(kmask):
-            adj[vid] |= fmask
+    lines = g.lines()
+    # f_u is adjacent to the kernel of u, and vector v to the functionals of
+    # the kernel of f_v, so one mask per class fills both sides
+    for line in lines[:len(lines) // 2]:
+        kmask = _kernel_mask(field, line.rep)
+        vrow = kmask << nv
+        for m in line.members:
+            adj[m] = vrow
+            adj[m + nv] = kmask
     return g
+
+
+def _kernel_mask(field: Field, u) -> int:
+    """Bitset of the vector ids v with u . v = 0.  zs[s] holds the packed
+    suffixes whose partial dot with u is s; each coordinate, least
+    significant first, is one shift-OR per (digit, nonempty zs[s]), and
+    the leading one fills only the s = 0 bucket."""
+    q, add, mul, neg = field.q, field._add, field._mul, field._neg
+    zs = [1] + [0] * (q - 1)
+    weight = 1
+    for uk in reversed(u[1:]):
+        nxt = [0] * q
+        live = [(s, z) for s, z in enumerate(zs) if z]
+        for c in range(q):
+            to, shift = add[mul[uk][c]], c * weight
+            for s, z in live:
+                nxt[to[s]] |= z << shift
+        zs = nxt
+        weight *= q
+    kmask = 0
+    for c in range(q):
+        kmask |= zs[neg[mul[u[0]][c]]] << c * weight
+    return kmask >> 1
+
+
+def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
+    """Vector id of M . digit(v) for every vector v, indexed by vector id.
+
+    digit maps each coordinate first (None: the identity).  Row k of M is
+    coordinate k for every packed id at once, one list sweep per column.
+    """
+    q, add, mul = g.q, g.field._add, g.field._mul
+    digit = range(q) if digit is None else digit
+    out = [0] * (g.nv + 1)
+    for row in M:
+        d = [0]
+        for p in row:
+            col = [mul[p][c] for c in digit]
+            d = [to[y] for to in map(add.__getitem__, d) for y in col]
+        out = [x * q + y for x, y in zip(out, d)]
+    return [x - 1 for x in out[1:]]
 
 
 # ---------- domination ----------
@@ -381,24 +414,15 @@ def graph6_bytes(n: int, edges) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    present = set()
+    # bit k = j(j-1)/2 + i of the upper triangle, six bits per byte, high first
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bad edge ({i}, {j})")
-        present.add((min(i, j), max(i, j)))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    body = bytearray()
-    for base in range(0, len(bits), 6):
-        group = bits[base:base + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return head + bytes(body)
+        i, j = min(i, j), max(i, j)
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> (k % 6)
+    return head + bytes(b + 63 for b in body)
 
 
 def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:

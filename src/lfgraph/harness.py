@@ -178,7 +178,7 @@ def _run_twin(g, rng, deep):
         return None, None, "property-fail", {
             "reason": "twin classes differ from scalar classes"}
     F = g.field
-    reps = [monic_rep(F, c) for c in g.vec_coords()]
+    reps = [monic_rep(F, g.coords_of(v)[1]) for v in range(g.nv)]
     for base in (0, g.nv):
         for i in range(g.nv):
             for j in range(i + 1, g.nv):

@@ -17,7 +17,8 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _delta_impl, _vec_partners)
-from lfgraph.linalg import identity, mat_mul, random_invertible
+from lfgraph.linalg import (identity, mat_inv, mat_mul, mat_vec,
+                            random_invertible, transpose)
 
 from conftest import graph_for
 
@@ -65,7 +66,85 @@ def test_automorphism_defect_reports_broken_edge():
     assert (g.adj[x] >> y) & 1
 
 
+def _defect_full_scan(g, perm):
+    """Reference: scan every row, both sides, bit by bit."""
+    img = perm.image
+    for x in range(g.num_vertices):
+        row = g.adj[img[x]]
+        for y in range(g.num_vertices):
+            if (g.adj[x] >> y) & 1 and not (row >> img[y]) & 1:
+                return (x, y)
+    return None
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_automorphism_defect_matches_full_scan(q, n):
+    g = graph_for(q, n)
+    broken = {"vec": 0, "fun": 0, "cross": 0}
+    for a in range(g.num_vertices):
+        for b in range(a + 1, g.num_vertices):
+            img = list(range(g.num_vertices))
+            img[a], img[b] = b, a
+            perm = VertexPerm(g, img)
+            want = _defect_full_scan(g, perm)
+            assert automorphism_defect(g, perm) == want
+            if want is not None:
+                kind = ("cross" if g.is_vec(a) != g.is_vec(b)
+                        else "vec" if g.is_vec(a) else "fun")
+                broken[kind] += 1
+    assert all(broken.values()), broken
+
+
 # ---------- generators ----------
+
+def _chi_p_reference(g, P):
+    """v -> P v, f_u -> f_{(P^-1)^T u}, one tuple product per vertex."""
+    F = g.field
+    Pinv_t = transpose(mat_inv(F, P))
+    image = [0] * g.num_vertices
+    for vid in range(g.nv):
+        coords = g.coords_of(vid)[1]
+        image[vid] = g.vec_id(mat_vec(F, P, coords))
+        image[vid + g.nv] = g.fun_id(mat_vec(F, Pinv_t, coords))
+    return image
+
+
+def _pi_extend_reference(g, j):
+    image = [0] * g.num_vertices
+    for vid in range(g.nv):
+        coords = tuple(g.field.frobenius(c, j) for c in g.coords_of(vid)[1])
+        image[vid] = g.vec_id(coords)
+        image[vid + g.nv] = g.fun_id(coords)
+    return image
+
+
+def _phi_bar_reference(g, phi):
+    F = g.field
+    image = list(range(g.num_vertices))
+    for vid in range(g.nv):
+        c, d = g.coords_of(vid)[1]
+        if c != 0:
+            image[g.fun_id((c, d))] = g.fun_id((c, F.mul(c, phi[F.div(d, c)])))
+        if c != 0 and d != 0:
+            t = phi[F.neg(F.div(c, d))]
+            image[vid] = g.vec_id((c, F.neg(F.div(c, t))))
+    return image
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (8, 3), (9, 2)])
+def test_vertex_actions_match_tuple_reference(q, n):
+    g = graph_for(q, n)
+    r = rng()
+    for _ in range(5):
+        P = random_invertible(g.field, n, r)
+        assert list(chi_p(g, P).image) == _chi_p_reference(g, P)
+    for j in range(g.field.k):
+        assert list(pi_extend(g, j).image) == _pi_extend_reference(g, j)
+    if n == 2:
+        for _ in range(5):
+            phi = [0] + r.sample(range(1, q), q - 1)
+            assert list(phi_bar(g, phi).image) == _phi_bar_reference(g, phi)
+
 
 def test_chi_p_identity_and_example():
     g = graph_for(2, 2)

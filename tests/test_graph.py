@@ -10,7 +10,7 @@ from lfgraph.gf import field_from_order
 from lfgraph.graph import (FUN, VEC, build, domination_number, export,
                            graph6_bytes, is_dominating, parse_edgelist_json,
                            parse_graph6, to_edgelist_json, to_graph6)
-from lfgraph.linalg import dot
+from lfgraph.linalg import dot, kernel_basis, monic_rep, span_nonzero
 
 from conftest import graph_for
 
@@ -47,7 +47,7 @@ def test_vertex_indexing_round_trip():
 
 
 def test_adjacency_matches_dot_product():
-    for q, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+    for q, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (4, 3), (8, 2), (9, 2)]:
         g = graph_for(q, n)
         F = g.field
         for v in range(g.nv):
@@ -56,6 +56,32 @@ def test_adjacency_matches_dot_product():
                 _, fc = g.coords_of(f)
                 expect = dot(F, fc, vc) == 0
                 assert bool((g.adj[v] >> f) & 1) == expect
+
+
+def _span_reference(g):
+    """Adjacency and edge list from the tuple kernels
+    span_nonzero(kernel_basis(u))."""
+    F = g.field
+    adj = [0] * g.num_vertices
+    edges = []
+    kernels = {}
+    for fid in range(g.nv, g.num_vertices):
+        rep = monic_rep(F, g.coords_of(fid)[1])
+        if rep not in kernels:
+            kernels[rep] = [g.vec_id(w) for w in span_nonzero(F, kernel_basis(F, rep))]
+        for v in kernels[rep]:
+            adj[fid] |= 1 << v
+            adj[v] |= 1 << fid
+            edges.append((v, fid))
+    return adj, sorted(edges)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (8, 3), (16, 3), (25, 2), (27, 2)])
+def test_build_matches_span_reference(q, n):
+    g = build(field_from_order(q), n)
+    adj, edges = _span_reference(g)
+    assert g.adj == adj
+    assert g.edges() == edges
 
 
 def test_edge_count_3_2():
