@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .gf import field_from_order
 from .linalg import (dot, identity, is_invertible, mat_inv, mat_mul, monic_rep,
                      random_invertible, rank, transpose)
-from .graph import FUN, VEC, LfGraph, _bits, _map_ids, _row_lists, build
+from .graph import FUN, VEC, LfGraph, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -29,15 +29,19 @@ class VertexPerm:
     __slots__ = ("g", "image")
 
     def __init__(self, g: LfGraph, image):
-        image = tuple(image)
+        try:
+            image = tuple(image)
+            total = sum(image)
+        except TypeError:
+            raise ValueError("image is not a sequence of vertex ids") from None
         n = g.num_vertices
         if len(image) != n:
             raise ValueError(f"image has length {len(image)}, expected {n}")
-        seen = bytearray(n)
-        for v in image:
-            if not 0 <= v < n or seen[v]:
-                raise ValueError("image is not a permutation of the vertex ids")
-            seen[v] = 1
+        # n distinct ids >= 0 summing to n(n-1)/2 are exactly 0..n-1; an id
+        # like 0.0 (== 0) makes the sum a float
+        if (type(total) is not int or total != n * (n - 1) // 2
+                or len(set(image)) != n or min(image) < 0):
+            raise ValueError("image is not a permutation of the vertex ids")
         self.g = g
         self.image = image
 
@@ -46,8 +50,7 @@ class VertexPerm:
 
     def compose(self, other: "VertexPerm") -> "VertexPerm":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        mine = self.image
-        return VertexPerm(self.g, tuple(mine[x] for x in other.image))
+        return VertexPerm(self.g, map(self.image.__getitem__, other.image))
 
     def inverse(self) -> "VertexPerm":
         inv = [0] * len(self.image)
@@ -89,14 +92,6 @@ def automorphism_defect(g: LfGraph, perm: VertexPerm):
 
 def is_automorphism(g: LfGraph, perm: VertexPerm) -> bool:
     return automorphism_defect(g, perm) is None
-
-
-def permute_mask(perm: VertexPerm, mask: int) -> int:
-    out = 0
-    img = perm.image
-    for v in _bits(mask):
-        out |= 1 << img[v]
-    return out
 
 
 # ---------- generators ----------
@@ -225,11 +220,10 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
                 image[u] = f
                 image[f] = u
     delta = VertexPerm(g, image)
-    vside = (1 << g.nv) - 1
-    want, have = permute_mask(rho, vside), permute_mask(delta, vside)
-    if have != want:
+    missing = set(rho.image[:g.nv]) - set(image[:g.nv])
+    if missing:
         # rho(V) and delta(V) have equal size, so some vertex is missing
-        raise DecompositionError("delta", {"missing": list(_bits(want & ~have))})
+        raise DecompositionError("delta", {"missing": sorted(missing)})
     return delta
 
 
@@ -292,12 +286,13 @@ class StructureVerdict:
                 and self.intersection_swapped is not False)
 
 
-def _intersection_holds(g: LfGraph, psi: VertexPerm) -> tuple[bool, object]:
-    """For side-preserving psi: psi(F_H) equals the intersection of
-    psi-images of every class neighborhood containing F_H."""
+def _intersection_holds(g: LfGraph, lmap: list[int]) -> tuple[bool, object]:
+    """For a side-preserving class map lmap: class lmap[F_H] equals the
+    intersection of N(lmap[i]) over the vector classes i with F_H in N(i).
+    line_action maps each class wholly onto one class of the same size,
+    so class lmap[F_H] is exactly the image of F_H."""
     lines = g.lines()
     half = len(lines) // 2
-    lmap = line_action(g, psi)
     full = (1 << g.num_vertices) - 1
     for j in range(half, len(lines)):
         fmask = g.line_mask(lines[j])
@@ -305,22 +300,26 @@ def _intersection_holds(g: LfGraph, psi: VertexPerm) -> tuple[bool, object]:
         for i in range(half):
             if fmask & ~g.neighbor_set(lines[i]) == 0:
                 inter &= g.neighbor_set(lines[lmap[i]])
-        if inter != permute_mask(psi, fmask):
+        if inter != g.line_mask(lines[lmap[j]]):
             return False, {"fun_class": j}
     return True, None
 
 
 def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
-    """Evaluate the structural facts every automorphism should satisfy."""
+    """Evaluate the structural facts every automorphism should satisfy.
+
+    Adjacency is scanned once, by line_action; every other fact is read
+    off its class map lmap.  An automorphism maps N(x) onto N(perm(x)),
+    so one member x per class checks that neighborhoods commute.  The
+    swapped case composes lmap with sigma's class map c -> c +- half."""
     lmap = line_action(g, perm)  # raises LineActionError when ill-defined
     lines = g.lines()
     half = len(lines) // 2
-    nv = g.nv
     img = perm.image
-    vec_to_fun = sum(1 for v in range(nv) if img[v] >= nv)
-    if vec_to_fun == 0:
+    crossing = sum(1 for c in lmap[:half] if c >= half)
+    if crossing == 0:
         behavior = "preserved"
-    elif vec_to_fun == nv:
+    elif crossing == half:
         behavior = "swapped"
     else:
         behavior = "mixed"
@@ -346,7 +345,7 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
 
     n_comm = True
     for idx, line in enumerate(lines):
-        if permute_mask(perm, g.neighbor_set(line)) != g.neighbor_set(lines[lmap[idx]]):
+        if g.adj[img[line.members[0]]] != g.neighbor_set(lines[lmap[idx]]):
             n_comm = False
             if witness is None:
                 witness = {"class": idx}
@@ -354,11 +353,12 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
 
     inter = inter_sw = None
     if behavior == "preserved":
-        inter, w = _intersection_holds(g, perm)
+        inter, w = _intersection_holds(g, lmap)
         if not inter and witness is None:
             witness = w
     elif behavior == "swapped":
-        inter_sw, w = _intersection_holds(g, sigma_swap(g).compose(perm))
+        inter_sw, w = _intersection_holds(
+            g, [(c + half) % (2 * half) for c in lmap])
         if not inter_sw and witness is None:
             witness = w
 
@@ -787,15 +787,26 @@ def perm_to_json(perm: VertexPerm) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def perm_from_json(text, g: LfGraph | None = None) -> VertexPerm:
+def _read_doc(text, what: str, keys, g: LfGraph | None):
+    """The parsed document and its graph; a malformed header raises
+    ValueError, never TypeError."""
     doc = json.loads(text)
-    for key in ("q", "n", "image"):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document is not a JSON object")
+    for key in ("q", "n") + keys:
         if key not in doc:
-            raise ValueError(f"permutation document is missing {key!r}")
+            raise ValueError(f"{what} document is missing {key!r}")
+    if type(doc["q"]) is not int or type(doc["n"]) is not int:
+        raise ValueError(f"{what} document needs integer q and n")
     if g is None:
         g = build(field_from_order(doc["q"]), doc["n"])
     elif (g.q, g.n) != (doc["q"], doc["n"]):
-        raise ValueError("permutation document does not match the graph")
+        raise ValueError(f"{what} document does not match the graph")
+    return doc, g
+
+
+def perm_from_json(text, g: LfGraph | None = None) -> VertexPerm:
+    doc, g = _read_doc(text, "permutation", ("image",), g)
     return VertexPerm(g, doc["image"])
 
 
@@ -823,14 +834,8 @@ def decomposition_to_json(g: LfGraph, d: Decomposition) -> str:
 
 
 def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
-    doc = json.loads(text)
-    for key in ("q", "n", "swap", "P", "frob", "phi", "delta", "tau"):
-        if key not in doc:
-            raise ValueError(f"decomposition document is missing {key!r}")
-    if g is None:
-        g = build(field_from_order(doc["q"]), doc["n"])
-    elif (g.q, g.n) != (doc["q"], doc["n"]):
-        raise ValueError("decomposition document does not match the graph")
+    doc, g = _read_doc(text, "decomposition",
+                       ("swap", "P", "frob", "phi", "delta", "tau"), g)
     by_key = {f"{line.side}:{','.join(map(str, line.rep))}": line
               for line in g.lines()}
     table: dict[int, int] = {}

@@ -112,16 +112,6 @@ def env_seed() -> int:
         raise ValueError(f"LFG_SEED must be an integer, got {raw!r}")
 
 
-_GRAPHS: dict[tuple[int, int], LfGraph] = {}
-
-
-def _get_graph(q: int, n: int) -> LfGraph:
-    key = (q, n)
-    if key not in _GRAPHS:
-        _GRAPHS[key] = build(field_from_order(q), n)
-    return _GRAPHS[key]
-
-
 def _label(g: LfGraph, vid: int) -> list:
     side, coords = g.coords_of(vid)
     return [side, list(coords)]
@@ -386,7 +376,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
         unknown = selected - set(CLAIM_IDS)
         if unknown:
             raise ValueError(f"unknown claim ids: {sorted(unknown)}")
-    g = _get_graph(q, n)
+    g = build(field_from_order(q), n)
     start = time.monotonic()
     results = []
     for cid, locus in REGISTRY:
@@ -479,7 +469,7 @@ def _parse_claims(raw: str | None):
 
 
 def _cmd_build(args) -> int:
-    g = _get_graph(args.q, args.n)
+    g = build(field_from_order(args.q), args.n)
     if args.export is None:
         print(f"q={g.q} n={g.n} vertices={g.num_vertices} "
               f"edges={len(g.edges())} degree={g.q ** (g.n - 1) - 1} "
@@ -498,7 +488,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    g = _get_graph(args.q, args.n)
+    g = build(field_from_order(args.q), args.n)
     degree = g.q ** (g.n - 1) - 1
     classes = len(g.lines()) // 2
     comps = len(g.components())
@@ -513,7 +503,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_lines(args) -> int:
-    g = _get_graph(args.q, args.n)
+    g = build(field_from_order(args.q), args.n)
     for line in g.lines():
         rep = ",".join(map(str, line.rep))
         members = " ".join(map(str, line.members))
@@ -527,7 +517,8 @@ def _cmd_autos_count(args) -> int:
     if args.method in ("formula", "both"):
         formula = formula_card_n2(q) if n == 2 else formula_card_general(q, n)
     if args.method in ("brute", "both"):
-        brute = count_automorphisms(_get_graph(q, n), method="quotient")
+        brute = count_automorphisms(build(field_from_order(q), n),
+                                    method="quotient")
     parts = []
     if formula is not None:
         parts.append(f"formula={formula}")

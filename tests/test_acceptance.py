@@ -193,12 +193,16 @@ def test_criterion_10_structural_properties():
             if v.side_behavior == "preserved":
                 assert v.intersection is True
         g32 = graph_for(3, 2)
+        behaviors = set()
         for img in all_automorphisms(g32):
             perm = VertexPerm(g32, img)
             v = check_structure(g32, perm)  # raises if action ill-defined
             assert v.ok(), v
             if v.side_behavior == "preserved":
                 assert v.intersection is True
+            behaviors.add(v.side_behavior)
+        # mixed side behavior exists at n = 2 but stays component-pure
+        assert behaviors == {"preserved", "swapped", "mixed"}
 
 
 def test_criterion_11_decomposition():
@@ -210,7 +214,7 @@ def test_criterion_11_decomposition():
         for img in all_automorphisms(g32):
             perm = VertexPerm(g32, img)
             d = decompose(g32, perm)
-            assert d.phi is not None  # the n = 2 path
+            assert d.phi is not None and d.frob is None  # the n = 2 path
             assert compose(g32, d) == perm
         rng = random.Random(11)
         for q in (3, 4):

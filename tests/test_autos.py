@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 
 from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
-                           VertexPerm, all_automorphisms, automorphism_defect,
-                           check_structure, chi_p, compose,
+                           StructureVerdict, VertexPerm, all_automorphisms,
+                           automorphism_defect, check_structure, chi_p, compose,
                            count_automorphisms, count_class_stabilizers,
                            count_component_isomorphisms, decompose,
                            decomposition_from_json, decomposition_to_json,
@@ -16,7 +16,8 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            line_action, perm_from_json, perm_to_json, phi_bar,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
-                           tau_from_table, _delta_impl, _vec_partners)
+                           tau_from_table, _delta_impl, _intersection_holds,
+                           _vec_partners)
 from lfgraph.linalg import (identity, mat_inv, mat_mul, mat_vec,
                             random_invertible, transpose)
 
@@ -39,6 +40,16 @@ def test_perm_validation():
         VertexPerm(g, [0, 0, 1, 2, 3, 4])
     with pytest.raises(ValueError):
         VertexPerm(g, [0, 1, 2, 3, 4, 6])
+    with pytest.raises(ValueError):
+        VertexPerm(g, [-1, 1, 2, 3, 4, 6])  # distinct, right sum, negative
+    with pytest.raises(ValueError):
+        VertexPerm(g, [0, 0, 2, 3, 4, 6])  # right sum, repeated id
+    # malformed documents: a non-sequence, non-numbers, and a float id that
+    # compares equal to an integer
+    for bad in (5, None, [0.0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5.0],
+                ["0", 1, 2, 3, 4, 5], [[0], 1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError):
+            VertexPerm(g, bad)
 
 
 def test_compose_and_inverse():
@@ -382,15 +393,113 @@ def test_structure_full_group(q, n):
             assert v.intersection_swapped is True
 
 
-def test_structure_full_group_3_2():
-    g = graph_for(3, 2)
-    behaviors = set()
-    for perm in iter_automorphisms(g):
-        v = check_structure(g, perm)
-        assert v.ok(), v
-        behaviors.add(v.side_behavior)
-    # mixed side behavior exists at n = 2 but stays component-pure
-    assert behaviors == {"preserved", "swapped", "mixed"}
+def _structure_reference(g, perm):
+    """check_structure at vertex level: every fact recomputed from the
+    permutation itself, the swapped case through sigma . perm."""
+    def pmask(p, mask):
+        return sum(1 << p.image[v] for v in range(g.num_vertices)
+                   if (mask >> v) & 1)
+
+    def intersection(psi):
+        lmap = line_action(g, psi)
+        full = (1 << g.num_vertices) - 1
+        for j in range(half, len(lines)):
+            fmask = g.line_mask(lines[j])
+            inter = full
+            for i in range(half):
+                if fmask & ~g.neighbor_set(lines[i]) == 0:
+                    inter &= g.neighbor_set(lines[lmap[i]])
+            if inter != pmask(psi, fmask):
+                return False, {"fun_class": j}
+        return True, None
+
+    lmap = line_action(g, perm)
+    lines = g.lines()
+    half = len(lines) // 2
+    nv = g.nv
+    to_fun = sum(1 for v in range(nv) if perm.image[v] >= nv)
+    behavior = ("preserved" if to_fun == 0 else
+                "swapped" if to_fun == nv else "mixed")
+    witness = None
+    if g.n >= 3:
+        purity = behavior != "mixed"
+        if not purity:
+            witness = {"side": "mixed image of the vector side"}
+    else:
+        partner = _vec_partners(g)
+        comp = list(range(half)) + partner
+        purity = True
+        for i in range(half):
+            if comp[lmap[i]] != comp[lmap[half + partner[i]]]:
+                purity, witness = False, {"component": i}
+                break
+    n_comm = True
+    for idx, line in enumerate(lines):
+        if pmask(perm, g.neighbor_set(line)) != g.neighbor_set(lines[lmap[idx]]):
+            n_comm = False
+            witness = witness or {"class": idx}
+            break
+    inter = inter_sw = None
+    if behavior == "preserved":
+        inter, w = intersection(perm)
+        witness = witness or w
+    elif behavior == "swapped":
+        inter_sw, w = intersection(sigma_swap(g).compose(perm))
+        witness = witness or w
+    return StructureVerdict(behavior, purity, n_comm, inter, inter_sw, witness)
+
+
+def _structure_cases():
+    for q, n in [(2, 2), (2, 3)]:
+        yield from ((q, n, perm) for perm in iter_automorphisms(graph_for(q, n)))
+    r = rng()
+    for (q, n), count in [((3, 2), 60), ((5, 2), 40), ((3, 3), 30),
+                          ((4, 3), 12), ((8, 3), 3)]:
+        g = graph_for(q, n)
+        yield from ((q, n, random_automorphism(g, r)) for _ in range(count))
+
+
+def test_check_structure_matches_vertex_reference():
+    behaviors = {}
+    for q, n, perm in _structure_cases():
+        g = graph_for(q, n)
+        got = check_structure(g, perm)
+        assert got == _structure_reference(g, perm), (q, n, perm)
+        behaviors.setdefault((q, n), set()).add(got.side_behavior)
+    # the cases reach every side behavior
+    assert behaviors[(3, 2)] == {"preserved", "swapped", "mixed"}
+    assert behaviors[(3, 3)] == behaviors[(4, 3)] == {"preserved", "swapped"}
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3)])
+def test_check_structure_rejects_like_vertex_reference(q, n):
+    g = graph_for(q, n)
+    for a in range(0, g.num_vertices, 3):
+        img = list(range(g.num_vertices))
+        b = (a * 7 + 1) % g.num_vertices
+        img[a], img[b] = img[b], img[a]
+        perm = VertexPerm(g, img)
+        if is_automorphism(g, perm):
+            continue
+        with pytest.raises(LineActionError) as want:
+            _structure_reference(g, perm)
+        with pytest.raises(LineActionError) as got:
+            check_structure(g, perm)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3)])
+def test_intersection_holds_rejects_non_quotient_map(q, n):
+    g = graph_for(q, n)
+    m = len(g.lines())
+    half = m // 2
+    lmap = list(range(m))
+    assert _intersection_holds(g, lmap) == (True, None)
+    # vector classes fixed, two functional classes exchanged: no quotient
+    # automorphism, and the first moved functional class is the witness
+    lmap[half + 1], lmap[half + 2] = half + 2, half + 1
+    assert _intersection_holds(g, lmap) == (False, {"fun_class": half + 1})
 
 
 def test_structure_sampled_3_3():
@@ -535,15 +644,6 @@ def test_decompose_full_group(q, n):
         assert compose(g, d) == perm
 
 
-def test_decompose_full_group_3_2():
-    g = graph_for(3, 2)
-    for img in all_automorphisms(g):
-        perm = VertexPerm(g, img)
-        d = decompose(g, perm)
-        assert d.phi is not None and d.frob is None
-        assert compose(g, d) == perm
-
-
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3)])
 def test_decompose_random_generator_chains(q, n):
     g = graph_for(q, n)
@@ -605,3 +705,13 @@ def test_decomposition_json_round_trip(q, n):
         assert compose(g, back) == perm
         assert back.swap == d.swap and back.frob == d.frob
         assert back.P == d.P and back.phi == d.phi
+
+
+@pytest.mark.parametrize("delta", [5, [0.0] + list(range(1, 16)), "0123"])
+def test_decomposition_json_rejects_malformed_delta(delta):
+    g = graph_for(3, 2)
+    doc = json.loads(decomposition_to_json(g, decompose(g, sigma_swap(g))))
+    assert doc["delta"] is not None
+    doc["delta"] = delta
+    with pytest.raises(ValueError):
+        decomposition_from_json(json.dumps(doc), g)

@@ -226,6 +226,26 @@ def test_cli_perm_files(tmp_path, capsys):
     assert run_cli("autos", "check", "--perm", str(missing)) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"q": 2, "n": 3, "image": 5},
+    {"q": 2, "n": 3, "image": [0.0] + list(range(1, 14))},
+    {"q": 2, "n": 3, "image": None},
+    {"q": 2.0, "n": 3, "image": list(range(14))},
+    {"q": 2, "n": "3", "image": list(range(14))},
+    [2, 3],
+    5,
+])
+def test_cli_malformed_perm_files(tmp_path, capsys, doc):
+    """A malformed document is a bad file (exit 2), never a verdict of
+    "not an automorphism" (exit 1) and never a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for cmd in ("check", "decompose"):
+        assert run_cli("autos", cmd, "--perm", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
+
 def test_cli_byte_identical_runs():
     exe = [sys.executable, "-m", "lfgraph.harness", "verify", "--q", "2",
            "--n", "2", "--seed", "123", "--format", "json"]
