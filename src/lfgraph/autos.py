@@ -836,17 +836,35 @@ def decomposition_to_json(g: LfGraph, d: Decomposition) -> str:
 def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
     doc, g = _read_doc(text, "decomposition",
                        ("swap", "P", "frob", "phi", "delta", "tau"), g)
+
+    def ints(value, length, bound, what):
+        if (not isinstance(value, list) or len(value) != length
+                or any(type(x) is not int or not 0 <= x < bound for x in value)):
+            raise ValueError(f"bad {what} in decomposition document")
+        return tuple(value)
+
+    if type(doc["swap"]) is not bool:
+        raise ValueError("bad 'swap' in decomposition document")
+    frob = doc["frob"]
+    if frob is not None and (type(frob) is not int or not 0 <= frob < g.field.k):
+        raise ValueError("bad 'frob' in decomposition document")
+    phi = None if doc["phi"] is None else ints(doc["phi"], g.q, g.q, "'phi'")
+    if not isinstance(doc["P"], list) or len(doc["P"]) != g.n:
+        raise ValueError("bad 'P' in decomposition document")
+    P = tuple(ints(row, g.n, g.q, "'P' row") for row in doc["P"])
+    if not isinstance(doc["tau"], dict):
+        raise ValueError("bad 'tau' in decomposition document")
     by_key = {f"{line.side}:{','.join(map(str, line.rep))}": line
               for line in g.lines()}
     table: dict[int, int] = {}
     for key, images in doc["tau"].items():
         line = by_key.get(key)
-        if line is None or len(images) != len(line.members):
+        if line is None:
             raise ValueError(f"bad tau table for {key!r}")
+        images = ints(images, len(line.members), g.num_vertices,
+                      f"tau table for {key!r}")
         for src, dst in zip(line.members, images):
             table[src] = dst
     tau = tau_from_table(g, table)
     delta = None if doc["delta"] is None else VertexPerm(g, doc["delta"])
-    phi = None if doc["phi"] is None else tuple(doc["phi"])
-    P = tuple(tuple(row) for row in doc["P"])
-    return Decomposition(bool(doc["swap"]), delta, P, doc["frob"], phi, tau)
+    return Decomposition(doc["swap"], delta, P, frob, phi, tau)

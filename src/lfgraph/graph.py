@@ -288,25 +288,23 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
 
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
-    method: "branch" (branch and bound) or "exhaustive" (subset sweep,
-            only for graphs of at most 20 vertices).
+    method: "branch" (branch and bound on each independent block of the
+            cover instance; no component over max_search vertices) or
+            "exhaustive" (subset sweep, only for graphs of at most 20
+            vertices).
     """
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("branch", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     if method == "branch" and g.num_vertices > max_search:
-        raise ValueError(
-            f"{g.num_vertices} vertices is over the exact-search guard {max_search}")
+        # the search runs block by block, and a block never spans components
+        largest = max(map(len, g.components()))
+        if largest > max_search:
+            raise ValueError(f"a component of {largest} vertices is over "
+                             f"the exact-search guard {max_search}")
     if method == "exhaustive" and g.num_vertices > 20:
         raise ValueError("exhaustive search is limited to 20 vertices")
-
-    if target == "all" and mode == "total":
-        # total constraints of each side only involve the other side, so the
-        # whole-graph instance splits into the two one-sided instances
-        s1, w1 = domination_number(g, VEC, "total", method, max_search)
-        s2, w2 = domination_number(g, FUN, "total", method, max_search)
-        return s1 + s2, tuple(sorted(w1 + w2))
 
     covered = list(_covered_ids(g, target))
     cands = list(_candidate_ids(g, target))
@@ -341,14 +339,27 @@ def _min_cover_exhaustive(cover: list[int], m: int) -> tuple[int, tuple]:
 
 
 def _min_cover(cover: list[int], m: int) -> tuple[int, tuple]:
-    """Exact minimum set cover by branch and bound over candidate masks."""
-    full = (1 << m) - 1
-    acc = 0
-    for c in cover:
-        acc |= c
-    if acc != full:
+    """Exact minimum set cover: candidates whose masks overlap, directly or
+    through others, form one block, and each block is solved on its own."""
+    # disjoint element masks, so sum() is their union; a candidate merges
+    # every block it meets
+    blocks: list[int] = []
+    for c in filter(None, cover):
+        blocks = [b for b in blocks if not b & c] + [
+            c | sum(b for b in blocks if b & c)]
+    if sum(blocks) != (1 << m) - 1:
         raise ValueError("instance is infeasible")
+    size, chosen = 0, []
+    for elems in blocks:
+        idxs = [i for i, c in enumerate(cover) if c & elems]
+        k, sel = _min_cover_block([cover[i] for i in idxs], elems)
+        size += k
+        chosen += (idxs[i] for i in sel)
+    return size, tuple(sorted(chosen))
 
+
+def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
+    """Branch and bound over candidate masks that together cover full."""
     # drop dominated candidates (anything covered by a superset peer)
     keep = []
     for i, ci in enumerate(cover):
@@ -364,7 +375,7 @@ def _min_cover(cover: list[int], m: int) -> tuple[int, tuple]:
     keep.sort(key=lambda i: -cover[i].bit_count())
     masks = [cover[i] for i in keep]
 
-    elem_cov = [[] for _ in range(m)]
+    elem_cov = [[] for _ in range(full.bit_length())]
     for idx, mask in enumerate(masks):
         for e in _bits(mask):
             elem_cov[e].append(idx)
@@ -401,7 +412,7 @@ def _min_cover(cover: list[int], m: int) -> tuple[int, tuple]:
             chosen.pop()
 
     dfs(full, [])
-    return best[0], tuple(keep[i] for i in best[1])
+    return best[0], [keep[i] for i in best[1]]
 
 
 # ---------- export ----------

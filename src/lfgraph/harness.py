@@ -29,8 +29,8 @@ from .graph import (FUN, VEC, LfGraph, build, domination_number, export,
                     is_dominating)
 from .autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
                     DecompositionError, LineActionError, VertexPerm,
-                    all_automorphisms, automorphism_defect, check_structure,
-                    compose, count_automorphisms, count_class_stabilizers,
+                    all_automorphisms, check_structure, compose,
+                    count_automorphisms, count_class_stabilizers,
                     count_component_isomorphisms, decompose,
                     decomposition_to_json, formula_card_general,
                     formula_card_n2, formula_component_isos,
@@ -533,12 +533,13 @@ def _cmd_autos_count(args) -> int:
 def _cmd_autos_check(args) -> int:
     with open(args.perm, "rb") as fh:
         perm = perm_from_json(fh.read())
-    g = perm.g
-    defect = automorphism_defect(g, perm)
-    if defect is not None:
-        print(f"automorphism=no broken-edge={list(defect)}")
+    try:
+        v = check_structure(perm.g, perm)
+    except LineActionError as e:
+        if str(e) != "perm is not an automorphism":
+            raise
+        print(f"automorphism=no broken-edge={list(e.witness)}")
         return 1
-    v = check_structure(g, perm)
     print(f"automorphism=yes side-behavior={v.side_behavior} "
           f"side-purity={v.side_purity} n-commutes={v.n_commutes} "
           f"intersection={v.intersection} "

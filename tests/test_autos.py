@@ -715,3 +715,29 @@ def test_decomposition_json_rejects_malformed_delta(delta):
     doc["delta"] = delta
     with pytest.raises(ValueError):
         decomposition_from_json(json.dumps(doc), g)
+
+
+@pytest.mark.parametrize("q,n,key,value", [
+    (3, 2, "tau", 5),
+    (3, 2, "tau", {"vec:0,1": 5}),
+    (3, 2, "tau", {"vec:0,1": ["a", "b"]}),
+    (3, 2, "P", 5),
+    (3, 2, "P", [[1, "a"], [0, 1]]),
+    (3, 2, "P", [[1, 3], [0, 1]]),
+    (3, 2, "P", [[1, 0]]),
+    (3, 2, "phi", 5),
+    (3, 2, "phi", [0, 1]),
+    (4, 3, "frob", "x"),
+    (4, 3, "frob", 2),
+    (4, 3, "frob", True),
+    (4, 3, "swap", "no"),
+    (3, 2, "swap", 0),
+])
+def test_decomposition_json_rejects_malformed_fields(q, n, key, value):
+    """A malformed field is a ValueError, never a TypeError or
+    AttributeError and never a nonsense Decomposition."""
+    g = graph_for(q, n)
+    doc = json.loads(decomposition_to_json(g, decompose(g, sigma_swap(g))))
+    doc[key] = value
+    with pytest.raises(ValueError):
+        decomposition_from_json(json.dumps(doc), g)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfgraph.gf import field_from_order
-from lfgraph.graph import (FUN, VEC, build, domination_number, export,
-                           graph6_bytes, is_dominating, parse_edgelist_json,
-                           parse_graph6, to_edgelist_json, to_graph6)
+from lfgraph.graph import (FUN, VEC, _min_cover, _min_cover_exhaustive, build,
+                           domination_number, export, graph6_bytes,
+                           is_dominating, parse_edgelist_json, parse_graph6,
+                           to_edgelist_json, to_graph6)
 from lfgraph.linalg import dot, kernel_basis, monic_rep, span_nonzero
 
 from conftest import graph_for
@@ -194,7 +195,72 @@ def test_whole_graph_domination_small():
     assert domination_number(g23, target="all", mode="total")[0] == 6
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_whole_graph_standard_domination_n2(q):
+    """The n = 2 graph is q+1 disjoint copies of K_{q-1,q-1}, each
+    dominated by min(2, q-1) vertices."""
+    g = graph_for(q, 2)
+    size, witness = domination_number(g, target="all", mode="standard")
+    assert size == len(witness) == (q + 1) * min(2, q - 1)
+    assert is_dominating(g, witness, target="all", mode="standard")
+
+
+def test_domination_guard_applies_per_component():
+    # (11,2): 240 vertices in 12 copies of K_{10,10}
+    g = build(field_from_order(11), 2)
+    size, witness = domination_number(g, target="all", mode="standard")
+    assert size == len(witness) == 24
+    assert is_dominating(g, witness, target="all", mode="standard")
+    # (5,3) is one component of 248 vertices
+    with pytest.raises(ValueError, match="component of 248 vertices"):
+        domination_number(graph_for(5, 3), target="all")
+    # (5,2) has components of 8 vertices
+    g = graph_for(5, 2)
+    assert domination_number(g, target="all", max_search=8)[0] == 12
+    with pytest.raises(ValueError):
+        domination_number(g, target="all", max_search=7)
+
+
+def _interleaved_cover(rng):
+    """Two or three independent random sub-instances on interleaved
+    element bits, their candidates shuffled together."""
+    k = rng.choice([2, 3])
+    m = k * rng.randint(2, 4)
+    cover = []
+    for b in range(k):
+        elems = range(b, m, k)
+        subs = [sum(1 << e for e in elems if rng.random() < 0.4)
+                for _ in range(rng.randint(2, 4))]
+        subs.append(1 << rng.choice(elems))
+        subs = [c for c in subs if c]
+        missing = sum(1 << e for e in elems)
+        for c in subs:
+            missing &= ~c
+        cover += subs + ([missing] if missing else [])
+    cover.append(0)
+    rng.shuffle(cover)
+    return cover, m
+
+
+def test_min_cover_splits_interleaved_blocks():
+    rng = random.Random(7)
+    for _ in range(60):
+        cover, m = _interleaved_cover(rng)
+        size, chosen = _min_cover(cover, m)
+        assert size == _min_cover_exhaustive(cover, m)[0] == len(chosen)
+        assert list(chosen) == sorted(set(chosen))
+        acc = 0
+        for i in chosen:
+            acc |= cover[i]
+        assert acc == (1 << m) - 1
+    # two blocks, {0,2,4} and {1,3}, candidates alternating between them
+    cover = [0b00101, 0b01000, 0b10100, 0b00010, 0b00001, 0b01010]
+    assert _min_cover(cover, 5) == (3, (0, 2, 5))
+    assert _min_cover_exhaustive(cover, 5)[0] == 3
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3),
+                                 (3, 3)])
 def test_total_domination_matches_split_bound(q, n):
     """Total domination separates over sides: no vertex covers its own
     side, so the optimum is the sum of the two one-sided optima."""

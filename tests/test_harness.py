@@ -226,6 +226,32 @@ def test_cli_perm_files(tmp_path, capsys):
     assert run_cli("autos", "check", "--perm", str(missing)) == 2
 
 
+def test_cli_autos_check_scans_once(tmp_path, capsys, monkeypatch):
+    """One adjacency scan per document, and the same output as a scan
+    ahead of check_structure."""
+    import lfgraph.autos as autos
+    from lfgraph.autos import VertexPerm, perm_to_json, sigma_swap
+    g = __import__("conftest").graph_for(3, 2)
+    swapped = list(range(g.num_vertices))
+    swapped[0], swapped[2] = 2, 0  # two vectors of different classes
+    calls = []
+    real = autos.automorphism_defect
+    monkeypatch.setattr(autos, "automorphism_defect",
+                        lambda g, perm: calls.append(1) or real(g, perm))
+    for perm, code, out in [
+            (sigma_swap(g), 0,
+             "automorphism=yes side-behavior=swapped side-purity=True "
+             "n-commutes=True intersection=None intersection-swapped=True"),
+            (VertexPerm(g, swapped), 1,
+             "automorphism=no broken-edge=[0, 10]")]:
+        path = tmp_path / "perm.json"
+        path.write_text(perm_to_json(perm))
+        calls.clear()
+        assert run_cli("autos", "check", "--perm", str(path)) == code
+        assert capsys.readouterr().out == out + "\n"
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("doc", [
     {"q": 2, "n": 3, "image": 5},
     {"q": 2, "n": 3, "image": [0.0] + list(range(1, 14))},
