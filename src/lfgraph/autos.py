@@ -8,7 +8,10 @@ The decomposition factors a verified automorphism into the generator chain
 sigma^s . chi_P . pi_j . tau for n >= 3, or delta . chi_P . phi_bar . tau
 for n = 2.  Each recovery step validates the structural fact it relies on
 and reports a witness when that fact fails, because a failure on a genuine
-automorphism is exactly the interesting outcome.
+automorphism is exactly the interesting outcome.  compose, decompose and
+random_automorphism share one chain evaluator, _chain, which builds the
+generator part as a single image list from one semilinear sweep
+(_semilinear, P . v^(p^j) on both sides at once).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import field_from_order
-from .linalg import (dot, identity, is_invertible, mat_inv, mat_mul, monic_rep,
+from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
                      random_invertible, rank, transpose)
 from .graph import FUN, VEC, LfGraph, _map_ids, _row_lists, build
 
@@ -96,21 +99,27 @@ def is_automorphism(g: LfGraph, perm: VertexPerm) -> bool:
 
 # ---------- generators ----------
 
+def _semilinear(g: LfGraph, P, j: int) -> list[int]:
+    """Image list of chi_P . pi_j: v -> P v^(p^j) on vectors and
+    f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side."""
+    F = g.field
+    if not 0 <= j < F.k:
+        raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
+    if len(P) != g.n:
+        raise ValueError(f"P must be {g.n}x{g.n}")
+    frob = [F.frobenius(c, j) for c in F.elements()] if j else None
+    funs = _map_ids(g, transpose(mat_inv(F, P)), frob)
+    return _map_ids(g, P, frob) + [t + g.nv for t in funs]
+
+
 def chi_p(g: LfGraph, P) -> VertexPerm:
     """v -> P v on vectors, f_u -> f_{(P^-1)^T u} on functionals."""
-    nv = g.nv
-    funs = _map_ids(g, transpose(mat_inv(g.field, P)))
-    return VertexPerm(g, _map_ids(g, P) + [t + nv for t in funs])
+    return VertexPerm(g, _semilinear(g, P, 0))
 
 
 def pi_extend(g: LfGraph, j: int) -> VertexPerm:
     """Coordinatewise field automorphism a -> a^(p^j) on both sides."""
-    F = g.field
-    if not 0 <= j < F.k:
-        raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
-    nv = g.nv
-    vecs = _map_ids(g, identity(g.n), [F.frobenius(c, j) for c in F.elements()])
-    return VertexPerm(g, vecs + [t + nv for t in vecs])
+    return VertexPerm(g, _semilinear(g, identity(g.n), j))
 
 
 def sigma_swap(g: LfGraph) -> VertexPerm:
@@ -450,46 +459,39 @@ def _degree_colouring(adj: list[int]) -> dict[int, int]:
     return {v: bydeg[row.bit_count()] for v, row in enumerate(adj)}
 
 
-def _check_enum_size(g: LfGraph, max_vertices: int) -> None:
-    if g.num_vertices > max_vertices:
+def _check_enum_size(g: LfGraph) -> None:
+    if g.num_vertices > MAX_ENUM_VERTICES:
         raise ValueError(
-            f"direct enumeration is limited to {max_vertices} vertices")
+            f"direct enumeration is limited to {MAX_ENUM_VERTICES} vertices")
 
 
-def all_automorphisms(g: LfGraph,
-                      max_vertices: int = MAX_ENUM_VERTICES) -> tuple:
+def all_automorphisms(g: LfGraph) -> tuple:
     """Every automorphism as an image tuple, via direct vertex search."""
-    _check_enum_size(g, max_vertices)
+    _check_enum_size(g)
     out: list = []
     _automorphism_search(g.adj, _degree_colouring(g.adj), out)
     return tuple(out)
 
 
-def iter_automorphisms(g: LfGraph, max_vertices: int = MAX_ENUM_VERTICES):
-    for img in all_automorphisms(g, max_vertices):
+def iter_automorphisms(g: LfGraph):
+    for img in all_automorphisms(g):
         yield VertexPerm(g, img)
 
 
-def quotient_adjacency(g: LfGraph,
-                       max_classes: int = MAX_QUOTIENT_CLASSES) -> list[int]:
-    """Bitset adjacency of the class quotient (classes as single nodes)."""
+def quotient_adjacency(g: LfGraph) -> list[int]:
+    """Bitset adjacency of the class quotient (classes as single nodes),
+    read off the graph's adjacency at one member of each class."""
     lines = g.lines()
     half = len(lines) // 2
-    if half > max_classes:
-        raise ValueError(f"{half} classes per side is over the {max_classes} guard")
-    F = g.field
-    qadj = [0] * (2 * half)
-    for i in range(half):
-        for j in range(half):
-            if dot(F, lines[half + j].rep, lines[i].rep) == 0:
-                qadj[i] |= 1 << (half + j)
-                qadj[half + j] |= 1 << i
-    return qadj
+    if half > MAX_QUOTIENT_CLASSES:
+        raise ValueError(
+            f"{half} classes per side is over the {MAX_QUOTIENT_CLASSES} guard")
+    reps = [line.members[0] for line in lines]
+    return [sum(1 << c for c, r in enumerate(reps) if (g.adj[v] >> r) & 1)
+            for v in reps]
 
 
-def count_automorphisms(g: LfGraph, method: str = "quotient",
-                        max_vertices: int = MAX_ENUM_VERTICES,
-                        max_classes: int = MAX_QUOTIENT_CLASSES) -> int:
+def count_automorphisms(g: LfGraph, method: str = "quotient") -> int:
     """Exact automorphism count.
 
     method "vertex": direct search over vertex bijections (small graphs).
@@ -498,21 +500,20 @@ def count_automorphisms(g: LfGraph, method: str = "quotient",
     automorphism lifts because classes are twins of size q-1.
     """
     if method == "vertex":
-        _check_enum_size(g, max_vertices)
+        _check_enum_size(g)
         return _automorphism_search(g.adj, _degree_colouring(g.adj))
     if method == "quotient":
-        qadj = quotient_adjacency(g, max_classes)
+        qadj = quotient_adjacency(g)
         base = _automorphism_search(qadj, _degree_colouring(qadj))
         m = len(qadj) // 2
         return base * math.factorial(g.q - 1) ** (2 * m)
     raise ValueError(f"unknown method {method!r}")
 
 
-def count_class_stabilizers(g: LfGraph,
-                            max_vertices: int = MAX_ENUM_VERTICES) -> int:
+def count_class_stabilizers(g: LfGraph) -> int:
     """Automorphisms that map every twin class to itself, counted by one
     search in which each vertex may only map inside its own class."""
-    _check_enum_size(g, max_vertices)
+    _check_enum_size(g)
     masks = [g.line_mask(line) for line in g.lines()]
     return _automorphism_search(
         g.adj, {v: masks[g.line_of(v)] for v in range(g.num_vertices)})
@@ -590,14 +591,11 @@ def random_automorphism(g: LfGraph, rng) -> VertexPerm:
     """
     F = g.field
     if g.n >= 3:
-        perm = chi_p(g, random_invertible(F, g.n, rng))
+        # draw order: P, j, tau, then the swap coin
+        P = random_invertible(F, g.n, rng)
         j = rng.randrange(F.k)
-        if j:
-            perm = perm.compose(pi_extend(g, j))
-        perm = perm.compose(random_twin_permutation(g, rng))
-        if rng.random() < 0.5:
-            perm = sigma_swap(g).compose(perm)
-        return perm
+        tau = random_twin_permutation(g, rng)
+        return compose(g, Decomposition(rng.random() < 0.5, None, P, j, None, tau))
     lines = g.lines()
     half = len(lines) // 2
     partner = _vec_partners(g)
@@ -643,22 +641,25 @@ class Decomposition:
     tau: VertexPerm
 
 
-def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
-    """Multiply a decomposition back into a single vertex permutation."""
-    perm = chi_p(g, d.P)
+def _chain(g: LfGraph, d: Decomposition) -> list[int]:
+    """Image list of d's generator part: sigma^swap . chi_P . pi_frob for
+    n >= 3, delta . chi_P . phi_bar(phi) for n = 2."""
     if g.n >= 3:
         if d.frob is None or d.phi is not None or d.delta is not None:
             raise ValueError("n >= 3 decompositions use swap/P/frob/tau only")
-        perm = perm.compose(pi_extend(g, d.frob)).compose(d.tau)
-        if d.swap:
-            perm = sigma_swap(g).compose(perm)
-        return perm
+        image = _semilinear(g, d.P, d.frob)
+        return list(map(g.mirror, image)) if d.swap else image
     if d.phi is None or d.frob is not None or d.swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
-    perm = perm.compose(phi_bar(g, d.phi)).compose(d.tau)
-    if d.delta is not None:
-        perm = d.delta.compose(perm)
-    return perm
+    lin = _semilinear(g, d.P, 0)
+    image = [lin[t] for t in phi_bar(g, d.phi).image]
+    return image if d.delta is None else [d.delta.image[t] for t in image]
+
+
+def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
+    """Multiply a decomposition back into a single vertex permutation."""
+    chain = _chain(g, d)
+    return VertexPerm(g, [chain[t] for t in d.tau.image])
 
 
 def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
@@ -670,19 +671,18 @@ def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
     defect = automorphism_defect(g, perm)
     if defect is not None:
         raise DecompositionError("not-automorphism", {"edge": defect})
-    if g.n >= 3:
-        return _decompose_general(g, perm)
-    return _decompose_n2(g, perm)
+    return (_decompose_general if g.n >= 3 else _decompose_n2)(g, perm)
 
 
-def _basis_change(g: LfGraph, rho_p: VertexPerm):
-    """P whose columns are the images of the standard basis under rho_p."""
+def _basis_change(g: LfGraph, rho_p):
+    """P whose columns are the images of the standard basis under the
+    vertex map rho_p (a function of vertex ids)."""
     F = g.field
     n = g.n
     cols = []
     for i in range(n):
         # e_i is the packed value q^(n-1-i)
-        side, coords = g.coords_of(rho_p.image[g.q ** (n - 1 - i) - 1])
+        side, coords = g.coords_of(rho_p(g.q ** (n - 1 - i) - 1))
         if side != VEC:
             raise DecompositionError("side-mixed", {"basis": i})
         cols.append(coords)
@@ -691,30 +691,36 @@ def _basis_change(g: LfGraph, rho_p: VertexPerm):
     return tuple(zip(*cols))
 
 
-def _check_class_stable(g: LfGraph, tau: VertexPerm) -> None:
-    for v in range(g.num_vertices):
-        if g.line_of(tau.image[v]) != g.line_of(v):
-            raise DecompositionError("twin-residual",
-                                     {"vertex": v, "image": tau.image[v]})
+def _with_tau(g: LfGraph, d: Decomposition, rho: VertexPerm) -> Decomposition:
+    """d with tau = chain(d)^-1 . rho, which must fix every twin class."""
+    chain = _chain(g, d)
+    inv = [0] * len(chain)
+    for v, t in enumerate(chain):
+        inv[t] = v
+    tau = [inv[t] for t in rho.image]
+    g.lines()
+    lof = g._line_of
+    if list(map(lof.__getitem__, tau)) != lof:
+        v = next(v for v, t in enumerate(tau) if lof[t] != lof[v])
+        raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
+    d.tau = VertexPerm(g, tau)
+    return d
 
 
 def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
     F = g.field
     n, q, nv = g.n, g.q, g.nv
-    sides = [rho.image[v] >= nv for v in range(nv)]
-    if all(sides):
-        swap = True
-        rho_p = sigma_swap(g).compose(rho)
-    elif not any(sides):
-        swap = False
-        rho_p = rho
-    else:
-        a = sides.index(True)
-        b = sides.index(False)
-        raise DecompositionError("side-mixed", {"to_fun": a, "to_vec": b})
+    img = rho.image
+    sides = [t >= nv for t in img[:nv]]
+    swap = sides[0]
+    if any(s != swap for s in sides):
+        raise DecompositionError("side-mixed", {"to_fun": sides.index(True),
+                                                "to_vec": sides.index(False)})
 
-    P = _basis_change(g, rho_p)
-    rho1 = chi_p(g, mat_inv(F, P)).compose(rho_p)
+    # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
+    # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
+    P = _basis_change(g, (lambda v: g.mirror(img[v])) if swap else img.__getitem__)
+    Pinv = mat_inv(F, P)
 
     # recover the per-axis trace of the field permutation from the images
     # of e1 + a*e_axis, which must stay supported on {e1, e_axis}
@@ -724,8 +730,7 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
         for a in F.units():
             # the vector id of e1 + a*e_axis
             vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
-            side, img = g.coords_of(rho1.image[vid])
-            m = monic_rep(F, img)
+            m = monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))
             ok = (m[0] == 1 and m[axis] != 0
                   and all(m[t] == 0 for t in range(n) if t not in (0, axis)))
             if not ok:
@@ -736,8 +741,7 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
             raise DecompositionError("support", {"axis": axis, "table": tab})
         tabs[axis] = tab
 
-    scale = tabs[1][1]
-    pi_norm = [F.mul(tabs[1][a], F.inv(scale)) for a in range(q)]
+    pi_norm = [F.div(tabs[1][a], tabs[1][1]) for a in range(q)]
     jstar = next((j for j in range(F.k)
                   if all(pi_norm[a] == F.frobenius(a, j) for a in range(q))), None)
     if jstar is None:
@@ -745,39 +749,33 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
 
     Q = tuple(tuple((1 if (i, j) == (0, 0) else tabs[i][1] if i == j else 0)
                     for j in range(n)) for i in range(n))
-    tau = pi_extend(g, jstar).inverse().compose(
-        chi_p(g, mat_inv(F, Q)).compose(rho1))
-    _check_class_stable(g, tau)
-    return Decomposition(swap, None, mat_mul(F, P, Q), jstar, None, tau)
+    return _with_tau(g, Decomposition(swap, None, mat_mul(F, P, Q), jstar, None,
+                                      None), rho)
 
 
 def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
     F = g.field
     q = g.q
     delta = _delta_impl(g, rho)
-    rho_p = delta.inverse().compose(rho)
-
-    P = _basis_change(g, rho_p)
-    if not is_invertible(F, P):
-        raise DecompositionError("dependent-basis", {"P": P})
-    rho1 = chi_p(g, mat_inv(F, P)).compose(rho_p)
-
-    # the functional classes f_{e1 + a e2} must map among themselves
+    # rho' = delta^-1 . rho keeps the vector side; delta exchanges vertex
+    # pairs, so it is its own inverse
+    dimg, img = delta.image, rho.image
+    P = _basis_change(g, lambda v: dimg[img[v]])
+    # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}),
+    # and these functional classes must map among themselves
     phi = [0] * q
     for a in range(q):
-        side, img = g.coords_of(rho1.image[g.fun_id((1, a))])
+        side, coords = g.coords_of(dimg[img[g.fun_id((1, a))]])
         if side != FUN:
             raise DecompositionError("side-mixed", {"a": a})
-        m = monic_rep(F, img)
+        m = monic_rep(F, mat_vec(F, transpose(P), coords))
         if m[0] != 1:
             raise DecompositionError("support", {"a": a, "image": list(m)})
         phi[a] = m[1]
     if phi[0] != 0 or len(set(phi)) != q:
         raise DecompositionError("phi", {"table": phi})
 
-    tau = phi_bar(g, phi).inverse().compose(rho1)
-    _check_class_stable(g, tau)
-    return Decomposition(False, delta, P, None, tuple(phi), tau)
+    return _with_tau(g, Decomposition(False, delta, P, None, tuple(phi), None), rho)
 
 
 # ---------- serialization ----------

@@ -16,9 +16,10 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            line_action, perm_from_json, perm_to_json, phi_bar,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
-                           tau_from_table, _delta_impl, _intersection_holds,
+                           tau_from_table, _decompose_general, _decompose_n2,
+                           _delta_impl, _intersection_holds, _semilinear,
                            _vec_partners)
-from lfgraph.linalg import (identity, mat_inv, mat_mul, mat_vec,
+from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
                             random_invertible, transpose)
 
 from conftest import graph_for
@@ -151,6 +152,11 @@ def test_vertex_actions_match_tuple_reference(q, n):
         assert list(chi_p(g, P).image) == _chi_p_reference(g, P)
     for j in range(g.field.k):
         assert list(pi_extend(g, j).image) == _pi_extend_reference(g, j)
+    # chi_P after pi_j in one sweep, against the two references composed
+    for j in range(1, g.field.k):
+        P = random_invertible(g.field, n, r)
+        chi, pi = _chi_p_reference(g, P), _pi_extend_reference(g, j)
+        assert _semilinear(g, P, j) == [chi[t] for t in pi]
     if n == 2:
         for _ in range(5):
             phi = [0] + r.sample(range(1, q), q - 1)
@@ -288,6 +294,7 @@ def test_delta_fixes_sides(q):
         rho = random_automorphism(g, r)
         d = delta_for(g, rho)
         assert is_automorphism(g, d)
+        assert d.compose(d).is_identity()  # decompose reads delta^-1 as delta
         rest = d.inverse().compose(rho)
         assert all(rest.image[v] < g.nv for v in range(g.nv))
 
@@ -554,10 +561,23 @@ def test_enumeration_guards():
 
 
 def test_quotient_adjacency_is_projective_incidence():
-    g = graph_for(2, 3)
-    qadj = quotient_adjacency(g)
-    assert len(qadj) == 14
-    assert all(row.bit_count() == 3 for row in qadj)  # the 7-point plane
+    for q, n in [(2, 3), (3, 3), (4, 2)]:
+        g = graph_for(q, n)
+        qadj = quotient_adjacency(g)
+        lines = g.lines()
+        half = len(lines) // 2
+        assert len(qadj) == 2 * half == 2 * (q ** n - 1) // (q - 1)
+        # every point lies on (q^(n-1) - 1)/(q - 1) hyperplanes and back
+        assert all(row.bit_count() == (q ** (n - 1) - 1) // (q - 1)
+                   for row in qadj)
+        # the definition: classes meet when their reps' dot product is 0
+        want = [0] * (2 * half)
+        for i in range(half):
+            for j in range(half):
+                if dot(g.field, lines[half + j].rep, lines[i].rep) == 0:
+                    want[i] |= 1 << (half + j)
+                    want[half + j] |= 1 << i
+        assert qadj == want, (q, n)
 
 
 def test_group_closure_sample():
@@ -626,6 +646,64 @@ def test_decompose_identity():
     assert d.tau.is_identity()
 
 
+# one crafted non-automorphism per step (two vertices' images exchanged),
+# fed past decompose's adjacency check straight to the recovery routines
+@pytest.mark.parametrize("q,n,a,b,step,witness", [
+    (3, 3, ("vec", (1, 0, 0)), ("fun", (1, 0, 0)), "side-mixed",
+     {"to_fun": 8, "to_vec": 0}),
+    (3, 3, ("vec", (0, 1, 0)), ("vec", (2, 0, 0)), "dependent-basis",
+     {"images": [(1, 0, 0), (2, 0, 0), (0, 0, 1)]}),
+    (3, 3, ("vec", (1, 1, 0)), ("vec", (1, 1, 1)), "support",
+     {"axis": 1, "a": 1, "image": [1, 1, 1]}),
+    (3, 3, ("vec", (0, 1, 1)), ("vec", (0, 1, 2)), "twin-residual",
+     {"vertex": 3, "image": 4}),
+    (5, 3, ("vec", (1, 2, 0)), ("vec", (1, 3, 0)), "frobenius",
+     {"pi": [0, 1, 3, 2, 4]}),
+    (3, 2, ("fun", (1, 0)), ("fun", (1, 1)), "phi", {"table": [1, 0, 2]}),
+    (3, 2, ("fun", (1, 1)), ("fun", (0, 1)), "support",
+     {"a": 1, "image": [0, 1]}),
+    (3, 2, ("fun", (1, 1)), ("vec", (1, 1)), "delta", {"missing": [4, 6]}),
+])
+def test_decomposition_error_steps(q, n, a, b, step, witness):
+    g = graph_for(q, n)
+    x, y = (g.vec_id(c) if side == "vec" else g.fun_id(c) for side, c in (a, b))
+    img = list(range(g.num_vertices))
+    img[x], img[y] = y, x
+    recover = _decompose_general if n >= 3 else _decompose_n2
+    with pytest.raises(DecompositionError) as exc:
+        recover(g, VertexPerm(g, img))
+    assert (exc.value.step, exc.value.witness) == (step, witness)
+
+
+def test_round_trip_work(monkeypatch):
+    """One decompose + compose at n >= 3 builds two permutations (tau and
+    the result) from one semilinear chain each: 4 _map_ids sweeps, and
+    mat_inv for P^-1 and the two chains."""
+    import lfgraph.autos as autos
+    g = graph_for(3, 3)
+    perm = random_automorphism(g, rng())
+    calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountedPerm(VertexPerm):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            calls["VertexPerm"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
+    monkeypatch.setattr(autos, "_map_ids", counted("_map_ids", autos._map_ids))
+    monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
+    assert compose(g, decompose(g, perm)).image == perm.image
+    assert calls == {"VertexPerm": 2, "_map_ids": 4, "mat_inv": 3}
+
+
 def test_decompose_rejects_non_automorphism():
     g = graph_for(3, 3)
     img = list(range(g.num_vertices))
@@ -668,6 +746,9 @@ def test_compose_validates_shape():
     g33 = graph_for(3, 3)
     with pytest.raises(ValueError):
         compose(g33, Decomposition(False, None, identity(3), None, (0, 1, 2),
+                                   identity_perm(g33)))
+    with pytest.raises(ValueError):  # P of the wrong size
+        compose(g33, Decomposition(False, None, identity(2), 0, None,
                                    identity_perm(g33)))
     g32 = graph_for(3, 2)
     with pytest.raises(ValueError):
