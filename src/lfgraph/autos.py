@@ -641,24 +641,24 @@ class Decomposition:
     tau: VertexPerm
 
 
-def _chain(g: LfGraph, d: Decomposition) -> list[int]:
-    """Image list of d's generator part: sigma^swap . chi_P . pi_frob for
-    n >= 3, delta . chi_P . phi_bar(phi) for n = 2."""
+def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int]:
+    """Image list of a decomposition's generator part: sigma^swap . chi_P .
+    pi_frob for n >= 3, delta . chi_P . phi_bar(phi) for n = 2."""
     if g.n >= 3:
-        if d.frob is None or d.phi is not None or d.delta is not None:
+        if frob is None or phi is not None or delta is not None:
             raise ValueError("n >= 3 decompositions use swap/P/frob/tau only")
-        image = _semilinear(g, d.P, d.frob)
-        return list(map(g.mirror, image)) if d.swap else image
-    if d.phi is None or d.frob is not None or d.swap:
+        image = _semilinear(g, P, frob)
+        return list(map(g.mirror, image)) if swap else image
+    if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
-    lin = _semilinear(g, d.P, 0)
-    image = [lin[t] for t in phi_bar(g, d.phi).image]
-    return image if d.delta is None else [d.delta.image[t] for t in image]
+    lin = chi_p(g, P).image
+    image = [lin[t] for t in phi_bar(g, phi).image]
+    return image if delta is None else [delta.image[t] for t in image]
 
 
 def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
     """Multiply a decomposition back into a single vertex permutation."""
-    chain = _chain(g, d)
+    chain = _chain(g, d.swap, d.delta, d.P, d.frob, d.phi)
     return VertexPerm(g, [chain[t] for t in d.tau.image])
 
 
@@ -691,20 +691,17 @@ def _basis_change(g: LfGraph, rho_p):
     return tuple(zip(*cols))
 
 
-def _with_tau(g: LfGraph, d: Decomposition, rho: VertexPerm) -> Decomposition:
-    """d with tau = chain(d)^-1 . rho, which must fix every twin class."""
-    chain = _chain(g, d)
-    inv = [0] * len(chain)
-    for v, t in enumerate(chain):
+def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
+    """tau = chain(gen)^-1 . rho, which must fix every twin class."""
+    inv = [0] * g.num_vertices
+    for v, t in enumerate(_chain(g, *gen)):
         inv[t] = v
     tau = [inv[t] for t in rho.image]
-    g.lines()
-    lof = g._line_of
-    if list(map(lof.__getitem__, tau)) != lof:
+    lof = g.line_index()
+    if tuple(map(lof.__getitem__, tau)) != lof:
         v = next(v for v, t in enumerate(tau) if lof[t] != lof[v])
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
-    d.tau = VertexPerm(g, tau)
-    return d
+    return VertexPerm(g, tau)
 
 
 def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
@@ -749,8 +746,8 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
 
     Q = tuple(tuple((1 if (i, j) == (0, 0) else tabs[i][1] if i == j else 0)
                     for j in range(n)) for i in range(n))
-    return _with_tau(g, Decomposition(swap, None, mat_mul(F, P, Q), jstar, None,
-                                      None), rho)
+    gen = (swap, None, mat_mul(F, P, Q), jstar, None)
+    return Decomposition(*gen, _residual(g, rho, gen))
 
 
 def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
@@ -775,7 +772,8 @@ def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
     if phi[0] != 0 or len(set(phi)) != q:
         raise DecompositionError("phi", {"table": phi})
 
-    return _with_tau(g, Decomposition(False, delta, P, None, tuple(phi), None), rho)
+    gen = (False, delta, P, None, tuple(phi))
+    return Decomposition(*gen, _residual(g, rho, gen))
 
 
 # ---------- serialization ----------

@@ -146,17 +146,20 @@ class LfGraph:
                 self.vec_id([F._mul[r][c] for c in rep]) for r in F.units()))) for rep in reps]
             self._lines = vec_lines + [
                 Line(FUN, ln.rep, tuple(t + self.nv for t in ln.members)) for ln in vec_lines]
-            lof = [0] * self.num_vertices
-            for idx, line in enumerate(self._lines):
-                for m in line.members:
-                    lof[m] = idx
-            self._line_of = lof
         return self._lines
 
-    def line_of(self, vid: int) -> int:
+    def line_index(self) -> tuple[int, ...]:
+        """The class index of every vertex id, in id order."""
         if self._line_of is None:
-            self.lines()
-        return self._line_of[vid]
+            lof = [0] * self.num_vertices
+            for idx, line in enumerate(self.lines()):
+                for m in line.members:
+                    lof[m] = idx
+            self._line_of = tuple(lof)
+        return self._line_of
+
+    def line_of(self, vid: int) -> int:
+        return self.line_index()[vid]
 
     def neighbor_set(self, line: Line) -> int:
         """Common adjacency bitset of every member of the class."""

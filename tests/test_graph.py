@@ -132,8 +132,11 @@ def test_lines_partition_and_sizes(q, n):
         assert len(line.members) == q - 1
         covered.update(line.members)
     assert covered == set(range(g.num_vertices))
+    index = g.line_index()
+    assert len(index) == g.num_vertices
     for vid in range(g.num_vertices):
         assert vid in lines[g.line_of(vid)].members
+        assert index[vid] == g.line_of(vid)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
