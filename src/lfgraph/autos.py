@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .gf import field_from_order
 from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
-                     random_invertible, rank, transpose)
-from .graph import FUN, VEC, LfGraph, _map_ids, _row_lists, build
+                     random_invertible, transpose)
+from .graph import LfGraph, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -47,9 +47,6 @@ class VertexPerm:
             raise ValueError("image is not a permutation of the vertex ids")
         self.g = g
         self.image = image
-
-    def apply(self, vid: int) -> int:
-        return self.image[vid]
 
     def compose(self, other: "VertexPerm") -> "VertexPerm":
         """self after other: (self.compose(other))(v) = self(other(v))."""
@@ -450,13 +447,10 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
     return count
 
 
-def _degree_colouring(adj: list[int]) -> dict[int, int]:
-    """Every vertex with the mask of all vertices of its degree."""
-    bydeg: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        bydeg[d] = bydeg.get(d, 0) | (1 << v)
-    return {v: bydeg[row.bit_count()] for v, row in enumerate(adj)}
+def _uncoloured(adj: list[int]) -> dict[int, int]:
+    """Every vertex may map to every vertex.  The graph and its class
+    quotient are regular, so a degree colouring would be one colour."""
+    return dict.fromkeys(range(len(adj)), (1 << len(adj)) - 1)
 
 
 def _check_enum_size(g: LfGraph) -> None:
@@ -469,7 +463,7 @@ def all_automorphisms(g: LfGraph) -> tuple:
     """Every automorphism as an image tuple, via direct vertex search."""
     _check_enum_size(g)
     out: list = []
-    _automorphism_search(g.adj, _degree_colouring(g.adj), out)
+    _automorphism_search(g.adj, _uncoloured(g.adj), out)
     return tuple(out)
 
 
@@ -501,10 +495,10 @@ def count_automorphisms(g: LfGraph, method: str = "quotient") -> int:
     """
     if method == "vertex":
         _check_enum_size(g)
-        return _automorphism_search(g.adj, _degree_colouring(g.adj))
+        return _automorphism_search(g.adj, _uncoloured(g.adj))
     if method == "quotient":
         qadj = quotient_adjacency(g)
-        base = _automorphism_search(qadj, _degree_colouring(qadj))
+        base = _automorphism_search(qadj, _uncoloured(qadj))
         m = len(qadj) // 2
         return base * math.factorial(g.q - 1) ** (2 * m)
     raise ValueError(f"unknown method {method!r}")
@@ -675,20 +669,17 @@ def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
 
 
 def _basis_change(g: LfGraph, rho_p):
-    """P whose columns are the images of the standard basis under the
-    vertex map rho_p (a function of vertex ids)."""
-    F = g.field
+    """P and P^-1, where the columns of P are the images of the standard
+    basis under the vertex map rho_p (a function of vertex ids that keeps
+    the vector side)."""
     n = g.n
-    cols = []
-    for i in range(n):
-        # e_i is the packed value q^(n-1-i)
-        side, coords = g.coords_of(rho_p(g.q ** (n - 1 - i) - 1))
-        if side != VEC:
-            raise DecompositionError("side-mixed", {"basis": i})
-        cols.append(coords)
-    if rank(F, cols) < n:
-        raise DecompositionError("dependent-basis", {"images": cols})
-    return tuple(zip(*cols))
+    # e_i is the packed value q^(n-1-i)
+    cols = [g.coords_of(rho_p(g.q ** (n - 1 - i) - 1))[1] for i in range(n)]
+    P = tuple(zip(*cols))
+    try:
+        return P, mat_inv(g.field, P)
+    except ValueError:
+        raise DecompositionError("dependent-basis", {"images": cols}) from None
 
 
 def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
@@ -716,8 +707,7 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
 
     # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
     # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
-    P = _basis_change(g, (lambda v: g.mirror(img[v])) if swap else img.__getitem__)
-    Pinv = mat_inv(F, P)
+    P, Pinv = _basis_change(g, (lambda v: g.mirror(img[v])) if swap else img.__getitem__)
 
     # recover the per-axis trace of the field permutation from the images
     # of e1 + a*e_axis, which must stay supported on {e1, e_axis}
@@ -757,14 +747,12 @@ def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
     # rho' = delta^-1 . rho keeps the vector side; delta exchanges vertex
     # pairs, so it is its own inverse
     dimg, img = delta.image, rho.image
-    P = _basis_change(g, lambda v: dimg[img[v]])
+    P, _ = _basis_change(g, lambda v: dimg[img[v]])
     # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}),
     # and these functional classes must map among themselves
     phi = [0] * q
     for a in range(q):
-        side, coords = g.coords_of(dimg[img[g.fun_id((1, a))]])
-        if side != FUN:
-            raise DecompositionError("side-mixed", {"a": a})
+        coords = g.coords_of(dimg[img[g.fun_id((1, a))]])[1]
         m = monic_rep(F, mat_vec(F, transpose(P), coords))
         if m[0] != 1:
             raise DecompositionError("support", {"a": a, "image": list(m)})

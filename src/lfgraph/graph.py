@@ -21,6 +21,11 @@ from .gf import Field
 VEC = "vec"
 FUN = "fun"
 
+# build refuses graphs over this many vertices, and branch-and-bound
+# domination any graph with a connected component over this many
+MAX_BUILD_VERTICES = 100_000
+MAX_SEARCH_VERTICES = 200
+
 
 def _bits(mask: int):
     """Yield the set bit positions of mask in increasing order."""
@@ -116,8 +121,12 @@ class LfGraph:
         return out
 
     def components(self) -> list[list[int]]:
+        return [list(_bits(comp)) for comp in self.component_masks()]
+
+    def component_masks(self):
+        """Yield each connected component as a bitset, in order of its
+        least vertex."""
         seen = 0
-        comps = []
         for s in range(self.num_vertices):
             if (seen >> s) & 1:
                 continue
@@ -130,8 +139,7 @@ class LfGraph:
                     nxt |= self.adj[v]
                 frontier = nxt & ~comp
             seen |= comp
-            comps.append(list(_bits(comp)))
-        return comps
+            yield comp
 
     # ---------- scalar classes ----------
 
@@ -179,18 +187,14 @@ class LfGraph:
         return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def build(field: Field, n: int, max_vertices: int = 100_000) -> LfGraph:
-    """Construct the graph for GF(q)^n.
-
-    The guard rejects instances whose vertex count exceeds max_vertices;
-    pass a larger bound explicitly to go beyond the default.
-    """
+def build(field: Field, n: int) -> LfGraph:
+    """Construct the graph for GF(q)^n, up to MAX_BUILD_VERTICES vertices."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     nv = field.q ** n - 1
-    if 2 * nv > max_vertices:
-        raise ValueError(
-            f"graph would have {2 * nv} vertices, over the {max_vertices} guard")
+    if 2 * nv > MAX_BUILD_VERTICES:
+        raise ValueError(f"graph would have {2 * nv} vertices, over the "
+                         f"{MAX_BUILD_VERTICES} guard")
     g = LfGraph(field, n, [0] * (2 * nv))
     adj = g.adj
     lines = g.lines()
@@ -267,6 +271,7 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
 
 
 def _covered_ids(g: LfGraph, target: str) -> range:
+    """The target vertices, always one contiguous run of ids."""
     if target == VEC:
         return range(g.nv)
     if target == FUN:
@@ -286,13 +291,14 @@ def _candidate_ids(g: LfGraph, target: str) -> range:
 
 
 def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
-                      method: str = "branch", max_search: int = 200) -> tuple[int, tuple]:
+                      method: str = "branch") -> tuple[int, tuple]:
     """Exact minimum size and one minimum witness set.
 
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
     method: "branch" (branch and bound on each independent block of the
-            cover instance; no component over max_search vertices) or
+            cover instance; no component over MAX_SEARCH_VERTICES
+            vertices) or
             "exhaustive" (subset sweep, only for graphs of at most 20
             vertices).
     """
@@ -300,26 +306,25 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("branch", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "branch" and g.num_vertices > max_search:
+    if method == "branch" and g.num_vertices > MAX_SEARCH_VERTICES:
         # the search runs block by block, and a block never spans components
-        largest = max(map(len, g.components()))
-        if largest > max_search:
-            raise ValueError(f"a component of {largest} vertices is over "
-                             f"the exact-search guard {max_search}")
+        for comp in g.component_masks():
+            size = comp.bit_count()
+            if size > MAX_SEARCH_VERTICES:
+                raise ValueError(f"a component of {size} vertices is over "
+                                 f"the exact-search guard {MAX_SEARCH_VERTICES}")
     if method == "exhaustive" and g.num_vertices > 20:
         raise ValueError("exhaustive search is limited to 20 vertices")
 
-    covered = list(_covered_ids(g, target))
+    covered = _covered_ids(g, target)
     cands = list(_candidate_ids(g, target))
-    pos = {v: i for i, v in enumerate(covered)}
+    # element i of the cover instance is vertex covered.start + i
+    lo, full = covered.start, (1 << len(covered)) - 1
     cover_masks = []
     for c in cands:
-        mask = 0
-        for v in _bits(g.adj[c]):
-            if v in pos:
-                mask |= 1 << pos[v]
-        if mode == "standard" and c in pos:
-            mask |= 1 << pos[c]
+        mask = (g.adj[c] >> lo) & full
+        if mode == "standard" and c in covered:
+            mask |= 1 << (c - lo)
         cover_masks.append(mask)
     if method == "exhaustive":
         size, chosen = _min_cover_exhaustive(cover_masks, len(covered))

@@ -7,8 +7,6 @@ here mutates its inputs, and everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .gf import Field
 
 
@@ -23,23 +21,6 @@ def dot(field: Field, u, v) -> int:
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))
     return acc
-
-
-def vec_add(field: Field, u, v) -> tuple:
-    _same_length(u, v)
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_neg(field: Field, u) -> tuple:
-    return tuple(field.neg(a) for a in u)
-
-
-def scalar_mul(field: Field, r: int, u) -> tuple:
-    return tuple(field.mul(r, a) for a in u)
-
-
-def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 # ---------- matrices ----------
@@ -100,97 +81,21 @@ def mat_inv(field: Field, P) -> tuple:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def rref(field: Field, rows) -> tuple[tuple, int]:
-    """Reduced row-echelon form: (nonzero reduced rows, rank)."""
-    if not rows:
-        return (), 0
-    m = [list(r) for r in rows]
-    mat_shape(m)
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pinv = field.inv(m[rank][col])
-        m[rank] = [field.mul(pinv, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return tuple(tuple(r) for r in m[:rank]), rank
-
-
-def rank(field: Field, rows) -> int:
-    return rref(field, rows)[1]
-
-
-def is_invertible(field: Field, P) -> bool:
-    rows, cols = mat_shape(P)
-    return rows == cols and rank(field, P) == rows
-
-
-def kernel_basis(field: Field, u) -> tuple:
-    """n-1 independent vectors spanning the kernel of v -> u . v (u != 0)."""
-    n = len(u)
-    if is_zero(u):
-        raise ValueError("kernel basis of the zero functional is the whole space")
-    pivot = next(i for i, a in enumerate(u) if a != 0)
-    pinv = field.inv(u[pivot])
-    basis = []
-    for i in range(n):
-        if i == pivot:
-            continue
-        vec = [0] * n
-        vec[i] = 1
-        vec[pivot] = field.neg(field.mul(u[i], pinv))
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
 def monic_rep(field: Field, v) -> tuple:
     """Scale v so its first nonzero coordinate becomes 1."""
-    if is_zero(v):
+    lead = next((a for a in v if a != 0), None)
+    if lead is None:
         raise ValueError("the zero vector has no monic representative")
-    lead = next(a for a in v if a != 0)
-    return scalar_mul(field, field.inv(lead), v)
-
-
-def span_nonzero(field: Field, basis):
-    """Yield every nonzero linear combination of the given basis vectors."""
-    if not basis:
-        return
-    n = len(basis[0])
-    for coeffs in product(field.elements(), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        acc = (0,) * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = vec_add(field, acc, scalar_mul(field, c, b))
-        yield acc
-
-
-# ---------- randomized helpers ----------
-
-def random_vector(field: Field, n: int, rng) -> tuple:
-    return tuple(rng.randrange(field.q) for _ in range(n))
-
-
-def random_nonzero_vector(field: Field, n: int, rng) -> tuple:
-    while True:
-        v = random_vector(field, n, rng)
-        if not is_zero(v):
-            return v
+    inv = field.inv(lead)
+    return tuple(field.mul(inv, a) for a in v)
 
 
 def random_invertible(field: Field, n: int, rng) -> tuple:
     """Uniform invertible matrix by rejection sampling."""
     while True:
-        P = tuple(random_vector(field, n, rng) for _ in range(n))
-        if is_invertible(field, P):
-            return P
+        P = tuple(tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n))
+        try:
+            mat_inv(field, P)
+        except ValueError:
+            continue
+        return P

@@ -6,12 +6,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lfgraph.graph as graph
 from lfgraph.gf import field_from_order
-from lfgraph.graph import (FUN, VEC, _min_cover, _min_cover_exhaustive, build,
+from lfgraph.graph import (FUN, VEC, LfGraph, _min_cover,
+                           _min_cover_exhaustive, build,
                            domination_number, export, graph6_bytes,
                            is_dominating, parse_edgelist_json, parse_graph6,
                            to_edgelist_json, to_graph6)
-from lfgraph.linalg import dot, kernel_basis, monic_rep, span_nonzero
+from lfgraph.linalg import dot, monic_rep
 
 from conftest import graph_for
 
@@ -57,6 +59,31 @@ def test_adjacency_matches_dot_product():
                 _, fc = g.coords_of(f)
                 expect = dot(F, fc, vc) == 0
                 assert bool((g.adj[v] >> f) & 1) == expect
+
+
+def kernel_basis(F, u):
+    """n-1 independent vectors spanning the kernel of v -> u . v (u != 0)."""
+    n = len(u)
+    pivot = next(i for i, a in enumerate(u) if a != 0)
+    pinv = F.inv(u[pivot])
+    basis = []
+    for i in range(n):
+        if i != pivot:
+            vec = [0] * n
+            vec[i] = 1
+            vec[pivot] = F.neg(F.mul(u[i], pinv))
+            basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def span_nonzero(F, basis):
+    """Yield every nonzero linear combination of the basis vectors."""
+    for coeffs in itertools.product(F.elements(), repeat=len(basis)):
+        if any(coeffs):
+            acc = [0] * len(basis[0])
+            for c, b in zip(coeffs, basis):
+                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, b)]
+            yield tuple(acc)
 
 
 def _span_reference(g):
@@ -208,7 +235,7 @@ def test_whole_graph_standard_domination_n2(q):
     assert is_dominating(g, witness, target="all", mode="standard")
 
 
-def test_domination_guard_applies_per_component():
+def test_domination_guard_applies_per_component(monkeypatch):
     # (11,2): 240 vertices in 12 copies of K_{10,10}
     g = build(field_from_order(11), 2)
     size, witness = domination_number(g, target="all", mode="standard")
@@ -219,9 +246,22 @@ def test_domination_guard_applies_per_component():
         domination_number(graph_for(5, 3), target="all")
     # (5,2) has components of 8 vertices
     g = graph_for(5, 2)
-    assert domination_number(g, target="all", max_search=8)[0] == 12
-    with pytest.raises(ValueError):
-        domination_number(g, target="all", max_search=7)
+    monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 8)
+    assert domination_number(g, target="all")[0] == 12
+    monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 7)
+    with pytest.raises(ValueError, match="component of 8 vertices"):
+        domination_number(g, target="all")
+
+
+def test_domination_guard_decodes_no_component(monkeypatch):
+    """The guard reads sizes off the component bitsets and stops at the
+    first one over it, without listing the members of every component."""
+    def listed(self):
+        raise AssertionError("components() was called")
+
+    monkeypatch.setattr(LfGraph, "components", listed)
+    with pytest.raises(ValueError, match="component of 248 vertices"):
+        domination_number(graph_for(5, 3), target="all")
 
 
 def _interleaved_cover(rng):
