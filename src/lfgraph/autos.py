@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .gf import field_from_order
 from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
                      random_invertible, transpose)
-from .graph import LfGraph, _map_ids, _row_lists, build
+from .graph import LfGraph, _bits, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -380,13 +381,14 @@ MAX_QUOTIENT_CLASSES = 32
 
 
 def _automorphism_search(adj: list[int], init: dict[int, int],
-                         collect: list | None = None) -> int:
-    """Count (and optionally collect) the adjacency-preserving injections
-    of the vertices in init into the graph given as bitset rows, where
-    init[v] is the mask of vertices v may map to.  With every vertex in
-    init these are automorphisms; the masks colour the search, so only
-    colour-respecting maps are counted.  Plain forward-checking
-    backtracking; no structural assumptions."""
+                         collect: list | None = None):
+    """Search the adjacency-preserving injections of the vertices in init
+    into the graph given as bitset rows, where init[v] is the mask of
+    vertices v may map to.  With every vertex in init these are
+    automorphisms; the masks colour the search, so only colour-respecting
+    maps are found.  Return the first complete map as an image tuple (None
+    if there is none), or, given a list collect, append every map to it.
+    Plain forward-checking backtracking; no structural assumptions."""
     n = len(adj)
     cands0 = [0] * n
     domain = 0
@@ -394,14 +396,12 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
         cands0[v] = mask
         domain |= 1 << v
     image = [0] * n
-    count = 0
 
     def rec(cands: list[int], remaining: int):
-        nonlocal count
         if remaining == 0:
-            count += 1
-            if collect is not None:
-                collect.append(tuple(image))
+            if collect is None:
+                return tuple(image)
+            collect.append(tuple(image))
             return
         pick, best = -1, None
         m = remaining
@@ -441,10 +441,46 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
                 ncands[u] = cu
             if ok:
                 image[v] = c
-                rec(ncands, rem2)
+                hit = rec(ncands, rem2)
+                if hit is not None:
+                    return hit
 
-    rec(cands0, domain)
-    return count
+    return rec(cands0, domain)
+
+
+def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
+    """The order of the group G of maps _automorphism_search finds from
+    init (each mask inside init's domain), and the first-hit searches run.
+    Orbit-stabilizer: |G| is the product over the vertices v of init in
+    turn of |v^H|, H the stabilizer of the vertices before v (Seress,
+    Permutation Group Algorithms, ch. 4).  w is in v^H exactly when one
+    search pinning v -> w finds a map, as the search is complete; a map
+    found adds its whole cycle through v to the orbit, unsearched."""
+    pins = dict(init)
+    order, searches = 1, 0
+    for v in init:
+        orbit = 1 << v
+        opts = pins[v] & ~orbit
+        while opts:
+            low = opts & -opts
+            opts ^= low
+            pins[v] = low
+            hit = _automorphism_search(adj, pins)
+            searches += 1
+            if hit is not None:
+                u = low.bit_length() - 1
+                while not (orbit >> u) & 1:
+                    orbit |= 1 << u
+                    u = hit[u]
+                opts &= ~orbit
+        order *= orbit.bit_count()
+        # fix v: a map fixing v keeps every vertex's adjacency to v
+        pins[v] = 1 << v
+        av, notv = adj[v], ~(1 << v)
+        for u in pins:
+            if u != v:
+                pins[u] &= notv & (av if (av >> u) & 1 else ~av)
+    return order, searches
 
 
 def _uncoloured(adj: list[int]) -> dict[int, int]:
@@ -486,42 +522,50 @@ def quotient_adjacency(g: LfGraph) -> list[int]:
 
 
 def count_automorphisms(g: LfGraph, method: str = "quotient") -> int:
-    """Exact automorphism count.
+    """Exact automorphism count, by orbit-stabilizer with first-hit
+    searches (_count_by_orbits); only all_automorphisms enumerates.
 
-    method "vertex": direct search over vertex bijections (small graphs).
-    method "quotient": enumerate automorphisms of the class quotient, then
-    multiply by the within-class factor ((q-1)!)^(2M); any quotient
-    automorphism lifts because classes are twins of size q-1.
+    method "vertex": the group of the graph itself (small graphs).
+    method "quotient": the group of the class quotient, multiplied by the
+    within-class factor ((q-1)!)^(2M); any quotient automorphism lifts
+    because classes are twins of size q-1.
     """
+    return _count_with_searches(g, method)[0]
+
+
+def _count_with_searches(g: LfGraph, method: str) -> tuple[int, int]:
+    """count_automorphisms, and the number of first-hit searches it ran."""
     if method == "vertex":
         _check_enum_size(g)
-        return _automorphism_search(g.adj, _uncoloured(g.adj))
+        return _count_by_orbits(g.adj, _uncoloured(g.adj))
     if method == "quotient":
         qadj = quotient_adjacency(g)
-        base = _automorphism_search(qadj, _uncoloured(qadj))
+        base, searches = _count_by_orbits(qadj, _uncoloured(qadj))
         m = len(qadj) // 2
-        return base * math.factorial(g.q - 1) ** (2 * m)
+        return base * math.factorial(g.q - 1) ** (2 * m), searches
     raise ValueError(f"unknown method {method!r}")
 
 
 def count_class_stabilizers(g: LfGraph) -> int:
-    """Automorphisms that map every twin class to itself, counted by one
-    search in which each vertex may only map inside its own class."""
+    """Automorphisms that map every twin class to itself, counted by
+    orbit-stabilizer with each vertex coloured by its own class."""
     _check_enum_size(g)
     masks = [g.line_mask(line) for line in g.lines()]
-    return _automorphism_search(
-        g.adj, {v: masks[g.line_of(v)] for v in range(g.num_vertices)})
+    return _count_by_orbits(
+        g.adj, {v: masks[g.line_of(v)] for v in range(g.num_vertices)})[0]
 
 
 def count_component_isomorphisms(g: LfGraph) -> int:
     """Adjacency-preserving bijections from the first component onto the
-    second (n = 2 only), counted by one search that maps each vertex of
-    the first component into the second."""
+    second (n = 2 only).  They form the coset phi . Aut(C0) of any one of
+    them, phi, so the count is [one first-hit search finds phi] times
+    |Aut(C0)|, counted by orbit-stabilizer with C0 mapped into itself."""
     if g.n != 2:
         raise ValueError("component isomorphisms are counted for n = 2 only")
-    comps = g.components()
-    dst = sum(1 << v for v in comps[1])
-    return _automorphism_search(g.adj, {v: dst for v in comps[0]})
+    src, dst = islice(g.component_masks(), 2)
+    if _automorphism_search(g.adj, dict.fromkeys(_bits(src), dst)) is None:
+        return 0
+    return _count_by_orbits(g.adj, dict.fromkeys(_bits(src), src))[0]
 
 
 # ---------- closed-form counts ----------

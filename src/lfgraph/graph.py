@@ -35,6 +35,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+_BYTE_BITS = tuple(tuple(i for i in range(8) if (b >> i) & 1)
+                   for b in range(256))
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The set bits of mask as a list, a byte at a time: linear in its
+    width, where _bits (faster on short rows) is quadratic on wide masks."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + b for i, byte in enumerate(data) if byte
+            for b in _BYTE_BITS[byte]]
+
+
 def _row_lists(rows):
     """Yield the set bits of each row as a list, decoding lazily; equal
     rows (twins) share one decoded list."""
@@ -121,7 +133,7 @@ class LfGraph:
         return out
 
     def components(self) -> list[list[int]]:
-        return [list(_bits(comp)) for comp in self.component_masks()]
+        return [_bit_list(comp) for comp in self.component_masks()]
 
     def component_masks(self):
         """Yield each connected component as a bitset, in order of its
@@ -135,7 +147,7 @@ class LfGraph:
             while frontier:
                 comp |= frontier
                 nxt = 0
-                for v in _bits(frontier):
+                for v in _bit_list(frontier):
                     nxt |= self.adj[v]
                 frontier = nxt & ~comp
             seen |= comp

@@ -35,7 +35,7 @@ from .autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
                     decomposition_to_json, formula_card_general,
                     formula_card_n2, formula_component_isos,
                     formula_twin_stabilizer, perm_from_json,
-                    random_automorphism)
+                    random_automorphism, _count_with_searches)
 from .linalg import monic_rep
 
 DEFAULT_SEED = 1729
@@ -517,8 +517,9 @@ def _cmd_autos_count(args) -> int:
     if args.method in ("formula", "both"):
         formula = formula_card_n2(q) if n == 2 else formula_card_general(q, n)
     if args.method in ("brute", "both"):
-        brute = count_automorphisms(build(field_from_order(q), n),
-                                    method="quotient")
+        brute, searches = _count_with_searches(
+            build(field_from_order(q), n), "quotient")
+        print(f"# first-hit searches: {searches}", file=sys.stderr)
     parts = []
     if formula is not None:
         parts.append(f"formula={formula}")

@@ -17,7 +17,8 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
-                           _delta_impl, _intersection_holds, _semilinear,
+                           _automorphism_search, _delta_impl,
+                           _intersection_holds, _semilinear, _uncoloured,
                            _vec_partners)
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
                             random_invertible, transpose)
@@ -596,11 +597,63 @@ def test_class_stabilizers():
     assert count_class_stabilizers(graph_for(3, 2)) == 256
     assert formula_twin_stabilizer(3, 2) == 256
     assert formula_twin_stabilizer(2, 3) == 1
-    # the reference: enumerate the whole group, keep the class-fixing ones
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_orbit_counts_match_enumeration(q, n):
+    """The orbit-stabilizer counts against the enumerating kernel, the
+    independent oracle: the whole group, and its class-fixing maps."""
+    g = graph_for(q, n)
+    autos = all_automorphisms(g)
+    assert count_automorphisms(g, method="vertex") == len(autos)
+    lof = g.line_index()
+    assert count_class_stabilizers(g) == sum(
+        all(lof[t] == lof[v] for v, t in enumerate(img)) for img in autos)
+
+
+def test_first_hit_honours_pins():
+    """Pinning vertices to the images of a known automorphism leaves a
+    map, and the first one found is an automorphism meeting every pin."""
+    r = rng()
+    for q, n in [(3, 2), (2, 3), (3, 3)]:
+        g = graph_for(q, n)
+        for _ in range(5):
+            target = random_automorphism(g, r).image
+            pins = _uncoloured(g.adj)
+            for v in r.sample(range(g.num_vertices), 3):
+                pins[v] = 1 << target[v]
+            hit = _automorphism_search(g.adj, pins)
+            assert is_automorphism(g, VertexPerm(g, hit))
+            assert all(hit[v] == (m.bit_length() - 1)
+                       for v, m in pins.items() if m.bit_count() == 1)
+
+
+def test_first_hit_unmeetable_pin():
+    """A pin no automorphism can meet finds nothing: a neighbour of a
+    fixed vertex sent to a non-neighbour, two twins split between
+    classes, and a vertex allowed no image at all."""
     g = graph_for(3, 2)
-    lof = [g.line_of(v) for v in range(g.num_vertices)]
-    assert sum(all(lof[t] == lof[v] for v, t in enumerate(img))
-               for img in all_automorphisms(g)) == 256
+    v = 0
+    u = (g.adj[v] & -g.adj[v]).bit_length() - 1
+    far = next(w for w in range(g.nv, g.num_vertices)
+               if not (g.adj[v] >> w) & 1)
+    pins = _uncoloured(g.adj)
+    pins[v], pins[u] = 1 << v, 1 << far
+    assert _automorphism_search(g.adj, pins) is None
+    a, b = g.lines()[0].members[:2]
+    c = g.lines()[1].members[0]
+    pins = _uncoloured(g.adj)
+    pins[a], pins[b] = 1 << a, 1 << c
+    assert _automorphism_search(g.adj, pins) is None
+    pins = _uncoloured(g.adj)
+    pins[5] = 0
+    assert _automorphism_search(g.adj, pins) is None
+
+
+def test_count_reach_4_3():
+    """(4,3), 21 classes a side: 2.2.|PGL(3,4)|.(3!)^42 by orbit-stabilizer
+    on the quotient, where enumerating its group takes minutes."""
+    assert count_automorphisms(graph_for(4, 3)) == 241920 * 6 ** 42
 
 
 def _brute_component_isomorphisms(g):

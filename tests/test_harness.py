@@ -147,6 +147,20 @@ def test_cli_autos_count(capsys):
     assert capsys.readouterr().out.strip() == "formula=98304"
 
 
+def test_cli_autos_count_work_on_stderr(capsys):
+    """The brute count reports its first-hit searches on stderr only."""
+    assert run_cli("autos", "count", "--q", "2", "--n", "3",
+                   "--method", "brute") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "brute=336\n"
+    assert captured.err == "# first-hit searches: 34\n"
+    assert run_cli("autos", "count", "--q", "4", "--n", "3",
+                   "--method", "both") == 1
+    captured = capsys.readouterr()
+    assert f"brute={241920 * 6 ** 42}" in captured.out.split()
+    assert captured.err.startswith("# first-hit searches: ")
+
+
 def test_cli_build_guard(capsys):
     assert run_cli("build", "--q", "7", "--n", "9") == 2
     assert run_cli("build", "--q", "6", "--n", "2") == 2
