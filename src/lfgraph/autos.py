@@ -11,7 +11,10 @@ and reports a witness when that fact fails, because a failure on a genuine
 automorphism is exactly the interesting outcome.  compose, decompose and
 random_automorphism share one chain evaluator, _chain, which builds the
 generator part as a single image list from one semilinear sweep
-(_semilinear, P . v^(p^j) on both sides at once).
+(_semilinear, P . v^(p^j) on both sides at once).  Whatever acts on
+whole scalar classes is built by one member-order lift, _lift: delta,
+phi_bar and the n = 2 sampler each lift a class map, and the twin shuffle
+tau lifts a shuffle of every class onto itself.
 """
 
 from __future__ import annotations
@@ -150,27 +153,49 @@ def tau_from_table(g: LfGraph, table: dict[int, int]) -> VertexPerm:
     return VertexPerm(g, image)
 
 
+def _lift(g: LfGraph, targets) -> list[int]:
+    """The image list sending the k-th member of class c to targets[c][k].
+    With targets[c] the members of class lmap[c], this is the member-order
+    lift of the class map lmap, which line_action reads back."""
+    image = [0] * g.num_vertices
+    for line, dst in zip(g.lines(), targets):
+        for m, t in zip(line.members, dst):
+            image[m] = t
+    return image
+
+
+def _lift_classes(g: LfGraph, lmap) -> list[int]:
+    """The member-order lift of the class map lmap."""
+    lines = g.lines()
+    return _lift(g, [lines[c].members for c in lmap])
+
+
+def _phi_classes(g: LfGraph, phi) -> list[int]:
+    """The class map of phi_bar(phi), after checking phi.  Functional class
+    (1, s) goes to (1, phi(s)), so (0, 1) and (1, 0) stay fixed; a vector
+    class goes to the partner of its partner's image, as the orthogonal
+    pairing forces."""
+    if g.n != 2:
+        raise ValueError("phi_bar is defined for n = 2 only")
+    q = g.q
+    phi = tuple(phi)
+    if len(phi) != q or phi[0] != 0 or sorted(phi) != list(range(q)):
+        raise ValueError("phi must be a permutation of the field fixing 0")
+    # lines() lists (0, 1), then (1, s) in field order: class 1 + s a side
+    fun = [0] + [1 + t for t in phi]
+    partner = _vec_partners(g)
+    return [partner[fun[p]] for p in partner] + [q + 1 + c for c in fun]
+
+
 def phi_bar(g: LfGraph, phi) -> VertexPerm:
     """Extend a zero-fixing permutation phi of GF(q) to the n = 2 graph.
 
     f_{a e1 + b e2} -> f_{a e1 + a phi(b/a) e2} when a != 0, else fixed;
     c e1 + d e2 -> c e1 - c phi(-c/d)^-1 e2 when c d != 0, else fixed.
+    Both keep the first coordinate, which orders the members of every
+    class they move, so phi_bar is the member-order lift of _phi_classes.
     """
-    if g.n != 2:
-        raise ValueError("phi_bar is defined for n = 2 only")
-    F = g.field
-    phi = tuple(phi)
-    if len(phi) != F.q or phi[0] != 0 or sorted(phi) != list(range(F.q)):
-        raise ValueError("phi must be a permutation of the field fixing 0")
-    nv, q = g.nv, F.q
-    image = list(range(g.num_vertices))
-    for vid in range(nv):
-        c, d = divmod(vid + 1, q)
-        if c != 0:
-            image[vid + nv] = c * q + F.mul(c, phi[F.div(d, c)]) - 1 + nv
-            if d != 0:
-                image[vid] = c * q + F.neg(F.div(c, phi[F.neg(F.div(c, d))])) - 1
-    return VertexPerm(g, image)
+    return VertexPerm(g, _lift_classes(g, _phi_classes(g, phi)))
 
 
 def _vec_partners(g: LfGraph) -> list[int]:
@@ -186,12 +211,6 @@ def _vec_partners(g: LfGraph) -> list[int]:
     return g._n2_partner
 
 
-def _mirror_line(g: LfGraph, image: list[int], line) -> None:
-    for u in line.members:
-        image[u] = u + g.nv
-        image[u + g.nv] = u
-
-
 def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
     lines = g.lines()
     half = len(lines) // 2
@@ -200,34 +219,20 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
     # is its functional part; the flag lives on the target component, not
     # the source, so that delta(V) = rho(V) as sets
     crossing = [False] * half
-    for i in range(half):
-        t = rho.image[lines[i].members[0]]
+    for line in lines[:half]:
+        t = rho.image[line.members[0]]
         if t >= g.nv:
-            m = g.line_of(t) - half
-            crossing[partner[m]] = True
-    image = list(range(g.num_vertices))
-    for i in range(half):
-        j = partner[i]
-        if j < i:
-            continue  # partner is an involution: the pair was handled at j
-        if i == j:
-            if crossing[i]:
-                _mirror_line(g, image, lines[i])
-        elif crossing[i] and crossing[j]:
-            # both components of the orthogonal pair cross: the plain mirror
-            # exchanges them and lands on the right sides
-            _mirror_line(g, image, lines[i])
-            _mirror_line(g, image, lines[j])
-        elif crossing[i] != crossing[j]:
-            # only one crosses: swap the two parts inside that component
-            a = i if crossing[i] else j
-            vmem = lines[a].members
-            fmem = lines[half + partner[a]].members
-            for u, f in zip(vmem, fmem):
-                image[u] = f
-                image[f] = u
-    delta = VertexPerm(g, image)
-    missing = set(rho.image[:g.nv]) - set(image[:g.nv])
+            crossing[partner[g.line_of(t) - half]] = True
+    # a crossed class a trades places with a functional class: its own
+    # mirror when the partner component crosses too (or a = partner[a]),
+    # else the functional part of its own component
+    lmap = list(range(2 * half))
+    for a in range(half):
+        if crossing[a]:
+            b = half + (a if crossing[partner[a]] else partner[a])
+            lmap[a], lmap[b] = b, a
+    delta = VertexPerm(g, _lift_classes(g, lmap))
+    missing = set(rho.image[:g.nv]) - set(delta.image[:g.nv])
     if missing:
         # rho(V) and delta(V) have equal size, so some vertex is missing
         raise DecompositionError("delta", {"missing": sorted(missing)})
@@ -608,16 +613,11 @@ def formula_component_isos(q: int) -> int:
 # ---------- randomized construction helpers ----------
 
 def random_twin_permutation(g: LfGraph, rng) -> VertexPerm:
-    """A random member shuffle inside every twin class."""
-    table: dict[int, int] = {}
-    for cls in g.twin_classes():
-        members = list(cls)
-        shuffled = members[:]
-        rng.shuffle(shuffled)
-        for a, b in zip(members, shuffled):
-            if a != b:
-                table[a] = b
-    return tau_from_table(g, table)
+    """A random member shuffle inside every twin (scalar) class."""
+    dst = [list(line.members) for line in g.lines()]
+    for members in dst:
+        rng.shuffle(members)
+    return VertexPerm(g, _lift(g, dst))
 
 
 def random_automorphism(g: LfGraph, rng) -> VertexPerm:
@@ -639,20 +639,16 @@ def random_automorphism(g: LfGraph, rng) -> VertexPerm:
     partner = _vec_partners(g)
     target = list(range(half))
     rng.shuffle(target)
-    image = [0] * g.num_vertices
-    for i in range(half):
-        t = target[i]
+    dst = [None] * len(lines)
+    for i, t in enumerate(target):
         vec_dst = list(lines[t].members)
         fun_dst = list(lines[half + partner[t]].members)
         if rng.random() < 0.5:
             vec_dst, fun_dst = fun_dst, vec_dst
         rng.shuffle(vec_dst)
         rng.shuffle(fun_dst)
-        for a, b in zip(lines[i].members, vec_dst):
-            image[a] = b
-        for a, b in zip(lines[half + partner[i]].members, fun_dst):
-            image[a] = b
-    return VertexPerm(g, image)
+        dst[i], dst[half + partner[i]] = vec_dst, fun_dst
+    return VertexPerm(g, _lift(g, dst))
 
 
 # ---------- decomposition ----------
@@ -690,7 +686,7 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int]:
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
     lin = chi_p(g, P).image
-    image = [lin[t] for t in phi_bar(g, phi).image]
+    image = [lin[t] for t in _lift_classes(g, _phi_classes(g, phi))]
     return image if delta is None else [delta.image[t] for t in image]
 
 

@@ -86,9 +86,14 @@ class LfGraph:
         return 2 * self.nv
 
     def vec_id(self, coords) -> int:
+        q = self.q
+        if len(coords) != self.n:
+            raise ValueError(f"{len(coords)} coordinates, expected {self.n}")
         r = 0
         for c in coords:
-            r = r * self.q + c
+            if not 0 <= c < q:
+                raise ValueError(f"coordinate {c} is outside [0, {q})")
+            r = r * q + c
         if r == 0:
             raise ValueError("the zero vector is not a vertex")
         return r - 1

@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .gf import field_from_order
 from .graph import (FUN, VEC, LfGraph, build, domination_number, export,
@@ -225,16 +226,9 @@ def _run_dom_side(g, rng, deep):
     return formula, size, verdict, witness
 
 
-def _run_dom_whole_std(g, rng, deep):
+def _run_dom_whole(g, rng, deep, mode):
     formula = 2 * g.q + 2
-    size, wset = domination_number(g, target="all", mode="standard")
-    verdict = "match" if size == formula else "mismatch"
-    return formula, size, verdict, {"solver": _labels(g, wset)}
-
-
-def _run_dom_whole_tot(g, rng, deep):
-    formula = 2 * g.q + 2
-    size, wset = domination_number(g, target="all", mode="total")
+    size, wset = domination_number(g, target="all", mode=mode)
     verdict = "match" if size == formula else "mismatch"
     return formula, size, verdict, {"solver": _labels(g, wset)}
 
@@ -349,8 +343,8 @@ _RUNNERS = {
     "CONN": _run_conn,
     "DECOMP": _run_decomp,
     "DOM-SIDE": _run_dom_side,
-    "DOM-WHOLE-STD": _run_dom_whole_std,
-    "DOM-WHOLE-TOT": _run_dom_whole_tot,
+    "DOM-WHOLE-STD": partial(_run_dom_whole, mode="standard"),
+    "DOM-WHOLE-TOT": partial(_run_dom_whole, mode="total"),
     "REG": _run_reg,
     "SIGMA-CARD": _run_sigma_card,
     "STRUCT-GEN": _run_struct_gen,
@@ -471,8 +465,9 @@ def _parse_claims(raw: str | None):
 def _cmd_build(args) -> int:
     g = build(field_from_order(args.q), args.n)
     if args.export is None:
+        edges = sum(row.bit_count() for row in g.adj[:g.nv])
         print(f"q={g.q} n={g.n} vertices={g.num_vertices} "
-              f"edges={len(g.edges())} degree={g.q ** (g.n - 1) - 1} "
+              f"edges={edges} degree={g.q ** (g.n - 1) - 1} "
               f"components={len(g.components())}")
         return 0
     fmt = {"graph6": "graph6", "json": "json"}[args.export]
@@ -494,9 +489,10 @@ def _cmd_invariants(args) -> int:
     comps = len(g.components())
     twins_ok = sorted(line.members for line in g.lines()) == sorted(g.twin_classes())
     comps_want = g.q + 1 if g.n == 2 else 1
-    ok = (g.check_regular() and twins_ok and comps == comps_want
+    regular = g.check_regular()
+    ok = (regular and twins_ok and comps == comps_want
           and classes == (g.q ** g.n - 1) // (g.q - 1))
-    print(f"vertices={g.num_vertices} regular={g.check_regular()} "
+    print(f"vertices={g.num_vertices} regular={regular} "
           f"degree={degree} classes-per-side={classes} components={comps} "
           f"twins-are-scalar-classes={twins_ok}")
     return 0 if ok else 1

@@ -144,7 +144,8 @@ def _phi_bar_reference(g, phi):
     return image
 
 
-@pytest.mark.parametrize("q,n", [(4, 3), (8, 3), (9, 2)])
+@pytest.mark.parametrize("q,n", [(4, 3), (8, 3), (9, 2), (2, 2), (3, 2),
+                                 (4, 2), (5, 2), (7, 2), (8, 2)])
 def test_vertex_actions_match_tuple_reference(q, n):
     g = graph_for(q, n)
     r = rng()
@@ -298,6 +299,52 @@ def test_delta_fixes_sides(q):
         assert d.compose(d).is_identity()  # decompose reads delta^-1 as delta
         rest = d.inverse().compose(rho)
         assert all(rest.image[v] < g.nv for v in range(g.nv))
+
+
+def _delta_reference(g, rho):
+    """delta by cases on each orthogonal pair of components (i, j): mirror
+    a self-orthogonal crossed class, mirror both classes when both cross,
+    and swap the two parts inside the component when only one does."""
+    lines = g.lines()
+    half = len(lines) // 2
+    partner = _vec_partners(g)
+    crossing = [False] * half
+    for i in range(half):
+        t = rho.image[lines[i].members[0]]
+        if t >= g.nv:
+            crossing[partner[g.line_of(t) - half]] = True
+    image = list(range(g.num_vertices))
+
+    def mirror(line):
+        for u in line.members:
+            image[u], image[u + g.nv] = u + g.nv, u
+
+    for i in range(half):
+        j = partner[i]
+        if j < i:
+            continue
+        if i == j:
+            if crossing[i]:
+                mirror(lines[i])
+        elif crossing[i] and crossing[j]:
+            mirror(lines[i])
+            mirror(lines[j])
+        elif crossing[i] != crossing[j]:
+            a = i if crossing[i] else j
+            for u, f in zip(lines[a].members, lines[half + partner[a]].members):
+                image[u], image[f] = f, u
+    return image
+
+
+@pytest.mark.parametrize("q,self_orthogonal", [(2, True), (3, False), (4, True),
+                                               (5, True), (7, False), (9, True)])
+def test_delta_matches_case_reference(q, self_orthogonal):
+    g = graph_for(q, 2)
+    partner = _vec_partners(g)
+    assert any(p == i for i, p in enumerate(partner)) == self_orthogonal
+    r = rng()
+    for rho in [sigma_swap(g)] + [random_automorphism(g, r) for _ in range(40)]:
+        assert list(delta_for(g, rho).image) == _delta_reference(g, rho)
 
 
 def test_delta_known_cases():
@@ -731,10 +778,12 @@ def test_decomposition_error_steps(q, n, a, b, step, witness):
 def test_round_trip_work(monkeypatch):
     """One decompose + compose at n >= 3 builds two permutations (tau and
     the result) from one semilinear chain each: 4 _map_ids sweeps, and
-    mat_inv for P^-1 and the two chains."""
+    mat_inv for P^-1 and the two chains.  At n = 2 it also builds delta
+    and chi_P once per chain, and lifts phi_bar's class map as a plain
+    list: five permutations from the same sweeps and inversions."""
     import lfgraph.autos as autos
-    g = graph_for(3, 3)
-    perm = random_automorphism(g, rng())
+    cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 5)]
+    perms = [random_automorphism(g, rng()) for g, _ in cases]
     calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
 
     def counted(name, fn):
@@ -753,8 +802,10 @@ def test_round_trip_work(monkeypatch):
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
     monkeypatch.setattr(autos, "_map_ids", counted("_map_ids", autos._map_ids))
     monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
-    assert compose(g, decompose(g, perm)).image == perm.image
-    assert calls == {"VertexPerm": 2, "_map_ids": 4, "mat_inv": 3}
+    for (g, built), perm in zip(cases, perms):
+        calls.update(dict.fromkeys(calls, 0))
+        assert compose(g, decompose(g, perm)).image == perm.image
+        assert calls == {"VertexPerm": built, "_map_ids": 4, "mat_inv": 3}
 
 
 def test_decompose_rejects_non_automorphism():

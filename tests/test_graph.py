@@ -49,6 +49,21 @@ def test_vertex_indexing_round_trip():
         g.coords_of(g.num_vertices)
 
 
+@pytest.mark.parametrize("q,n,coords", [
+    (3, 2, (1, 5)),      # would alias (2, 2), id 7
+    (3, 2, (1, 3)),      # would alias (2, 0)
+    (3, 2, (1, -1)),     # would alias (0, 2)
+    (3, 2, (1,)),        # would alias (0, 1), id 0
+    (3, 2, (0, 0, 1)),   # leading zero, would alias (0, 1)
+    (2, 3, (1, 0)),
+])
+def test_vertex_id_rejects_bad_coordinates(q, n, coords):
+    g = graph_for(q, n)
+    for to_id in (g.vec_id, g.fun_id):
+        with pytest.raises(ValueError):
+            to_id(coords)
+
+
 def test_adjacency_matches_dot_product():
     for q, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (4, 3), (8, 2), (9, 2)]:
         g = graph_for(q, n)

@@ -165,8 +165,10 @@ def test_cli_build_guard(capsys):
     assert run_cli("build", "--q", "7", "--n", "9") == 2
     assert run_cli("build", "--q", "6", "--n", "2") == 2
     assert run_cli("build", "--q", "2", "--n", "2") == 0
-    out = capsys.readouterr().out
-    assert "vertices=6" in out
+    assert run_cli("build", "--q", "3", "--n", "3") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "q=2 n=2 vertices=6 edges=3 degree=1 components=3",
+        "q=3 n=3 vertices=52 edges=208 degree=8 components=1"]
 
 
 def test_cli_build_export(tmp_path, capsys):
