@@ -14,7 +14,8 @@ generator part as a single image list from one semilinear sweep
 (_semilinear, P . v^(p^j) on both sides at once).  Whatever acts on
 whole scalar classes is built by one member-order lift, _lift: delta,
 phi_bar and the n = 2 sampler each lift a class map, and the twin shuffle
-tau lifts a shuffle of every class onto itself.
+tau lifts a shuffle of every class onto itself.  Class-level questions read
+the graph's cached line_index() and line_adjacency(); autos keeps no state.
 """
 
 from __future__ import annotations
@@ -128,28 +129,28 @@ def sigma_swap(g: LfGraph) -> VertexPerm:
     return VertexPerm(g, [g.mirror(v) for v in range(g.num_vertices)])
 
 
+def _class_escape(g: LfGraph, image) -> int | None:
+    """The least vertex that image sends out of its twin class, or None."""
+    lof = g.line_index()
+    if tuple(map(lof.__getitem__, image)) == lof:
+        return None
+    return next(v for v, t in enumerate(image) if lof[t] != lof[v])
+
+
 def tau_from_table(g: LfGraph, table: dict[int, int]) -> VertexPerm:
     """Permute members inside twin classes; unlisted vertices stay fixed.
 
-    Each listed entry must stay inside its class, and per class the listed
-    keys and values must coincide as sets (so the result is a bijection).
+    Each listed entry must stay inside its class, and the result must be a
+    bijection.
     """
     image = list(range(g.num_vertices))
-    per_class: dict[int, list[tuple[int, int]]] = {}
     for src, dst in table.items():
         if not 0 <= src < g.num_vertices or not 0 <= dst < g.num_vertices:
             raise ValueError(f"vertex id out of range in entry {src} -> {dst}")
-        cls = g.line_of(src)
-        if g.line_of(dst) != cls:
-            raise ValueError(f"entry {src} -> {dst} crosses twin classes")
-        per_class.setdefault(cls, []).append((src, dst))
-    for cls, entries in per_class.items():
-        keys = sorted(src for src, _ in entries)
-        vals = sorted(dst for _, dst in entries)
-        if keys != vals:
-            raise ValueError(f"entries for class {cls} are not a permutation")
-        for src, dst in entries:
-            image[src] = dst
+        image[src] = dst
+    v = _class_escape(g, image)
+    if v is not None:
+        raise ValueError(f"entry {v} -> {image[v]} crosses twin classes")
     return VertexPerm(g, image)
 
 
@@ -199,16 +200,13 @@ def phi_bar(g: LfGraph, phi) -> VertexPerm:
 
 
 def _vec_partners(g: LfGraph) -> list[int]:
-    """For each vector class index i, the class index of its orthogonal line."""
-    if g._n2_partner is None:
-        if g.n != 2:
-            raise ValueError("orthogonal pairing applies to n = 2 only")
-        # the neighbours of vector (c, d) are the functional line of (d, -c)
-        lines = g.lines()
-        half = len(lines) // 2
-        g._n2_partner = [g.line_of(g.adj[line.members[0]].bit_length() - 1) - half
-                         for line in lines[:half]]
-    return g._n2_partner
+    """For each vector class index i, the functional class index (less
+    half) of its orthogonal line: at n = 2 each class meets exactly one."""
+    if g.n != 2:
+        raise ValueError("orthogonal pairing applies to n = 2 only")
+    rows = g.line_adjacency()
+    half = len(rows) // 2
+    return [row.bit_length() - 1 - half for row in rows[:half]]
 
 
 def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
@@ -270,11 +268,12 @@ def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
     if defect is not None:
         raise LineActionError("perm is not an automorphism", defect)
     lines = g.lines()
+    lof, img = g.line_index(), perm.image
     mapping = []
     for line in lines:
-        first = g.line_of(perm.image[line.members[0]])
+        first = lof[img[line.members[0]]]
         for m in line.members[1:]:
-            if g.line_of(perm.image[m]) != first:
+            if lof[img[m]] != first:
                 raise LineActionError("class image is split",
                                       (line.members[0], m))
         mapping.append(first)
@@ -302,17 +301,14 @@ def _intersection_holds(g: LfGraph, lmap: list[int]) -> tuple[bool, object]:
     """For a side-preserving class map lmap: class lmap[F_H] equals the
     intersection of N(lmap[i]) over the vector classes i with F_H in N(i).
     line_action maps each class wholly onto one class of the same size,
-    so class lmap[F_H] is exactly the image of F_H."""
-    lines = g.lines()
-    half = len(lines) // 2
-    full = (1 << g.num_vertices) - 1
-    for j in range(half, len(lines)):
-        fmask = g.line_mask(lines[j])
-        inter = full
-        for i in range(half):
-            if fmask & ~g.neighbor_set(lines[i]) == 0:
-                inter &= g.neighbor_set(lines[lmap[i]])
-        if inter != g.line_mask(lines[lmap[j]]):
+    so class lmap[F_H] is exactly the image of F_H, and the identity can
+    be read on the class quotient."""
+    rows = g.line_adjacency()
+    for j in range(len(rows) // 2, len(rows)):
+        inter = -1
+        for i in _bits(rows[j]):
+            inter &= rows[lmap[i]]
+        if inter != 1 << lmap[j]:
             return False, {"fun_class": j}
     return True, None
 
@@ -343,14 +339,12 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
             witness = {"side": "mixed image of the vector side"}
     else:
         # each component (an orthogonal pair of classes) must land in one
-        # component; compute component labels through the class action
+        # component, whose two classes are exactly the adjacent ones
         partner = _vec_partners(g)
-        comp_of_line = list(range(half)) + [partner[j] for j in range(half)]
+        rows = g.line_adjacency()
         purity = True
         for i in range(half):
-            a = comp_of_line[lmap[i]]
-            b = comp_of_line[lmap[half + partner[i]]]
-            if a != b:
+            if not (rows[lmap[i]] >> lmap[half + partner[i]]) & 1:
                 purity = False
                 witness = {"component": i}
                 break
@@ -515,15 +509,12 @@ def iter_automorphisms(g: LfGraph):
 
 def quotient_adjacency(g: LfGraph) -> list[int]:
     """Bitset adjacency of the class quotient (classes as single nodes),
-    read off the graph's adjacency at one member of each class."""
-    lines = g.lines()
-    half = len(lines) // 2
+    LfGraph.line_adjacency under the quotient search's class guard."""
+    half = len(g.lines()) // 2
     if half > MAX_QUOTIENT_CLASSES:
         raise ValueError(
             f"{half} classes per side is over the {MAX_QUOTIENT_CLASSES} guard")
-    reps = [line.members[0] for line in lines]
-    return [sum(1 << c for c, r in enumerate(reps) if (g.adj[v] >> r) & 1)
-            for v in reps]
+    return list(g.line_adjacency())
 
 
 def count_automorphisms(g: LfGraph, method: str = "quotient") -> int:
@@ -557,7 +548,7 @@ def count_class_stabilizers(g: LfGraph) -> int:
     _check_enum_size(g)
     masks = [g.line_mask(line) for line in g.lines()]
     return _count_by_orbits(
-        g.adj, {v: masks[g.line_of(v)] for v in range(g.num_vertices)})[0]
+        g.adj, {v: masks[c] for v, c in enumerate(g.line_index())})[0]
 
 
 def count_component_isomorphisms(g: LfGraph) -> int:
@@ -728,9 +719,8 @@ def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     for v, t in enumerate(_chain(g, *gen)):
         inv[t] = v
     tau = [inv[t] for t in rho.image]
-    lof = g.line_index()
-    if tuple(map(lof.__getitem__, tau)) != lof:
-        v = next(v for v, t in enumerate(tau) if lof[t] != lof[v])
+    v = _class_escape(g, tau)
+    if v is not None:
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
     return VertexPerm(g, tau)
 

@@ -77,7 +77,7 @@ class LfGraph:
         self.adj = adj
         self._lines = None
         self._line_of = None
-        self._n2_partner = None
+        self._line_adj = None
 
     # ---------- vertex indexing ----------
 
@@ -182,6 +182,17 @@ class LfGraph:
                     lof[m] = idx
             self._line_of = tuple(lof)
         return self._line_of
+
+    def line_adjacency(self) -> tuple[int, ...]:
+        """The class quotient: one bitset row per class of lines(), bit d
+        of row c set when classes c and d are adjacent, read off adj at one
+        member of each class."""
+        if self._line_adj is None:
+            reps = [line.members[0] for line in self.lines()]
+            self._line_adj = tuple(
+                sum(1 << d for d, r in enumerate(reps) if (self.adj[v] >> r) & 1)
+                for v in reps)
+        return self._line_adj
 
     def line_of(self, vid: int) -> int:
         return self.line_index()[vid]
@@ -517,6 +528,8 @@ def to_edgelist_json(g: LfGraph) -> bytes:
 
 def parse_edgelist_json(data: bytes) -> dict:
     doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError("edge-list document is not a JSON object")
     for key in ("q", "n", "vertices", "edges"):
         if key not in doc:
             raise ValueError(f"edge-list document is missing {key!r}")

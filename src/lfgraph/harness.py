@@ -126,6 +126,10 @@ def _skip(reason: str, formula: int | None = None):
     return formula, None, "skipped", {"reason": reason}
 
 
+def _compare(formula: int, oracle: int, witness=None):
+    return formula, oracle, "match" if oracle == formula else "mismatch", witness
+
+
 def _sample_autos(g: LfGraph, rng) -> tuple[list[VertexPerm], str]:
     if (g.num_vertices <= MAX_ENUM_VERTICES
             and count_automorphisms(g) <= EXHAUSTIVE_GROUP):
@@ -133,6 +137,31 @@ def _sample_autos(g: LfGraph, rng) -> tuple[list[VertexPerm], str]:
         return [VertexPerm(g, im) for im in imgs], f"all {len(imgs)}"
     perms = [random_automorphism(g, rng) for _ in range(SAMPLE_COUNT)]
     return perms, f"sampled {SAMPLE_COUNT}"
+
+
+def _sweep(g: LfGraph, rng, check):
+    """Run check(g, perm) on the sampled automorphisms; the first one that
+    returns failure fields fails the claim, its fields after the method
+    and the index."""
+    perms, how = _sample_autos(g, rng)
+    for idx, perm in enumerate(perms):
+        fields = check(g, perm)
+        if fields is not None:
+            return None, None, "property-fail", {"method": how, "index": idx,
+                                                 **fields}
+    return None, None, "property-pass", {"method": how}
+
+
+def _structure_check(fields):
+    """A _sweep check through check_structure: fields(g, verdict) gives a
+    verdict's failure fields, or None when it passes."""
+    def check(g, perm):
+        try:
+            v = check_structure(g, perm)
+        except LineActionError as e:
+            return {"reason": str(e), "witness": _jsonable(e.witness)}
+        return fields(g, v)
+    return check
 
 
 # ---------- claim runners ----------
@@ -158,8 +187,7 @@ def _run_sigma_card(g, rng, deep):
     fun_side = len(lines) - vec_side
     if vec_side != fun_side:
         return formula, vec_side, "mismatch", {"fun_side": fun_side}
-    verdict = "match" if vec_side == formula else "mismatch"
-    return formula, vec_side, verdict, None
+    return _compare(formula, vec_side)
 
 
 def _run_twin(g, rng, deep):
@@ -229,69 +257,45 @@ def _run_dom_side(g, rng, deep):
 def _run_dom_whole(g, rng, deep, mode):
     formula = 2 * g.q + 2
     size, wset = domination_number(g, target="all", mode=mode)
-    verdict = "match" if size == formula else "mismatch"
-    return formula, size, verdict, {"solver": _labels(g, wset)}
+    return _compare(formula, size, {"solver": _labels(g, wset)})
 
 
 def _run_comp_iso(g, rng, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    formula = formula_component_isos(g.q)
-    oracle = count_component_isomorphisms(g)
-    verdict = "match" if oracle == formula else "mismatch"
-    return formula, oracle, verdict, None
+    return _compare(formula_component_isos(g.q),
+                    count_component_isomorphisms(g))
+
+
+def _struct_gen_fields(g, v):
+    if (v.n_commutes and v.intersection is not False
+            and v.intersection_swapped is not False
+            and (g.n < 3 or v.side_purity)):
+        return None
+    return {"side_behavior": v.side_behavior,
+            "side_purity": v.side_purity,
+            "n_commutes": v.n_commutes,
+            "intersection": v.intersection,
+            "intersection_swapped": v.intersection_swapped,
+            "witness": _jsonable(v.witness)}
 
 
 def _run_struct_gen(g, rng, deep):
-    perms, how = _sample_autos(g, rng)
-    for idx, perm in enumerate(perms):
-        try:
-            v = check_structure(g, perm)
-        except LineActionError as e:
-            return None, None, "property-fail", {
-                "method": how, "index": idx,
-                "reason": str(e), "witness": _jsonable(e.witness)}
-        bad = (not v.n_commutes
-               or v.intersection is False
-               or v.intersection_swapped is False
-               or (g.n >= 3 and not v.side_purity))
-        if bad:
-            return None, None, "property-fail", {
-                "method": how, "index": idx,
-                "side_behavior": v.side_behavior,
-                "side_purity": v.side_purity,
-                "n_commutes": v.n_commutes,
-                "intersection": v.intersection,
-                "intersection_swapped": v.intersection_swapped,
-                "witness": _jsonable(v.witness)}
-    return None, None, "property-pass", {"method": how}
+    return _sweep(g, rng, _structure_check(_struct_gen_fields))
 
 
 def _run_struct_n2(g, rng, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    perms, how = _sample_autos(g, rng)
-    for idx, perm in enumerate(perms):
-        try:
-            v = check_structure(g, perm)
-        except LineActionError as e:
-            return None, None, "property-fail", {
-                "method": how, "index": idx,
-                "reason": str(e), "witness": _jsonable(e.witness)}
-        if not v.side_purity:
-            return None, None, "property-fail", {
-                "method": how, "index": idx,
-                "witness": _jsonable(v.witness)}
-    return None, None, "property-pass", {"method": how}
+    return _sweep(g, rng, _structure_check(
+        lambda g, v: None if v.side_purity else {"witness": _jsonable(v.witness)}))
 
 
 def _run_card_n2(g, rng, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    formula = formula_card_n2(g.q)
-    oracle = count_automorphisms(g, method="quotient")
-    verdict = "match" if oracle == formula else "mismatch"
-    return formula, oracle, verdict, None
+    return _compare(formula_card_n2(g.q),
+                    count_automorphisms(g, method="quotient"))
 
 
 def _run_card_gen(g, rng, deep):
@@ -305,9 +309,7 @@ def _run_card_gen(g, rng, deep):
     if not deep and (g.q, g.n) != (2, 3):
         return _skip("brute oracle beyond (2, 3) is opt-in; rerun with --deep",
                      formula)
-    oracle = count_automorphisms(g, method="quotient")
-    verdict = "match" if oracle == formula else "mismatch"
-    return formula, oracle, verdict, None
+    return _compare(formula, count_automorphisms(g, method="quotient"))
 
 
 def _run_card_stab(g, rng, deep):
@@ -315,24 +317,19 @@ def _run_card_stab(g, rng, deep):
     if g.num_vertices > MAX_ENUM_VERTICES:
         return _skip("vertex-level enumeration is limited to "
                      f"{MAX_ENUM_VERTICES} vertices", formula)
-    oracle = count_class_stabilizers(g)
-    verdict = "match" if oracle == formula else "mismatch"
-    return formula, oracle, verdict, None
+    return _compare(formula, count_class_stabilizers(g))
+
+
+def _decomp_fields(g, perm):
+    try:
+        d = decompose(g, perm)
+    except DecompositionError as e:
+        return {"step": e.step, "witness": _jsonable(e.witness)}
+    return None if compose(g, d) == perm else {"step": "recompose"}
 
 
 def _run_decomp(g, rng, deep):
-    perms, how = _sample_autos(g, rng)
-    for idx, perm in enumerate(perms):
-        try:
-            d = decompose(g, perm)
-        except DecompositionError as e:
-            return None, None, "property-fail", {
-                "method": how, "index": idx, "step": e.step,
-                "witness": _jsonable(e.witness)}
-        if compose(g, d) != perm:
-            return None, None, "property-fail", {
-                "method": how, "index": idx, "step": "recompose"}
-    return None, None, "property-pass", {"method": how}
+    return _sweep(g, rng, _decomp_fields)
 
 
 _RUNNERS = {
@@ -470,8 +467,7 @@ def _cmd_build(args) -> int:
               f"edges={edges} degree={g.q ** (g.n - 1) - 1} "
               f"components={len(g.components())}")
         return 0
-    fmt = {"graph6": "graph6", "json": "json"}[args.export]
-    data = export(g, fmt)
+    data = export(g, args.export)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -642,10 +638,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

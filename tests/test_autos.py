@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
+from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
+                           DecompositionError, LineActionError,
                            StructureVerdict, VertexPerm, all_automorphisms,
                            automorphism_defect, check_structure, chi_p, compose,
                            count_automorphisms, count_class_stabilizers,
@@ -21,7 +22,7 @@ from lfgraph.autos import (Decomposition, DecompositionError, LineActionError,
                            _intersection_holds, _semilinear, _uncoloured,
                            _vec_partners)
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
-                            random_invertible, transpose)
+                            monic_rep, random_invertible, transpose)
 
 from conftest import graph_for
 
@@ -239,10 +240,16 @@ def test_tau_validation_and_soundness():
     tau = tau_from_table(g, {a: b, b: a})
     assert is_automorphism(g, tau)
     assert tau.image[a] == b
+    c = lines[1].members[0]
     with pytest.raises(ValueError):
-        tau_from_table(g, {a: lines[1].members[0]})  # crosses classes
+        tau_from_table(g, {a: c})  # crosses classes
+    with pytest.raises(ValueError, match="crosses twin classes"):
+        tau_from_table(g, {a: c, c: a})  # a bijection, but across classes
     with pytest.raises(ValueError):
         tau_from_table(g, {a: b})  # not a bijection on the class
+    for entry in ({a: g.num_vertices}, {-1: a}):
+        with pytest.raises(ValueError, match="out of range"):
+            tau_from_table(g, entry)
     r = rng()
     for q, n in [(3, 2), (4, 2), (3, 3), (5, 2)]:
         h = graph_for(q, n)
@@ -334,6 +341,19 @@ def _delta_reference(g, rho):
             for u, f in zip(lines[a].members, lines[half + partner[a]].members):
                 image[u], image[f] = f, u
     return image
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_vec_partners_follow_orthogonal_rule(q):
+    """Vector (c, d) meets the functional line of (d, -c)."""
+    g = graph_for(q, 2)
+    F, lines = g.field, g.lines()
+    half = len(lines) // 2
+    partner = _vec_partners(g)
+    assert len(partner) == half == q + 1
+    for i, p in enumerate(partner):
+        c, d = lines[i].rep
+        assert lines[half + p].rep == monic_rep(F, (d, F.neg(c))), (q, i)
 
 
 @pytest.mark.parametrize("q,self_orthogonal", [(2, True), (3, False), (4, True),
@@ -544,6 +564,55 @@ def test_check_structure_rejects_like_vertex_reference(q, n):
         assert got.value.witness == want.value.witness
 
 
+def _intersection_reference(g, lmap):
+    """_intersection_holds on full-width vertex masks: the image class of
+    each functional class against the intersection of the neighborhoods
+    of the images of the vector classes containing it in theirs."""
+    lines = g.lines()
+    half = len(lines) // 2
+    full = (1 << g.num_vertices) - 1
+    for j in range(half, len(lines)):
+        fmask = g.line_mask(lines[j])
+        inter = full
+        for i in range(half):
+            if fmask & ~g.neighbor_set(lines[i]) == 0:
+                inter &= g.neighbor_set(lines[lmap[i]])
+        if inter != g.line_mask(lines[lmap[j]]):
+            return False, {"fun_class": j}
+    return True, None
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3), (4, 3), (8, 3)])
+def test_intersection_holds_matches_vertex_reference(q, n):
+    """Seeded side-preserving class maps: those of automorphisms (brought
+    onto the sides by delta, or by sigma when swapped), the same with two classes of one side
+    exchanged, and uniform random ones; most are no quotient map."""
+    g = graph_for(q, n)
+    m = len(g.lines())
+    half = m // 2
+    r = rng()
+    verdicts = set()
+    for _ in range(12):
+        rho = random_automorphism(g, r)
+        if n == 2:
+            rho = delta_for(g, rho).compose(rho)  # delta is its own inverse
+        lmap = line_action(g, rho)
+        if lmap[0] >= half:
+            lmap = [(c + half) % m for c in lmap]
+        swapped = list(lmap)
+        a, b = r.sample(range(half), 2)
+        side = half * r.randrange(2)
+        swapped[side + a], swapped[side + b] = lmap[side + b], lmap[side + a]
+        vec, fun = list(range(half)), list(range(half, m))
+        r.shuffle(vec)
+        r.shuffle(fun)
+        for case in (lmap, swapped, vec + fun):
+            got = _intersection_holds(g, case)
+            assert got == _intersection_reference(g, case), (q, n, case)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3)])
 def test_intersection_holds_rejects_non_quotient_map(q, n):
     g = graph_for(q, n)
@@ -609,11 +678,18 @@ def test_enumeration_guards():
 
 
 def test_quotient_adjacency_is_projective_incidence():
-    for q, n in [(2, 3), (3, 3), (4, 2)]:
+    # (2, 6) and (8, 3) have 63 and 73 classes a side, over the quotient
+    # search's guard, so only line_adjacency reaches them
+    for q, n in [(2, 3), (3, 3), (4, 2), (2, 6), (8, 3)]:
         g = graph_for(q, n)
-        qadj = quotient_adjacency(g)
         lines = g.lines()
         half = len(lines) // 2
+        qadj = list(g.line_adjacency())
+        if half > MAX_QUOTIENT_CLASSES:
+            with pytest.raises(ValueError, match="guard"):
+                quotient_adjacency(g)
+        else:
+            assert quotient_adjacency(g) == qadj
         assert len(qadj) == 2 * half == 2 * (q ** n - 1) // (q - 1)
         # every point lies on (q^(n-1) - 1)/(q - 1) hyperplanes and back
         assert all(row.bit_count() == (q ** (n - 1) - 1) // (q - 1)

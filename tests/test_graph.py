@@ -437,6 +437,14 @@ def test_edgelist_json_round_trip():
     assert tuple(by_id[g.vec_id((1, 2))]["coords"]) == (1, 2)
 
 
+@pytest.mark.parametrize("data", [b'"q n vertices edges"',
+                                  b'["q","n","vertices","edges"]',
+                                  b'5', b'null'])
+def test_edgelist_json_rejects_non_object(data):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        parse_edgelist_json(data)
+
+
 def test_export_dispatch():
     g = graph_for(2, 2)
     assert export(g, "graph6") == to_graph6(g)

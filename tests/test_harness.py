@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -297,6 +298,21 @@ def test_cli_byte_identical_runs():
     assert a.returncode == b.returncode == 1
     assert a.stdout == b.stdout
     assert a.stdout  # non-empty report
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["verify", "--format", "json"],
+     "89eadccacfa7f619628e231b1108e9ce0337046e4e3513b86f05b812ed1f293d"),
+    (["verify", "--deep", "--format", "json", "--seed", "1729"],
+     "04939eceb75ce0bf5a4b63f1a5556ad9b132ba64dcce82472f3fa4d61abc2444"),
+], ids=["default", "deep"])
+def test_cli_verify_report_bytes_pinned(args, digest, capsys, monkeypatch):
+    """The default-matrix reports, byte for byte.  A change that alters a
+    report on purpose updates its digest here."""
+    monkeypatch.delenv("LFG_SEED", raising=False)
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lfg_seed_env(capsys):
