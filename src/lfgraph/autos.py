@@ -16,6 +16,8 @@ whole scalar classes is built by one member-order lift, _lift: delta,
 phi_bar and the n = 2 sampler each lift a class map, and the twin shuffle
 tau lifts a shuffle of every class onto itself.  Class-level questions read
 the graph's cached line_index() and line_adjacency(); autos keeps no state.
+automorphism_defect reads them too: it tests a permutation on the class
+quotient, and scans vertex adjacency rows only to name a broken edge.
 """
 
 from __future__ import annotations
@@ -83,10 +85,25 @@ def identity_perm(g: LfGraph) -> VertexPerm:
 # ---------- adjacency preservation ----------
 
 def automorphism_defect(g: LfGraph, perm: VertexPerm):
-    """None if perm preserves adjacency, else a broken edge (x, y).  Every
-    edge has one vector endpoint x, so only the vector rows are scanned."""
+    """None if perm preserves adjacency, else a broken edge (x, y).
+
+    The test runs on the class quotient.  An automorphism sends twins to
+    twins, and between two classes adjacency is all or nothing, so perm is
+    one exactly when it sends every class of lines() onto a single class
+    and the induced class map lmap preserves line_adjacency().  Classes
+    are equal in size, so such an lmap is a bijection, and checking it on
+    the vector classes covers every edge.  Only a failing perm is scanned
+    row by row, to name its first broken edge: every edge has one vector
+    endpoint x, so only the vector rows are read."""
+    lof, img = g.line_index(), perm.image
+    cls = list(map(lof.__getitem__, img))
+    lmap = [cls[line.members[0]] for line in g.lines()]
+    rows = g.line_adjacency()
+    if list(map(lmap.__getitem__, lof)) == cls and all(
+            sum(map((1).__lshift__, map(lmap.__getitem__, _bits(rows[c]))))
+            == rows[lmap[c]] for c in range(len(rows) // 2)):
+        return None
     adj = g.adj
-    img = perm.image
     for x, ys in enumerate(_row_lists(adj[:g.nv])):
         row = adj[img[x]]
         for y in ys:
@@ -263,23 +280,14 @@ class LineActionError(ValueError):
 
 
 def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
-    """The induced permutation of class indices, or a witnessed failure."""
+    """The induced permutation of class indices, or a witnessed failure.
+    An automorphism maps each class wholly onto one class, so the class
+    of its first member's image is the class image."""
     defect = automorphism_defect(g, perm)
     if defect is not None:
         raise LineActionError("perm is not an automorphism", defect)
-    lines = g.lines()
     lof, img = g.line_index(), perm.image
-    mapping = []
-    for line in lines:
-        first = lof[img[line.members[0]]]
-        for m in line.members[1:]:
-            if lof[img[m]] != first:
-                raise LineActionError("class image is split",
-                                      (line.members[0], m))
-        mapping.append(first)
-    if sorted(mapping) != list(range(len(lines))):
-        raise LineActionError("class action is not a bijection", mapping)
-    return mapping
+    return [lof[img[line.members[0]]] for line in g.lines()]
 
 
 @dataclass
@@ -316,14 +324,15 @@ def _intersection_holds(g: LfGraph, lmap: list[int]) -> tuple[bool, object]:
 def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
     """Evaluate the structural facts every automorphism should satisfy.
 
-    Adjacency is scanned once, by line_action; every other fact is read
-    off its class map lmap.  An automorphism maps N(x) onto N(perm(x)),
-    so one member x per class checks that neighborhoods commute.  The
-    swapped case composes lmap with sigma's class map c -> c +- half."""
+    Adjacency is tested once, by line_action; every other fact is read
+    off its class map lmap.  Two facts hold on every automorphism line_action
+    accepts, so they are set, not tested: neighborhoods commute, as
+    automorphisms map N(x) onto N(perm(x)), and at n = 2 each component
+    lands in one component, as automorphisms map components onto
+    components.  The swapped case composes lmap with sigma's class map
+    c -> c +- half."""
     lmap = line_action(g, perm)  # raises LineActionError when ill-defined
-    lines = g.lines()
-    half = len(lines) // 2
-    img = perm.image
+    half = len(lmap) // 2
     crossing = sum(1 for c in lmap[:half] if c >= half)
     if crossing == 0:
         behavior = "preserved"
@@ -332,30 +341,9 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
     else:
         behavior = "mixed"
 
-    witness = None
-    if g.n >= 3:
-        purity = behavior != "mixed"
-        if not purity:
-            witness = {"side": "mixed image of the vector side"}
-    else:
-        # each component (an orthogonal pair of classes) must land in one
-        # component, whose two classes are exactly the adjacent ones
-        partner = _vec_partners(g)
-        rows = g.line_adjacency()
-        purity = True
-        for i in range(half):
-            if not (rows[lmap[i]] >> lmap[half + partner[i]]) & 1:
-                purity = False
-                witness = {"component": i}
-                break
-
-    n_comm = True
-    for idx, line in enumerate(lines):
-        if g.adj[img[line.members[0]]] != g.neighbor_set(lines[lmap[idx]]):
-            n_comm = False
-            if witness is None:
-                witness = {"class": idx}
-            break
+    # at n = 2 side purity (each component into one component) is proved
+    purity = g.n < 3 or behavior != "mixed"
+    witness = None if purity else {"side": "mixed image of the vector side"}
 
     inter = inter_sw = None
     if behavior == "preserved":
@@ -368,7 +356,8 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
         if not inter_sw and witness is None:
             witness = w
 
-    return StructureVerdict(behavior, purity, n_comm, inter, inter_sw, witness)
+    # n_commutes is proved: see the docstring
+    return StructureVerdict(behavior, purity, True, inter, inter_sw, witness)
 
 
 # ---------- enumeration ----------

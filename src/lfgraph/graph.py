@@ -54,7 +54,7 @@ def _row_lists(rows):
     for r in rows:
         ys = seen.get(r)
         if ys is None:
-            ys = seen[r] = list(_bits(r))
+            ys = seen[r] = _bit_list(r)
         yield ys
 
 

@@ -529,8 +529,6 @@ def _cmd_autos_check(args) -> int:
     try:
         v = check_structure(perm.g, perm)
     except LineActionError as e:
-        if str(e) != "perm is not an automorphism":
-            raise
         print(f"automorphism=no broken-edge={list(e.witness)}")
         return 1
     print(f"automorphism=yes side-behavior={v.side_behavior} "

@@ -19,8 +19,8 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
                            _automorphism_search, _delta_impl,
-                           _intersection_holds, _semilinear, _uncoloured,
-                           _vec_partners)
+                           _intersection_holds, _lift_classes, _semilinear,
+                           _uncoloured, _vec_partners)
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
                             monic_rep, random_invertible, transpose)
 
@@ -91,22 +91,85 @@ def _defect_full_scan(g, perm):
     return None
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def _class_respecting_perms(g, r, count):
+    """Member-order lifts of seeded class maps, which keep twins together
+    so that only the class quotient's adjacency can reject them: random
+    class permutations, automorphisms' class maps with two classes of one
+    side exchanged, and those class maps unchanged (automorphisms)."""
+    m = len(g.lines())
+    half = m // 2
+    for _ in range(count):
+        shuffled = list(range(m))
+        r.shuffle(shuffled)
+        lmap = line_action(g, random_automorphism(g, r))
+        exchanged = list(lmap)
+        side = half * r.randrange(2)
+        a, b = (side + c for c in r.sample(range(half), 2))
+        exchanged[a], exchanged[b] = lmap[b], lmap[a]
+        for case in (shuffled, exchanged, lmap):
+            yield VertexPerm(g, _lift_classes(g, case))
+
+
+# per size: transpositions sampled (None: every one), class maps tried
+_DEFECT_CASES = {(2, 2): (None, 10), (3, 2): (None, 10), (2, 3): (None, 10),
+                 (3, 3): (None, 10), (4, 3): (1000, 10), (8, 3): (20, 2)}
+
+
+@pytest.mark.parametrize("q,n", list(_DEFECT_CASES))
 def test_automorphism_defect_matches_full_scan(q, n):
+    """Transpositions, and three class-respecting permutations per class
+    map tried, against the full scan."""
+    sample, classes = _DEFECT_CASES[(q, n)]
     g = graph_for(q, n)
+    r = rng()
+    pairs = [(a, b) for a in range(g.num_vertices)
+             for b in range(a + 1, g.num_vertices)]
+    if sample is not None:
+        pairs = r.sample(pairs, sample)
     broken = {"vec": 0, "fun": 0, "cross": 0}
-    for a in range(g.num_vertices):
-        for b in range(a + 1, g.num_vertices):
-            img = list(range(g.num_vertices))
-            img[a], img[b] = b, a
-            perm = VertexPerm(g, img)
-            want = _defect_full_scan(g, perm)
-            assert automorphism_defect(g, perm) == want
-            if want is not None:
-                kind = ("cross" if g.is_vec(a) != g.is_vec(b)
-                        else "vec" if g.is_vec(a) else "fun")
-                broken[kind] += 1
+    for a, b in pairs:
+        img = list(range(g.num_vertices))
+        img[a], img[b] = b, a
+        perm = VertexPerm(g, img)
+        want = _defect_full_scan(g, perm)
+        assert automorphism_defect(g, perm) == want
+        if want is not None:
+            kind = ("cross" if g.is_vec(a) != g.is_vec(b)
+                    else "vec" if g.is_vec(a) else "fun")
+            broken[kind] += 1
     assert all(broken.values()), broken
+    verdicts = set()
+    for perm in _class_respecting_perms(g, r, classes):
+        want = _defect_full_scan(g, perm)
+        assert automorphism_defect(g, perm) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_automorphism_defect_accepts_on_the_quotient(monkeypatch):
+    """An automorphism is accepted without reading a vertex adjacency row;
+    the row scan runs only to name a non-automorphism's broken edge."""
+    import lfgraph.autos as autos
+
+    class Unread(list):
+        def __getitem__(self, i):
+            raise AssertionError("vertex adjacency row read")
+
+    def unread(rows):
+        raise AssertionError("vertex adjacency rows decoded")
+
+    g = graph_for(4, 3)
+    g.line_index(), g.line_adjacency()  # warm the class caches
+    r = rng()
+    perms = [random_automorphism(g, r) for _ in range(10)]
+    img = list(range(g.num_vertices))
+    img[0], img[g.nv] = g.nv, 0
+    monkeypatch.setattr(g, "adj", Unread(g.adj))
+    monkeypatch.setattr(autos, "_row_lists", unread)
+    for perm in perms:
+        assert automorphism_defect(g, perm) is None
+    with pytest.raises(AssertionError, match="vertex adjacency"):
+        automorphism_defect(g, VertexPerm(g, img))
 
 
 # ---------- generators ----------
