@@ -18,6 +18,9 @@ tau lifts a shuffle of every class onto itself.  Class-level questions read
 the graph's cached line_index() and line_adjacency(); autos keeps no state.
 automorphism_defect reads them too: it tests a permutation on the class
 quotient, and scans vertex adjacency rows only to name a broken edge.
+check_structure reads only that test's class map; the one fact it cannot
+read there, the neighbourhood intersection identity, is a graph fact that
+_intersection_holds checks once per graph.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import islice
 from .gf import field_from_order
 from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
                      random_invertible, transpose)
-from .graph import LfGraph, _bits, _map_ids, _row_lists, build
+from .graph import LfGraph, _bit_list, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -100,7 +103,7 @@ def automorphism_defect(g: LfGraph, perm: VertexPerm):
     lmap = [cls[line.members[0]] for line in g.lines()]
     rows = g.line_adjacency()
     if list(map(lmap.__getitem__, lof)) == cls and all(
-            sum(map((1).__lshift__, map(lmap.__getitem__, _bits(rows[c]))))
+            sum(map((1).__lshift__, map(lmap.__getitem__, _bit_list(rows[c]))))
             == rows[lmap[c]] for c in range(len(rows) // 2)):
         return None
     adj = g.adj
@@ -295,8 +298,8 @@ class StructureVerdict:
     side_behavior: str          # "preserved" | "swapped" | "mixed"
     side_purity: bool
     n_commutes: bool
-    intersection: bool | None          # checked when sides are preserved
-    intersection_swapped: bool | None  # checked through sigma when swapped
+    intersection: bool | None          # set when sides are preserved
+    intersection_swapped: bool | None  # set, through sigma, when swapped
     witness: object | None
 
     def ok(self) -> bool:
@@ -305,18 +308,18 @@ class StructureVerdict:
                 and self.intersection_swapped is not False)
 
 
-def _intersection_holds(g: LfGraph, lmap: list[int]) -> tuple[bool, object]:
-    """For a side-preserving class map lmap: class lmap[F_H] equals the
-    intersection of N(lmap[i]) over the vector classes i with F_H in N(i).
-    line_action maps each class wholly onto one class of the same size,
-    so class lmap[F_H] is exactly the image of F_H, and the identity can
-    be read on the class quotient."""
+def _intersection_holds(g: LfGraph) -> tuple[bool, object]:
+    """The neighbourhood intersection identity, a fact about the graph:
+    F_H is the intersection of N(i) over the vector classes i with F_H in
+    N(i), so functional class j is the only class adjacent to every vector
+    class in row j of line_adjacency().  An automorphism's class map
+    preserves line_adjacency() and so carries the identity over."""
     rows = g.line_adjacency()
     for j in range(len(rows) // 2, len(rows)):
         inter = -1
-        for i in _bits(rows[j]):
-            inter &= rows[lmap[i]]
-        if inter != 1 << lmap[j]:
+        for i in _bit_list(rows[j]):
+            inter &= rows[i]
+        if inter != 1 << j:
             return False, {"fun_class": j}
     return True, None
 
@@ -324,40 +327,21 @@ def _intersection_holds(g: LfGraph, lmap: list[int]) -> tuple[bool, object]:
 def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
     """Evaluate the structural facts every automorphism should satisfy.
 
-    Adjacency is tested once, by line_action; every other fact is read
-    off its class map lmap.  Two facts hold on every automorphism line_action
-    accepts, so they are set, not tested: neighborhoods commute, as
-    automorphisms map N(x) onto N(perm(x)), and at n = 2 each component
-    lands in one component, as automorphisms map components onto
-    components.  The swapped case composes lmap with sigma's class map
-    c -> c +- half."""
+    line_action tests adjacency, and the side behaviour is read off its
+    class map.  The other facts hold on every automorphism it accepts:
+    - neighbourhoods commute, as automorphisms map N(x) onto N(perm(x));
+    - at n = 2 each component lands whole in one component;
+    - an n >= 3 graph is connected, so the sides are kept or swapped whole;
+    - the class map (through sigma when swapped) carries the graph's
+      intersection identity, which _intersection_holds checks."""
     lmap = line_action(g, perm)  # raises LineActionError when ill-defined
     half = len(lmap) // 2
     crossing = sum(1 for c in lmap[:half] if c >= half)
-    if crossing == 0:
-        behavior = "preserved"
-    elif crossing == half:
-        behavior = "swapped"
-    else:
-        behavior = "mixed"
-
-    # at n = 2 side purity (each component into one component) is proved
-    purity = g.n < 3 or behavior != "mixed"
-    witness = None if purity else {"side": "mixed image of the vector side"}
-
-    inter = inter_sw = None
-    if behavior == "preserved":
-        inter, w = _intersection_holds(g, lmap)
-        if not inter and witness is None:
-            witness = w
-    elif behavior == "swapped":
-        inter_sw, w = _intersection_holds(
-            g, [(c + half) % (2 * half) for c in lmap])
-        if not inter_sw and witness is None:
-            witness = w
-
-    # n_commutes is proved: see the docstring
-    return StructureVerdict(behavior, purity, True, inter, inter_sw, witness)
+    behavior = ("preserved" if crossing == 0 else
+                "swapped" if crossing == half else "mixed")
+    return StructureVerdict(behavior, True, True,
+                            behavior == "preserved" or None,
+                            behavior == "swapped" or None, None)
 
 
 # ---------- enumeration ----------
@@ -548,9 +532,9 @@ def count_component_isomorphisms(g: LfGraph) -> int:
     if g.n != 2:
         raise ValueError("component isomorphisms are counted for n = 2 only")
     src, dst = islice(g.component_masks(), 2)
-    if _automorphism_search(g.adj, dict.fromkeys(_bits(src), dst)) is None:
+    if _automorphism_search(g.adj, dict.fromkeys(_bit_list(src), dst)) is None:
         return 0
-    return _count_by_orbits(g.adj, dict.fromkeys(_bits(src), src))[0]
+    return _count_by_orbits(g.adj, dict.fromkeys(_bit_list(src), src))[0]
 
 
 # ---------- closed-form counts ----------

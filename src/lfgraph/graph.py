@@ -27,21 +27,13 @@ MAX_BUILD_VERTICES = 100_000
 MAX_SEARCH_VERTICES = 200
 
 
-def _bits(mask: int):
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 _BYTE_BITS = tuple(tuple(i for i in range(8) if (b >> i) & 1)
                    for b in range(256))
 
 
 def _bit_list(mask: int) -> list[int]:
-    """The set bits of mask as a list, a byte at a time: linear in its
-    width, where _bits (faster on short rows) is quadratic on wide masks."""
+    """The set bit positions of mask in increasing order, decoded a byte
+    at a time, so the cost is linear in the width of mask."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [8 * i + b for i, byte in enumerate(data) if byte
             for b in _BYTE_BITS[byte]]
@@ -413,7 +405,7 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
 
     elem_cov = [[] for _ in range(full.bit_length())]
     for idx, mask in enumerate(masks):
-        for e in _bits(mask):
+        for e in _bit_list(mask):
             elem_cov[e].append(idx)
 
     # greedy upper bound doubles as the initial witness
@@ -436,7 +428,7 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
         if len(chosen) + need >= best[0]:
             return
         pick, width = -1, None
-        for e in _bits(uncovered):
+        for e in _bit_list(uncovered):
             w = len(elem_cov[e])
             if width is None or w < width:
                 pick, width = e, w

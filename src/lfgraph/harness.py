@@ -35,8 +35,9 @@ from .autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
                     count_component_isomorphisms, decompose,
                     decomposition_to_json, formula_card_general,
                     formula_card_n2, formula_component_isos,
-                    formula_twin_stabilizer, perm_from_json,
-                    random_automorphism, _count_with_searches)
+                    formula_twin_stabilizer, line_action, perm_from_json,
+                    random_automorphism, _count_with_searches,
+                    _intersection_holds)
 from .linalg import monic_rep
 
 DEFAULT_SEED = 1729
@@ -152,16 +153,15 @@ def _sweep(g: LfGraph, rng, check):
     return None, None, "property-pass", {"method": how}
 
 
-def _structure_check(fields):
-    """A _sweep check through check_structure: fields(g, verdict) gives a
-    verdict's failure fields, or None when it passes."""
-    def check(g, perm):
-        try:
-            v = check_structure(g, perm)
-        except LineActionError as e:
-            return {"reason": str(e), "witness": _jsonable(e.witness)}
-        return fields(g, v)
-    return check
+def _class_action(g: LfGraph, perm: VertexPerm):
+    """A _sweep check: None when line_action accepts perm, else the
+    reason and broken edge.  Every other fact the structure claims state
+    holds on each automorphism it accepts (see check_structure)."""
+    try:
+        line_action(g, perm)
+    except LineActionError as e:
+        return {"reason": str(e), "witness": _jsonable(e.witness)}
+    return None
 
 
 # ---------- claim runners ----------
@@ -267,28 +267,20 @@ def _run_comp_iso(g, rng, deep):
                     count_component_isomorphisms(g))
 
 
-def _struct_gen_fields(g, v):
-    if (v.n_commutes and v.intersection is not False
-            and v.intersection_swapped is not False
-            and (g.n < 3 or v.side_purity)):
-        return None
-    return {"side_behavior": v.side_behavior,
-            "side_purity": v.side_purity,
-            "n_commutes": v.n_commutes,
-            "intersection": v.intersection,
-            "intersection_swapped": v.intersection_swapped,
-            "witness": _jsonable(v.witness)}
-
-
 def _run_struct_gen(g, rng, deep):
-    return _sweep(g, rng, _structure_check(_struct_gen_fields))
+    """The intersection identity once per graph, then the class action of
+    every sampled automorphism."""
+    holds, witness = _intersection_holds(g)
+    if not holds:
+        return None, None, "property-fail", {"witness": witness}
+    return _sweep(g, rng, _class_action)
 
 
 def _run_struct_n2(g, rng, deep):
+    """At n = 2 a well-defined class action keeps each component whole."""
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    return _sweep(g, rng, _structure_check(
-        lambda g, v: None if v.side_purity else {"witness": _jsonable(v.witness)}))
+    return _sweep(g, rng, _class_action)
 
 
 def _run_card_n2(g, rng, deep):

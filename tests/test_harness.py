@@ -93,6 +93,19 @@ def test_claim_filter():
         run_verify(2, 2, claims=["NOPE"])
 
 
+def test_struct_gen_checks_intersection_once(monkeypatch):
+    """STRUCT-GEN checks the intersection identity once per graph, and a
+    failure there fails the claim with its witness."""
+    import lfgraph.harness as harness
+    calls = []
+    monkeypatch.setattr(harness, "_intersection_holds",
+                        lambda g: calls.append(1) or (False, {"fun_class": 9}))
+    by = claims_by_id(run_verify(2, 3, claims=["STRUCT-GEN"]))
+    assert by["STRUCT-GEN"].verdict == "property-fail"
+    assert by["STRUCT-GEN"].witness == {"witness": {"fun_class": 9}}
+    assert len(calls) == 1
+
+
 def test_budget_marks_skipped():
     report = run_verify(2, 2, budget=0.0)
     assert all(c.verdict == "skipped" for c in report.claims)
