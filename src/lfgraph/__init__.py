@@ -3,8 +3,8 @@ linear functionals over a finite field, where f_u is joined to v when
 u . v = 0.  Everything here is exact integer arithmetic; no floats."""
 
 from .gf import Field, field_from_order, factor_prime_power, field_automorphisms
-from .graph import (LfGraph, Line, build, domination_number, export,
-                    is_dominating, parse_edgelist_json, parse_graph6,
+from .graph import (GuardError, LfGraph, Line, build, domination_number,
+                    export, is_dominating, parse_edgelist_json, parse_graph6,
                     to_edgelist_json, to_graph6)
 from .autos import (Decomposition, DecompositionError, LineActionError,
                     StructureVerdict, VertexPerm, all_automorphisms,

@@ -33,7 +33,7 @@ from itertools import islice
 from .gf import field_from_order
 from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
                      random_invertible, transpose)
-from .graph import LfGraph, _bit_list, _map_ids, _row_lists, build
+from .graph import GuardError, LfGraph, _bit_list, _map_ids, _row_lists, build
 
 
 class VertexPerm:
@@ -463,8 +463,8 @@ def _uncoloured(adj: list[int]) -> dict[int, int]:
 
 def _check_enum_size(g: LfGraph) -> None:
     if g.num_vertices > MAX_ENUM_VERTICES:
-        raise ValueError(
-            f"direct enumeration is limited to {MAX_ENUM_VERTICES} vertices")
+        raise GuardError("vertex-level enumeration is limited to "
+                         f"{MAX_ENUM_VERTICES} vertices")
 
 
 def all_automorphisms(g: LfGraph) -> tuple:
@@ -485,7 +485,7 @@ def quotient_adjacency(g: LfGraph) -> list[int]:
     LfGraph.line_adjacency under the quotient search's class guard."""
     half = len(g.lines()) // 2
     if half > MAX_QUOTIENT_CLASSES:
-        raise ValueError(
+        raise GuardError(
             f"{half} classes per side is over the {MAX_QUOTIENT_CLASSES} guard")
     return list(g.line_adjacency())
 

@@ -27,6 +27,10 @@ MAX_BUILD_VERTICES = 100_000
 MAX_SEARCH_VERTICES = 200
 
 
+class GuardError(ValueError):
+    """Raised at every size limit: the input is valid, only too large."""
+
+
 _BYTE_BITS = tuple(tuple(i for i in range(8) if (b >> i) & 1)
                    for b in range(256))
 
@@ -213,7 +217,7 @@ def build(field: Field, n: int) -> LfGraph:
         raise ValueError(f"dimension must be >= 2, got {n}")
     nv = field.q ** n - 1
     if 2 * nv > MAX_BUILD_VERTICES:
-        raise ValueError(f"graph would have {2 * nv} vertices, over the "
+        raise GuardError(f"graph would have {2 * nv} vertices, over the "
                          f"{MAX_BUILD_VERTICES} guard")
     g = LfGraph(field, n, [0] * (2 * nv))
     adj = g.adj
@@ -331,10 +335,10 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
         for comp in g.component_masks():
             size = comp.bit_count()
             if size > MAX_SEARCH_VERTICES:
-                raise ValueError(f"a component of {size} vertices is over "
+                raise GuardError(f"a component of {size} vertices is over "
                                  f"the exact-search guard {MAX_SEARCH_VERTICES}")
     if method == "exhaustive" and g.num_vertices > 20:
-        raise ValueError("exhaustive search is limited to 20 vertices")
+        raise GuardError("exhaustive search is limited to 20 vertices")
 
     covered = _covered_ids(g, target)
     cands = list(_candidate_ids(g, target))

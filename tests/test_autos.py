@@ -744,6 +744,21 @@ def test_enumeration_guards():
         count_automorphisms(graph_for(2, 2), method="nope")
 
 
+def test_enumeration_guards_raise_guard_error():
+    from lfgraph import GuardError
+    g = graph_for(4, 2)  # 30 vertices
+    for call in (all_automorphisms, count_class_stabilizers,
+                 lambda g: count_automorphisms(g, method="vertex")):
+        with pytest.raises(GuardError, match="vertex-level enumeration is "
+                                             "limited to 20 vertices"):
+            call(g)
+    # (2,6) has 63 classes a side
+    for call in (quotient_adjacency, count_automorphisms):
+        with pytest.raises(GuardError,
+                           match="63 classes per side is over the 32 guard"):
+            call(graph_for(2, 6))
+
+
 def test_quotient_adjacency_is_projective_incidence():
     # (2, 6) and (8, 3) have 63 and 73 classes a side, over the quotient
     # search's guard, so only line_adjacency reaches them

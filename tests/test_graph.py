@@ -25,6 +25,20 @@ def test_build_guards():
         build(field_from_order(7), 9)
 
 
+def test_graph_guards_raise_guard_error():
+    """Each size limit in graph raises GuardError, a ValueError, with the
+    message a verify report shows as the skip reason."""
+    assert issubclass(graph.GuardError, ValueError)
+    with pytest.raises(graph.GuardError,
+                       match="would have 80707212 vertices, over the 100000"):
+        build(field_from_order(7), 9)
+    with pytest.raises(graph.GuardError, match="component of 248 vertices"):
+        domination_number(graph_for(5, 3), target="all")
+    with pytest.raises(graph.GuardError,
+                       match="exhaustive search is limited to 20 vertices"):
+        domination_number(graph_for(4, 2), method="exhaustive")
+
+
 def test_smallest_instance_exact():
     """Six vertices, three disjoint edges, each vector paired with the
     functional orthogonal to it."""

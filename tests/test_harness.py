@@ -106,6 +106,135 @@ def test_struct_gen_checks_intersection_once(monkeypatch):
     assert len(calls) == 1
 
 
+GUARD_248 = "a component of 248 vertices is over the exact-search guard 200"
+
+
+def test_verify_skips_domination_the_guard_refuses():
+    """(5,3) is one component of 248 vertices: each domination claim is
+    skipped with the library guard's message and keeps its formula, and
+    the report still holds all 14 claims."""
+    report = run_verify(5, 3)
+    assert [c.id for c in report.claims] == list(CLAIM_IDS)
+    by = claims_by_id(report)
+    for cid, formula in [("DOM-SIDE", 6), ("DOM-WHOLE-STD", 12),
+                         ("DOM-WHOLE-TOT", 12)]:
+        c = by[cid]
+        assert (c.verdict, c.formula, c.oracle) == ("skipped", formula, None)
+        assert c.witness == {"reason": GUARD_248}
+    assert report.passed()
+
+
+def test_verify_skips_card_n2_over_the_class_guard():
+    from lfgraph.autos import formula_card_n2
+    c = claims_by_id(run_verify(37, 2, claims=["CARD-N2"]))["CARD-N2"]
+    assert (c.verdict, c.formula, c.oracle) == (
+        "skipped", formula_card_n2(37), None)
+    assert c.witness == {"reason": "38 classes per side is over the 32 guard"}
+
+
+def test_card_gen_opt_in_gate_runs_before_the_guard():
+    """(3,4) has 40 classes a side: without --deep the opt-in gate skips
+    CARD-GEN, with it the quotient search's guard does."""
+    from lfgraph.autos import formula_card_general
+    for deep, reason in [
+            (False, "brute oracle beyond (2, 3) is opt-in; rerun with --deep"),
+            (True, "40 classes per side is over the 32 guard")]:
+        c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"],
+                                    deep=deep))["CARD-GEN"]
+        assert (c.verdict, c.formula) == ("skipped",
+                                          formula_card_general(3, 4))
+        assert c.witness == {"reason": reason}
+
+
+def test_sweep_failures_name_the_broken_edge(monkeypatch):
+    """A sampled permutation that is no automorphism fails STRUCT-GEN and
+    STRUCT-N2 with line_action's broken edge, and DECOMP with decompose's
+    step and witness.  Swapping vertex 0 with the first member of class 1
+    breaks the edge from vertex 0 to the functional with class 1's rep."""
+    import lfgraph.harness as harness
+    from lfgraph.autos import VertexPerm
+
+    def swapped(g, rng):
+        img = list(range(g.num_vertices))
+        b = g.lines()[1].members[0]
+        img[0], img[b] = b, 0
+        return [VertexPerm(g, img)], "patched"
+
+    monkeypatch.setattr(harness, "_sample_autos", swapped)
+    head = {"method": "patched", "index": 0}
+    for q, n, cid, edge in [(2, 3, "STRUCT-GEN", [0, 8]),
+                            (3, 2, "STRUCT-GEN", [0, 10]),
+                            (3, 2, "STRUCT-N2", [0, 10])]:
+        c = claims_by_id(run_verify(q, n, claims=[cid]))[cid]
+        assert c.verdict == "property-fail"
+        assert c.witness == {**head, "reason": "perm is not an automorphism",
+                             "witness": edge}
+    for q, n, edge in [(2, 3, [0, 8]), (3, 2, [0, 10])]:
+        c = claims_by_id(run_verify(q, n, claims=["DECOMP"]))["DECOMP"]
+        assert c.verdict == "property-fail"
+        assert c.witness == {**head, "step": "not-automorphism",
+                             "witness": {"edge": edge}}
+
+
+def _toggled(q, n, *edges):
+    """A freshly built graph with each (vector, functional) edge flipped in
+    both rows, so the shared test graphs stay intact."""
+    from lfgraph import build, field_from_order
+    g = build(field_from_order(q), n)
+    for v, f in edges:
+        g.adj[v] ^= 1 << f
+        g.adj[f] ^= 1 << v
+    return g
+
+
+@pytest.mark.parametrize("q,n,f,degree", [(2, 2, 4, 0), (3, 2, 10, 1),
+                                          (2, 3, 8, 2), (3, 3, 28, 7)])
+def test_reg_fails_on_a_cut_edge(q, n, f, degree):
+    """f is vertex 0's first neighbour."""
+    import lfgraph.harness as harness
+    g = _toggled(q, n, (0, f))
+    assert harness._run_reg(g, None, False) == (None, None, "property-fail", {
+        "vertex": ["vec", [0] * (n - 1) + [1]], "degree": degree,
+        "expected": q ** (n - 1) - 1})
+
+
+@pytest.mark.parametrize("q,n,f", [(2, 2, 4), (3, 2, 10), (3, 3, 28)])
+def test_twin_fails_on_a_cut_edge(q, n, f):
+    """Cutting an edge at vertex 0 splits its class (q > 2), or at (2,2)
+    leaves two isolated vertices with equal empty rows.  At q = 2 and
+    n >= 3 every class is one vertex and no cut edge makes twins, so
+    (2,3) is not a case."""
+    import lfgraph.harness as harness
+    g = _toggled(q, n, (0, f))
+    assert harness._run_twin(g, None, False) == (None, None, "property-fail", {
+        "reason": "twin classes differ from scalar classes"})
+
+
+def test_conn_failures():
+    import lfgraph.harness as harness
+
+    def conn(g):
+        return harness._run_conn(g, None, False)[2:]
+
+    fail = "property-fail"
+    # n >= 3: vertex 0 of (2,3) loses its three edges and stands alone
+    assert conn(_toggled(2, 3, (0, 8), (0, 10), (0, 12))) == (
+        fail, {"components": 2})
+    # (2,2): cutting one K_{1,1} leaves four components, not q + 1 = 3
+    assert conn(_toggled(2, 2, (0, 4))) == (
+        fail, {"components": 4, "expected": 3})
+    # moving functional 4 from vector 0 to vector 1 keeps three components,
+    # but vector 0 is a component with no functional
+    assert conn(_toggled(2, 2, (0, 4), (1, 4))) == (
+        fail, {"component": [["vec", [0, 1]]], "expected_part": 1})
+    # (3,2): the 4-cycle on vectors 0, 1 and functionals 10, 13 loses one
+    # edge and stays connected, with both parts of size q - 1 = 2
+    assert conn(_toggled(3, 2, (0, 10))) == (fail, {
+        "component": [["vec", [0, 1]], ["vec", [0, 2]],
+                      ["fun", [1, 0]], ["fun", [2, 0]]],
+        "reason": "component is not complete bipartite"})
+
+
 def test_budget_marks_skipped():
     report = run_verify(2, 2, budget=0.0)
     assert all(c.verdict == "skipped" for c in report.claims)
@@ -183,6 +312,15 @@ def test_cli_build_guard(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "q=2 n=2 vertices=6 edges=3 degree=1 components=3",
         "q=3 n=3 vertices=52 edges=208 degree=8 components=1"]
+
+
+def test_cli_verify_reports_a_refused_instance(capsys):
+    """verify skips what a guard refuses instead of exiting 2."""
+    assert run_cli("verify", "--q", "5", "--n", "3", "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["id"] for c in doc["claims"]] == list(CLAIM_IDS)
+    assert doc["claims"][CLAIM_IDS.index("DOM-SIDE")]["witness"] == {
+        "reason": GUARD_248}
 
 
 def test_cli_build_export(tmp_path, capsys):
