@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import lfgraph.harness as harness
+from lfgraph import build, field_from_order
+from lfgraph.autos import VertexPerm, formula_card_general, formula_card_n2
 from lfgraph.harness import (CLAIM_IDS, DEFAULT_MATRIX, DEFAULT_SEED,
                              REGISTRY, main, report_to_json, report_to_text,
                              run_verify)
@@ -125,7 +128,6 @@ def test_verify_skips_domination_the_guard_refuses():
 
 
 def test_verify_skips_card_n2_over_the_class_guard():
-    from lfgraph.autos import formula_card_n2
     c = claims_by_id(run_verify(37, 2, claims=["CARD-N2"]))["CARD-N2"]
     assert (c.verdict, c.formula, c.oracle) == (
         "skipped", formula_card_n2(37), None)
@@ -135,7 +137,6 @@ def test_verify_skips_card_n2_over_the_class_guard():
 def test_card_gen_opt_in_gate_runs_before_the_guard():
     """(3,4) has 40 classes a side: without --deep the opt-in gate skips
     CARD-GEN, with it the quotient search's guard does."""
-    from lfgraph.autos import formula_card_general
     for deep, reason in [
             (False, "brute oracle beyond (2, 3) is opt-in; rerun with --deep"),
             (True, "40 classes per side is over the 32 guard")]:
@@ -151,9 +152,6 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
     STRUCT-N2 with line_action's broken edge, and DECOMP with decompose's
     step and witness.  Swapping vertex 0 with the first member of class 1
     breaks the edge from vertex 0 to the functional with class 1's rep."""
-    import lfgraph.harness as harness
-    from lfgraph.autos import VertexPerm
-
     def swapped(g, rng):
         img = list(range(g.num_vertices))
         b = g.lines()[1].members[0]
@@ -179,7 +177,6 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
 def _toggled(q, n, *edges):
     """A freshly built graph with each (vector, functional) edge flipped in
     both rows, so the shared test graphs stay intact."""
-    from lfgraph import build, field_from_order
     g = build(field_from_order(q), n)
     for v, f in edges:
         g.adj[v] ^= 1 << f
@@ -191,7 +188,6 @@ def _toggled(q, n, *edges):
                                           (2, 3, 8, 2), (3, 3, 28, 7)])
 def test_reg_fails_on_a_cut_edge(q, n, f, degree):
     """f is vertex 0's first neighbour."""
-    import lfgraph.harness as harness
     g = _toggled(q, n, (0, f))
     assert harness._run_reg(g, None, False) == (None, None, "property-fail", {
         "vertex": ["vec", [0] * (n - 1) + [1]], "degree": degree,
@@ -204,15 +200,12 @@ def test_twin_fails_on_a_cut_edge(q, n, f):
     leaves two isolated vertices with equal empty rows.  At q = 2 and
     n >= 3 every class is one vertex and no cut edge makes twins, so
     (2,3) is not a case."""
-    import lfgraph.harness as harness
     g = _toggled(q, n, (0, f))
     assert harness._run_twin(g, None, False) == (None, None, "property-fail", {
         "reason": "twin classes differ from scalar classes"})
 
 
 def test_conn_failures():
-    import lfgraph.harness as harness
-
     def conn(g):
         return harness._run_conn(g, None, False)[2:]
 
