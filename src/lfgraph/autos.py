@@ -6,9 +6,10 @@ Composition is function composition: (a.compose(b))(v) = a(b(v)).
 
 The decomposition factors a verified automorphism into the generator chain
 sigma^s . chi_P . pi_j . tau for n >= 3, or delta . chi_P . phi_bar . tau
-for n = 2.  Each recovery step validates the structural fact it relies on
-and reports a witness when that fact fails, because a failure on a genuine
-automorphism is exactly the interesting outcome.  compose, decompose and
+for n = 2.  decompose tests adjacency on the class quotient first, so its
+recovery steps validate only what that test leaves unproved, each with a
+witness, as a failure on a genuine automorphism is the interesting
+outcome.  compose, decompose and
 random_automorphism share one chain evaluator, _chain, which builds the
 generator part as a single image list from one semilinear sweep
 (_semilinear, P . v^(p^j) on both sides at once).  Whatever acts on
@@ -30,9 +31,9 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .gf import field_from_order
-from .linalg import (identity, mat_inv, mat_mul, mat_vec, monic_rep,
-                     random_invertible, transpose)
+from .gf import factor_prime_power, field_from_order
+from .linalg import (identity, mat_inv, mat_vec, monic_rep, random_invertible,
+                     transpose)
 from .graph import GuardError, LfGraph, _bit_list, _map_ids, _row_lists, build
 
 
@@ -249,12 +250,10 @@ def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
         if crossing[a]:
             b = half + (a if crossing[partner[a]] else partner[a])
             lmap[a], lmap[b] = b, a
-    delta = VertexPerm(g, _lift_classes(g, lmap))
-    missing = set(rho.image[:g.nv]) - set(delta.image[:g.nv])
-    if missing:
-        # rho(V) and delta(V) have equal size, so some vertex is missing
-        raise DecompositionError("delta", {"missing": sorted(missing)})
-    return delta
+    # delta(V) = rho(V) needs no check: an automorphism moves each component
+    # whole onto one component with one side decision (STRUCT-N2), so rho(V)
+    # meets each component in the part crossing records, where lmap sends V
+    return VertexPerm(g, _lift_classes(g, lmap))
 
 
 def delta_for(g: LfGraph, rho: VertexPerm) -> VertexPerm:
@@ -540,7 +539,6 @@ def count_component_isomorphisms(g: LfGraph) -> int:
 # ---------- closed-form counts ----------
 
 def _validate_q(q: int) -> None:
-    from .gf import factor_prime_power
     factor_prime_power(q)
 
 
@@ -702,44 +700,34 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
     F = g.field
     n, q, nv = g.n, g.q, g.nv
     img = rho.image
-    sides = [t >= nv for t in img[:nv]]
-    swap = sides[0]
-    if any(s != swap for s in sides):
-        raise DecompositionError("side-mixed", {"to_fun": sides.index(True),
-                                                "to_vec": sides.index(False)})
+    # an n >= 3 graph is connected (CONN), so an automorphism keeps or
+    # swaps the sides whole, and the image of one vertex tells which
+    swap = img[0] >= nv
 
     # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
     # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
     P, Pinv = _basis_change(g, (lambda v: g.mirror(img[v])) if swap else img.__getitem__)
 
-    # recover the per-axis trace of the field permutation from the images
-    # of e1 + a*e_axis, which must stay supported on {e1, e_axis}
-    tabs = {}
-    for axis in range(1, n):
-        tab = [0] * q
-        for a in F.units():
-            # the vector id of e1 + a*e_axis
-            vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
-            m = monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))
-            ok = (m[0] == 1 and m[axis] != 0
-                  and all(m[t] == 0 for t in range(n) if t not in (0, axis)))
-            if not ok:
-                raise DecompositionError("support",
-                                         {"axis": axis, "a": a, "image": list(m)})
-            tab[a] = m[axis]
-        if len(set(tab)) != q:
-            raise DecompositionError("support", {"axis": axis, "table": tab})
-        tabs[axis] = tab
+    def trace(axis, a):  # e_axis coordinate of the image of e1 + a*e_axis
+        vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
+        m = monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))
+        if not (m[0] == 1 and m[axis] != 0
+                and all(m[t] == 0 for t in range(n) if t not in (0, axis))):
+            raise DecompositionError("support",
+                                     {"axis": axis, "a": a, "image": list(m)})
+        return m[axis]
 
-    pi_norm = [F.div(tabs[1][a], tabs[1][1]) for a in range(q)]
+    # the axis-1 table must be a scaled Frobenius power, hence a bijection
+    tab = [0] + [trace(1, a) for a in F.units()]
+    pi_norm = [F.div(t, tab[1]) for t in tab]
     jstar = next((j for j in range(F.k)
                   if all(pi_norm[a] == F.frobenius(a, j) for a in range(q))), None)
     if jstar is None:
         raise DecompositionError("frobenius", {"pi": pi_norm})
 
-    Q = tuple(tuple((1 if (i, j) == (0, 0) else tabs[i][1] if i == j else 0)
-                    for j in range(n)) for i in range(n))
-    gen = (swap, None, mat_mul(F, P, Q), jstar, None)
+    # e1 + e_axis fixes the scale of P's column axis
+    diag = [1, tab[1]] + [trace(axis, 1) for axis in range(2, n)]
+    gen = (swap, None, tuple(tuple(map(F.mul, row, diag)) for row in P), jstar, None)
     return Decomposition(*gen, _residual(g, rho, gen))
 
 
@@ -754,9 +742,10 @@ def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
     # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}),
     # and these functional classes must map among themselves
     phi = [0] * q
+    Pt = transpose(P)
     for a in range(q):
         coords = g.coords_of(dimg[img[g.fun_id((1, a))]])[1]
-        m = monic_rep(F, mat_vec(F, transpose(P), coords))
+        m = monic_rep(F, mat_vec(F, Pt, coords))
         if m[0] != 1:
             raise DecompositionError("support", {"a": a, "image": list(m)})
         phi[a] = m[1]

@@ -19,7 +19,7 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
-                           _automorphism_search, _delta_impl,
+                           _automorphism_search,
                            _intersection_holds, _lift_classes, _semilinear,
                            _uncoloured, _vec_partners)
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
@@ -468,19 +468,6 @@ def test_delta_asymmetric_crossing():
     assert all(rest.image[v] < g.nv for v in range(g.nv))
 
 
-def test_delta_rejects_non_automorphism():
-    """A vector swapped with its own mirror is no automorphism; the side
-    check must raise, not assert, so it also holds under python -O."""
-    g = graph_for(3, 2)
-    u = g.lines()[0].members[0]
-    img = list(range(g.num_vertices))
-    img[u], img[g.mirror(u)] = g.mirror(u), u
-    with pytest.raises(DecompositionError) as exc:
-        _delta_impl(g, VertexPerm(g, img))
-    if exc.value.step != "delta":
-        pytest.fail(f"wrong step {exc.value.step!r}")
-
-
 def test_delta_exhaustive_2_2():
     g = graph_for(2, 2)
     for rho in iter_automorphisms(g):
@@ -904,11 +891,20 @@ def test_decompose_identity():
     assert d.tau.is_identity()
 
 
-# one crafted non-automorphism per step (two vertices' images exchanged),
-# fed past decompose's adjacency check straight to the recovery routines
+def _exchanged(g, a, b):
+    """The identity with the images of vertices a and b, (side, coords)
+    pairs, exchanged: never an automorphism."""
+    x, y = (g.vec_id(c) if side == "vec" else g.fun_id(c) for side, c in (a, b))
+    img = list(range(g.num_vertices))
+    img[x], img[y] = y, x
+    return VertexPerm(g, img)
+
+
+# one crafted non-automorphism per checked read or step, fed past
+# decompose's adjacency check straight to the recovery routines
 @pytest.mark.parametrize("q,n,a,b,step,witness", [
-    (3, 3, ("vec", (1, 0, 0)), ("fun", (1, 0, 0)), "side-mixed",
-     {"to_fun": 8, "to_vec": 0}),
+    (3, 3, ("vec", (1, 0, 1)), ("vec", (1, 1, 1)), "support",
+     {"axis": 2, "a": 1, "image": [1, 1, 1]}),
     (3, 3, ("vec", (0, 1, 0)), ("vec", (2, 0, 0)), "dependent-basis",
      {"images": [(1, 0, 0), (2, 0, 0), (0, 0, 1)]}),
     (3, 3, ("vec", (1, 1, 0)), ("vec", (1, 1, 1)), "support",
@@ -920,16 +916,12 @@ def test_decompose_identity():
     (3, 2, ("fun", (1, 0)), ("fun", (1, 1)), "phi", {"table": [1, 0, 2]}),
     (3, 2, ("fun", (1, 1)), ("fun", (0, 1)), "support",
      {"a": 1, "image": [0, 1]}),
-    (3, 2, ("fun", (1, 1)), ("vec", (1, 1)), "delta", {"missing": [4, 6]}),
 ])
 def test_decomposition_error_steps(q, n, a, b, step, witness):
     g = graph_for(q, n)
-    x, y = (g.vec_id(c) if side == "vec" else g.fun_id(c) for side, c in (a, b))
-    img = list(range(g.num_vertices))
-    img[x], img[y] = y, x
     recover = _decompose_general if n >= 3 else _decompose_n2
     with pytest.raises(DecompositionError) as exc:
-        recover(g, VertexPerm(g, img))
+        recover(g, _exchanged(g, a, b))
     assert (exc.value.step, exc.value.witness) == (step, witness)
 
 
@@ -967,13 +959,16 @@ def test_round_trip_work(monkeypatch):
 
 
 def test_decompose_rejects_non_automorphism():
-    g = graph_for(3, 3)
-    img = list(range(g.num_vertices))
-    a, b = g.vec_id((0, 0, 1)), g.vec_id((0, 1, 0))
-    img[a], img[b] = img[b], img[a]
-    with pytest.raises(DecompositionError) as exc:
-        decompose(g, VertexPerm(g, img))
-    assert exc.value.step == "not-automorphism"
+    """The class test refuses each before any recovery step, also the
+    last two, which break side purity at n >= 3 and a component's side
+    decision at n = 2: facts decompose does not check again."""
+    for q, n, a, b in [(3, 3, ("vec", (0, 0, 1)), ("vec", (0, 1, 0))),
+                       (3, 3, ("vec", (1, 0, 0)), ("fun", (1, 0, 0))),
+                       (3, 2, ("fun", (1, 1)), ("vec", (1, 1)))]:
+        g = graph_for(q, n)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(g, _exchanged(g, a, b))
+        assert exc.value.step == "not-automorphism"
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3)])

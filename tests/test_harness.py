@@ -205,6 +205,45 @@ def test_twin_fails_on_a_cut_edge(q, n, f):
         "reason": "twin classes differ from scalar classes"})
 
 
+@pytest.mark.parametrize("q,n,x,y,witness", [
+    (3, 2, 0, 2, {"vertex": ["vec", [0, 1]], "rep": [0, 1]}),
+    (2, 3, 0, 7, {"vertex": ["vec", [0, 0, 1]], "rep": [0, 0, 1]}),
+    (3, 3, 26, 28, {"vertex": ["fun", [0, 0, 1]], "rep": [0, 0, 1]}),
+])
+def test_twin_fails_on_exchanged_class_entries(q, n, x, y, witness):
+    """lines() and the rows stay intact, so only the monic-rep pass sees
+    that line_index() puts vertex x in another class ((2,3): its mirror's,
+    on the other side)."""
+    g = build(field_from_order(q), n)
+    lof = list(g.line_index())
+    lof[x], lof[y] = lof[y], lof[x]
+    g._line_of = tuple(lof)
+    assert harness._run_twin(g, None, False) == (
+        None, None, "property-fail", witness)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (4, 3)])
+def test_twin_reads_each_vertex_once(q, n):
+    """TWIN's work is linear: at most one coords_of call and one adjacency
+    row read per vertex."""
+    g = build(field_from_order(q), n)
+    calls = {"coords_of": 0, "rows": 0}
+    coords_of = g.coords_of
+
+    def counted(v):
+        calls["coords_of"] += 1
+        return coords_of(v)
+
+    class Rows(list):
+        def __getitem__(self, i):
+            calls["rows"] += 1
+            return super().__getitem__(i)
+
+    g.coords_of, g.adj = counted, Rows(g.adj)
+    assert harness._run_twin(g, None, False)[2] == "property-pass"
+    assert max(calls.values()) <= g.num_vertices, calls
+
+
 def test_conn_failures():
     def conn(g):
         return harness._run_conn(g, None, False)[2:]
