@@ -346,7 +346,8 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
 # ---------- enumeration ----------
 
 # vertex-level searches (enumeration, class stabilizers) are guarded at
-# this many vertices, and the quotient search at this many classes per side
+# this many vertices, and the quotient search and component isomorphisms at
+# this many classes per side
 MAX_ENUM_VERTICES = 20
 MAX_QUOTIENT_CLASSES = 32
 
@@ -466,6 +467,13 @@ def _check_enum_size(g: LfGraph) -> None:
                          f"{MAX_ENUM_VERTICES} vertices")
 
 
+def _check_class_count(g: LfGraph) -> None:
+    half = len(g.lines()) // 2
+    if half > MAX_QUOTIENT_CLASSES:
+        raise GuardError(
+            f"{half} classes per side is over the {MAX_QUOTIENT_CLASSES} guard")
+
+
 def all_automorphisms(g: LfGraph) -> tuple:
     """Every automorphism as an image tuple, via direct vertex search."""
     _check_enum_size(g)
@@ -482,10 +490,7 @@ def iter_automorphisms(g: LfGraph):
 def quotient_adjacency(g: LfGraph) -> list[int]:
     """Bitset adjacency of the class quotient (classes as single nodes),
     LfGraph.line_adjacency under the quotient search's class guard."""
-    half = len(g.lines()) // 2
-    if half > MAX_QUOTIENT_CLASSES:
-        raise GuardError(
-            f"{half} classes per side is over the {MAX_QUOTIENT_CLASSES} guard")
+    _check_class_count(g)
     return list(g.line_adjacency())
 
 
@@ -530,6 +535,7 @@ def count_component_isomorphisms(g: LfGraph) -> int:
     |Aut(C0)|, counted by orbit-stabilizer with C0 mapped into itself."""
     if g.n != 2:
         raise ValueError("component isomorphisms are counted for n = 2 only")
+    _check_class_count(g)
     src, dst = islice(g.component_masks(), 2)
     if _automorphism_search(g.adj, dict.fromkeys(_bit_list(src), dst)) is None:
         return 0

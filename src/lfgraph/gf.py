@@ -9,13 +9,12 @@ construction, so arithmetic is O(1) and reproducible bit for bit.
 Extension fields need a monic irreducible modulus of degree k over F_p,
 given as a coefficient tuple (c0, c1, ..., ck) with ck = 1.  A built-in
 table covers the orders this package is normally run at (4, 8, 9, 16, 25,
-27); a caller-supplied modulus is validated by exhaustive factor search,
-which is instant at these degrees.
+27).  Any modulus is validated by the tables themselves: F_p[x]/(m) is a
+field exactly when m is irreducible, so building the inverse table
+succeeds only for an irreducible m.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 # order q -> monic irreducible modulus over F_p, index i = coefficient of x^i
 BUILTIN_MODULI = {
@@ -31,6 +30,10 @@ BUILTIN_MODULI = {
 MAX_ORDER = 256
 
 
+class GuardError(ValueError):
+    """Raised at every size limit: the input is valid, only too large."""
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -42,54 +45,9 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a modulo b over F_p; b must be nonzero."""
-    r = list(a)
-    _poly_trim(r)
-    db = len(b) - 1
-    lead_inv = pow(b[-1], -1, p)
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        factor = (r[-1] * lead_inv) % p
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - factor * bi) % p
-        _poly_trim(r)
-    return r
-
-
-def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    m = _poly_trim(list(modulus))
-    k = len(m) - 1
-    if k < 1:
-        return False
-    for d in range(1, k // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _poly_rem(m, divisor, p):
-                return False
-    return True
-
-
 class Field:
-    """GF(p^k) with table-backed add/sub/mul/neg/inv and Frobenius maps."""
+    """GF(p^k) with table-backed add/sub/mul/neg/inv and Frobenius maps.
+    A reducible modulus raises ValueError, an order over MAX_ORDER GuardError."""
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if not is_prime(p):
@@ -98,7 +56,7 @@ class Field:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         q = p ** k
         if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
+            raise GuardError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -116,8 +74,6 @@ class Field:
                 raise ValueError(f"modulus must have degree {k}")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
 
@@ -145,32 +101,39 @@ class Field:
     # ---------- table construction ----------
 
     def _build_tables(self):
+        """Sweep the digits of b one at a time, least significant fastest,
+        as graph._map_ids does.  A sum row packs (a_i + t) mod p; a product
+        row sums b_i (a x^i), where a x^(i+1) is a x^i shifted up one digit
+        with its top digit t folded back as t x^k mod the modulus.  A unit
+        row without 1 means F_p[x]/(m) is not a field: m is reducible."""
         p, k, q = self.p, self.k, self.q
-        dec = [self.decode(a) for a in range(q)]
-        self._neg = [self.encode(tuple((-d) % p for d in dec[a])) for a in range(q)]
-        self._add = [
-            [self.encode(tuple((x + y) % p for x, y in zip(dec[a], dec[b])))
-             for b in range(q)]
-            for a in range(q)
-        ]
-        if k == 1:
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            mod = list(self.modulus)
-            self._mul = []
-            for a in range(q):
-                row = []
-                pa = _poly_trim(list(dec[a]))
-                for b in range(q):
-                    pb = _poly_trim(list(dec[b]))
-                    r = _poly_rem(_poly_mul(pa, pb, p), mod, p)
-                    r += [0] * (k - len(r))
-                    row.append(self.encode(tuple(r)))
-                self._mul.append(row)
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            self._inv[a] = row.index(1)
+        self._add = []
+        for a in range(q):
+            row = [0]
+            for ai in reversed(self.decode(a)):
+                row = [x * p + (ai + t) % p for x in row for t in range(p)]
+            self._add.append(row)
+        add = self._add
+        self._neg = [row.index(0) for row in add]
+        # F_p is F_p[x]/(x); fold[t] = t x^k = -t (m_0 + ... + m_{k-1} x^{k-1})
+        low = (self.modulus or (0, 1))[:k]
+        fold = [self.encode(-t * c % p for c in low) for t in range(p)]
+        self._mul = []
+        for a in range(q):
+            shifts = [a]
+            for _ in range(k - 1):
+                hi, lo = divmod(shifts[-1], q // p)
+                shifts.append(add[lo * p][fold[hi]])
+            row = [0]
+            for s in reversed(shifts):
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add[multiples[-1]][s])
+                row = [add[x][m] for x in row for m in multiples]
+            self._mul.append(row)
+        if any(1 not in row for row in self._mul[1:]):
+            raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # ---------- arithmetic ----------
 

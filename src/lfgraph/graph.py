@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
 
-from .gf import Field
+from .gf import Field, GuardError
 
 VEC = "vec"
 FUN = "fun"
@@ -25,10 +25,6 @@ FUN = "fun"
 # domination any graph with a connected component over this many
 MAX_BUILD_VERTICES = 100_000
 MAX_SEARCH_VERTICES = 200
-
-
-class GuardError(ValueError):
-    """Raised at every size limit: the input is valid, only too large."""
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if (b >> i) & 1)

@@ -9,9 +9,9 @@ anything not run is skipped with a reason.  A mismatch is a result, not an
 error: the report exists to document exactly where brute force disagrees
 with the closed forms.
 
-The size guards live in graph and autos only: a claim whose oracle one
-refuses with GuardError is skipped with the guard's message as its reason
-and keeps its formula, so a report names the limit that stopped it.
+The size guards live in gf, graph and autos only: a claim whose oracle
+one refuses with GuardError is skipped with the guard's message as its
+reason and keeps its formula, so a report names the limit that stopped it.
 
 Reports are deterministic: randomized checks draw from a per-claim
 generator seeded with "<seed>:<claim id>", and the JSON rendering carries
@@ -269,8 +269,9 @@ def _run_dom_whole(g, rng, deep, mode):
 def _run_comp_iso(g, rng, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    return _compare(formula_component_isos(g.q),
-                    count_component_isomorphisms(g))
+    formula = formula_component_isos(g.q)
+    return _guarded(formula, lambda: _compare(
+        formula, count_component_isomorphisms(g)))
 
 
 def _run_struct_gen(g, rng, deep):

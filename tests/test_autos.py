@@ -746,6 +746,15 @@ def test_enumeration_guards_raise_guard_error():
             call(graph_for(2, 6))
 
 
+def test_component_isomorphisms_behind_the_class_guard():
+    """(37,2) has 38 classes a side: the component count is refused before
+    any search, with the quotient search's message."""
+    from lfgraph import GuardError
+    with pytest.raises(GuardError,
+                       match="38 classes per side is over the 32 guard"):
+        count_component_isomorphisms(graph_for(37, 2))
+
+
 def test_quotient_adjacency_is_projective_incidence():
     # (2, 6) and (8, 3) have 63 and 73 classes a side, over the quotient
     # search's guard, so only line_adjacency reaches them

@@ -1,10 +1,88 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lfgraph import GuardError, graph
 from lfgraph.gf import (Field, factor_prime_power, field_automorphisms,
-                        field_from_order, is_irreducible, is_prime)
+                        field_from_order, is_prime)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+
+
+# ---------- polynomial reference, independent of the field tables ----------
+
+def _poly_trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
+
+
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a modulo b over F_p; b must be monic."""
+    r = _poly_trim(list(a))
+    while len(r) >= len(b):
+        shift, factor = len(r) - len(b), r[-1]
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - factor * bi) % p
+        _poly_trim(r)
+    return r
+
+
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    k = len(modulus) - 1
+    return all(_poly_rem(list(modulus), list(tail) + [1], p)
+               for d in range(1, k // 2 + 1)
+               for tail in product(range(p), repeat=d))
+
+
+def _reference_tables(p: int, k: int, modulus):
+    """add, mul, neg and inv of F_p[x]/(modulus) by polynomial arithmetic
+    on digit tuples, digit i the coefficient of x^i."""
+    q = p ** k
+    digits = [[(a // p ** i) % p for i in range(k)] for a in range(q)]
+
+    def pack(c):
+        return sum(d * p ** i for i, d in enumerate(c))
+
+    add = [[pack((x + y) % p for x, y in zip(da, db)) for db in digits]
+           for da in digits]
+    neg = [pack(-x % p for x in da) for da in digits]
+    mod = list(modulus) if k > 1 else [0, 1]
+    polys = [_poly_trim(list(da)) for da in digits]
+    mul = [[pack(_poly_rem(_poly_mul(pa, pb, p), mod, p)) for pb in polys]
+           for pa in polys]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
+
+
+def _monic_moduli():
+    """Every monic modulus with p^k <= 27, and, at (2,7), (2,8) and (3,5),
+    the first irreducible and the first reducible of a seeded draw."""
+    for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        for tail in product(range(p), repeat=k):
+            yield p, k, tail + (1,)
+    for p, k in ((2, 7), (2, 8), (3, 5)):
+        rng = random.Random(f"{p},{k}")
+        found = {}
+        while len(found) < 2:
+            m = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            found.setdefault(_is_irreducible(m, p), m)
+        for m in found.values():
+            yield p, k, m
 
 
 def test_is_prime():
@@ -119,10 +197,40 @@ def test_encode_decode_roundtrip():
 
 def test_reducible_modulus_rejected():
     # x^2 + 1 factors over GF(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 0, 1\) is reducible over F_2"):
         Field(2, 2, modulus=(1, 0, 1))
-    assert not is_irreducible((1, 0, 1), 2)
-    assert is_irreducible((1, 1, 1), 2)
+    assert Field(2, 2, modulus=(1, 1, 1)).modulus == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_prime_field_tables_match_reference(p):
+    F = Field(p)
+    assert (F._add, F._mul, F._neg, F._inv) == _reference_tables(p, 1, None)
+
+
+@pytest.mark.parametrize("p,k,modulus", list(_monic_moduli()),
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_extension_tables_match_reference(p, k, modulus):
+    """A modulus is accepted exactly when trial division finds no factor,
+    and then every table equals the polynomial reference's."""
+    if not _is_irreducible(modulus, p):
+        with pytest.raises(ValueError,
+                           match=rf"modulus \({', '.join(map(str, modulus))}\) "
+                                 rf"is reducible over F_{p}$"):
+            Field(p, k, modulus)
+        return
+    F = Field(p, k, modulus)
+    assert (F._add, F._mul, F._neg, F._inv) == _reference_tables(p, k, modulus)
+
+
+def test_field_order_guard_raises_guard_error():
+    """The field-order limit is a size limit like the graph and search
+    guards, and graph exports the same GuardError class."""
+    assert graph.GuardError is GuardError
+    for make in (lambda: field_from_order(257), lambda: Field(2, 9)):
+        with pytest.raises(GuardError, match="exceeds supported maximum 256"):
+            make()
 
 
 def test_modulus_validation():

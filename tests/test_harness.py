@@ -8,7 +8,8 @@ import pytest
 
 import lfgraph.harness as harness
 from lfgraph import build, field_from_order
-from lfgraph.autos import VertexPerm, formula_card_general, formula_card_n2
+from lfgraph.autos import (VertexPerm, formula_card_general, formula_card_n2,
+                           formula_component_isos)
 from lfgraph.harness import (CLAIM_IDS, DEFAULT_MATRIX, DEFAULT_SEED,
                              REGISTRY, main, report_to_json, report_to_text,
                              run_verify)
@@ -132,6 +133,19 @@ def test_verify_skips_card_n2_over_the_class_guard():
     assert (c.verdict, c.formula, c.oracle) == (
         "skipped", formula_card_n2(37), None)
     assert c.witness == {"reason": "38 classes per side is over the 32 guard"}
+
+
+def test_cli_verify_skips_comp_iso_over_the_class_guard(capsys):
+    """COMP-ISO's search sits behind the same class guard as CARD-N2's, so
+    (37,2) is skipped with the guard's message, keeps its formula, and
+    verify exits 0."""
+    assert run_cli("verify", "--q", "37", "--n", "2", "--claims", "COMP-ISO",
+                   "--format", "json") == 0
+    c = json.loads(capsys.readouterr().out)["claims"][
+        CLAIM_IDS.index("COMP-ISO")]
+    assert (c["verdict"], c["formula"], c["oracle"]) == (
+        "skipped", str(formula_component_isos(37)), None)
+    assert c["witness"] == {"reason": "38 classes per side is over the 32 guard"}
 
 
 def test_card_gen_opt_in_gate_runs_before_the_guard():

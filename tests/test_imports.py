@@ -20,3 +20,40 @@ def test_no_unused_imports(name):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{name} never uses {sorted(imported - used)}"
+
+
+def _private_definitions(tree):
+    """(name, node) of each _-prefixed top-level function, class or
+    constant, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_no_orphaned_private_helpers():
+    """Every private top-level name in src/lfgraph is referenced somewhere
+    in src/lfgraph outside its own definition, so a deletion cannot leave
+    a helper behind."""
+    trees = [ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))]
+    uses: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    orphans = []
+    for tree in trees:
+        for name, node in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not uses.get(name, set()) - inside:
+                orphans.append(name)
+    assert not orphans, f"never referenced: {sorted(orphans)}"
