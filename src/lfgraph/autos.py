@@ -17,10 +17,12 @@ whole scalar classes is built by one member-order lift, _lift: delta,
 phi_bar and the n = 2 sampler each lift a class map, and the twin shuffle
 tau lifts a shuffle of every class onto itself.  Class-level questions read
 the graph's cached line_index() and line_adjacency(); autos keeps no state.
-automorphism_defect reads them too: it tests a permutation on the class
-quotient, and scans vertex adjacency rows only to name a broken edge.
-check_structure reads only that test's class map; the one fact it cannot
-read there, the neighbourhood intersection identity, is a graph fact that
+line_action is the one place that reads a class map off a permutation: it
+tests the permutation on the class quotient and returns that map, scanning
+vertex adjacency rows only to name a broken edge.  automorphism_defect,
+check_structure and decompose each call it once; delta reads its crossing
+pattern off the map.  The one structural fact no class map shows, the
+neighbourhood intersection identity, is a graph fact that
 _intersection_holds checks once per graph.
 """
 
@@ -86,19 +88,27 @@ def identity_perm(g: LfGraph) -> VertexPerm:
     return VertexPerm(g, range(g.num_vertices))
 
 
-# ---------- adjacency preservation ----------
+# ---------- class action and adjacency preservation ----------
 
-def automorphism_defect(g: LfGraph, perm: VertexPerm):
-    """None if perm preserves adjacency, else a broken edge (x, y).
+class LineActionError(ValueError):
+    def __init__(self, message: str, witness):
+        super().__init__(message)
+        self.witness = witness
+
+
+def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
+    """The class map lmap of an automorphism perm: the class of lines()
+    that perm sends class c onto is lmap[c].  Otherwise raise
+    LineActionError carrying the first broken edge (x, y).
 
     The test runs on the class quotient.  An automorphism sends twins to
     twins, and between two classes adjacency is all or nothing, so perm is
-    one exactly when it sends every class of lines() onto a single class
-    and the induced class map lmap preserves line_adjacency().  Classes
-    are equal in size, so such an lmap is a bijection, and checking it on
-    the vector classes covers every edge.  Only a failing perm is scanned
-    row by row, to name its first broken edge: every edge has one vector
-    endpoint x, so only the vector rows are read."""
+    one exactly when it sends every class onto a single class, the class
+    of its first member's image, and lmap preserves line_adjacency().
+    Classes are equal in size, so such an lmap is a bijection, and
+    checking it on the vector classes covers every edge.  Only a failing
+    perm is scanned row by row, to name its first broken edge: every edge
+    has one vector endpoint x, so only the vector rows are read."""
     lof, img = g.line_index(), perm.image
     cls = list(map(lof.__getitem__, img))
     lmap = [cls[line.members[0]] for line in g.lines()]
@@ -106,13 +116,22 @@ def automorphism_defect(g: LfGraph, perm: VertexPerm):
     if list(map(lmap.__getitem__, lof)) == cls and all(
             sum(map((1).__lshift__, map(lmap.__getitem__, _bit_list(rows[c]))))
             == rows[lmap[c]] for c in range(len(rows) // 2)):
-        return None
+        return lmap
     adj = g.adj
-    for x, ys in enumerate(_row_lists(adj[:g.nv])):
-        row = adj[img[x]]
-        for y in ys:
-            if not (row >> img[y]) & 1:
-                return (x, y)
+    # the test accepts every automorphism, and a bijection that keeps every
+    # edge is one, so some edge breaks
+    edge = next((x, y) for x, ys in enumerate(_row_lists(adj[:g.nv]))
+                for y in ys if not (adj[img[x]] >> img[y]) & 1)
+    raise LineActionError("perm is not an automorphism", edge)
+
+
+def automorphism_defect(g: LfGraph, perm: VertexPerm):
+    """None if perm preserves adjacency, else the broken edge (x, y) that
+    line_action names."""
+    try:
+        line_action(g, perm)
+    except LineActionError as e:
+        return e.witness
     return None
 
 
@@ -230,30 +249,25 @@ def _vec_partners(g: LfGraph) -> list[int]:
     return [row.bit_length() - 1 - half for row in rows[:half]]
 
 
-def _delta_impl(g: LfGraph, rho: VertexPerm) -> VertexPerm:
-    lines = g.lines()
-    half = len(lines) // 2
+def _delta_impl(g: LfGraph, lmap) -> VertexPerm:
+    half = len(lmap) // 2
     partner = _vec_partners(g)
-    # a component counts as crossed when rho's image of some vector line
-    # is its functional part; the flag lives on the target component, not
-    # the source, so that delta(V) = rho(V) as sets
-    crossing = [False] * half
-    for line in lines[:half]:
-        t = rho.image[line.members[0]]
-        if t >= g.nv:
-            crossing[partner[g.line_of(t) - half]] = True
+    # a component counts as crossed when lmap sends some vector class onto
+    # its functional part; the flag lives on the target component, not the
+    # source, so that delta(V) = rho(V) as sets
+    crossed = {partner[c - half] for c in lmap[:half] if c >= half}
     # a crossed class a trades places with a functional class: its own
     # mirror when the partner component crosses too (or a = partner[a]),
-    # else the functional part of its own component
-    lmap = list(range(2 * half))
-    for a in range(half):
-        if crossing[a]:
-            b = half + (a if crossing[partner[a]] else partner[a])
-            lmap[a], lmap[b] = b, a
+    # else the functional part of its own component; no two trades share
+    # a class, so their order does not matter
+    swaps = list(range(2 * half))
+    for a in crossed:
+        b = half + (a if partner[a] in crossed else partner[a])
+        swaps[a], swaps[b] = b, a
     # delta(V) = rho(V) needs no check: an automorphism moves each component
     # whole onto one component with one side decision (STRUCT-N2), so rho(V)
-    # meets each component in the part crossing records, where lmap sends V
-    return VertexPerm(g, _lift_classes(g, lmap))
+    # meets each component in the part crossed records, where swaps sends V
+    return VertexPerm(g, _lift_classes(g, swaps))
 
 
 def delta_for(g: LfGraph, rho: VertexPerm) -> VertexPerm:
@@ -263,48 +277,24 @@ def delta_for(g: LfGraph, rho: VertexPerm) -> VertexPerm:
     functional part.  delta mirrors both components of an orthogonal pair
     when both are crossed and swaps the two parts inside the component
     when only one is, so delta(V) = rho(V) and delta^-1 . rho maps the
-    vector side to itself.
+    vector side to itself.  A rho that is no automorphism raises
+    line_action's LineActionError, a ValueError.
     """
     if g.n != 2:
         raise ValueError("delta_for applies to n = 2 only")
-    defect = automorphism_defect(g, rho)
-    if defect is not None:
-        raise ValueError(f"rho is not an automorphism (broken edge {defect})")
-    return _delta_impl(g, rho)
+    return _delta_impl(g, line_action(g, rho))
 
 
-# ---------- class action and structure checks ----------
-
-class LineActionError(ValueError):
-    def __init__(self, message: str, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
-def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
-    """The induced permutation of class indices, or a witnessed failure.
-    An automorphism maps each class wholly onto one class, so the class
-    of its first member's image is the class image."""
-    defect = automorphism_defect(g, perm)
-    if defect is not None:
-        raise LineActionError("perm is not an automorphism", defect)
-    lof, img = g.line_index(), perm.image
-    return [lof[img[line.members[0]]] for line in g.lines()]
-
+# ---------- structure checks ----------
 
 @dataclass
 class StructureVerdict:
     side_behavior: str          # "preserved" | "swapped" | "mixed"
-    side_purity: bool
-    n_commutes: bool
-    intersection: bool | None          # set when sides are preserved
-    intersection_swapped: bool | None  # set, through sigma, when swapped
-    witness: object | None
 
     def ok(self) -> bool:
-        return (self.side_purity and self.n_commutes
-                and self.intersection is not False
-                and self.intersection_swapped is not False)
+        """True for every verdict check_structure returns, as it raises
+        LineActionError on a permutation that is no automorphism."""
+        return True
 
 
 def _intersection_holds(g: LfGraph) -> tuple[bool, object]:
@@ -324,23 +314,19 @@ def _intersection_holds(g: LfGraph) -> tuple[bool, object]:
 
 
 def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
-    """Evaluate the structural facts every automorphism should satisfy.
-
-    line_action tests adjacency, and the side behaviour is read off its
-    class map.  The other facts hold on every automorphism it accepts:
+    """The side behaviour of an automorphism, read off line_action's class
+    map, which raises LineActionError on a non-automorphism.  The other
+    structural facts hold on every automorphism it accepts:
     - neighbourhoods commute, as automorphisms map N(x) onto N(perm(x));
     - at n = 2 each component lands whole in one component;
     - an n >= 3 graph is connected, so the sides are kept or swapped whole;
     - the class map (through sigma when swapped) carries the graph's
       intersection identity, which _intersection_holds checks."""
-    lmap = line_action(g, perm)  # raises LineActionError when ill-defined
+    lmap = line_action(g, perm)
     half = len(lmap) // 2
     crossing = sum(1 for c in lmap[:half] if c >= half)
-    behavior = ("preserved" if crossing == 0 else
-                "swapped" if crossing == half else "mixed")
-    return StructureVerdict(behavior, True, True,
-                            behavior == "preserved" or None,
-                            behavior == "swapped" or None, None)
+    return StructureVerdict("preserved" if crossing == 0 else
+                            "swapped" if crossing == half else "mixed")
 
 
 # ---------- enumeration ----------
@@ -670,10 +656,11 @@ def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
     Raises DecompositionError naming the step and a witness whenever one
     of the structural facts the recovery relies on fails to hold.
     """
-    defect = automorphism_defect(g, perm)
-    if defect is not None:
-        raise DecompositionError("not-automorphism", {"edge": defect})
-    return (_decompose_general if g.n >= 3 else _decompose_n2)(g, perm)
+    try:
+        lmap = line_action(g, perm)
+    except LineActionError as e:
+        raise DecompositionError("not-automorphism", {"edge": e.witness}) from None
+    return (_decompose_general if g.n >= 3 else _decompose_n2)(g, perm, lmap)
 
 
 def _basis_change(g: LfGraph, rho_p):
@@ -702,13 +689,13 @@ def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     return VertexPerm(g, tau)
 
 
-def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
+def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     F = g.field
-    n, q, nv = g.n, g.q, g.nv
+    n, q = g.n, g.q
     img = rho.image
     # an n >= 3 graph is connected (CONN), so an automorphism keeps or
-    # swaps the sides whole, and the image of one vertex tells which
-    swap = img[0] >= nv
+    # swaps the sides whole, and the image of one class tells which
+    swap = lmap[0] >= len(lmap) // 2
 
     # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
     # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
@@ -737,10 +724,10 @@ def _decompose_general(g: LfGraph, rho: VertexPerm) -> Decomposition:
     return Decomposition(*gen, _residual(g, rho, gen))
 
 
-def _decompose_n2(g: LfGraph, rho: VertexPerm) -> Decomposition:
+def _decompose_n2(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     F = g.field
     q = g.q
-    delta = _delta_impl(g, rho)
+    delta = _delta_impl(g, lmap)
     # rho' = delta^-1 . rho keeps the vector side; delta exchanges vertex
     # pairs, so it is its own inverse
     dimg, img = delta.image, rho.image

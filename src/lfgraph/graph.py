@@ -186,9 +186,6 @@ class LfGraph:
                 for v in reps)
         return self._line_adj
 
-    def line_of(self, vid: int) -> int:
-        return self.line_index()[vid]
-
     def neighbor_set(self, line: Line) -> int:
         """Common adjacency bitset of every member of the class."""
         return self.adj[line.members[0]]
@@ -531,6 +528,6 @@ def parse_edgelist_json(data: bytes) -> dict:
 def export(g: LfGraph, fmt: str) -> bytes:
     if fmt == "graph6":
         return to_graph6(g)
-    if fmt in ("json", "edge-list-json"):
+    if fmt == "json":
         return to_edgelist_json(g)
     raise ValueError(f"unsupported export format {fmt!r}")

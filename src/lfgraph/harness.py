@@ -165,9 +165,10 @@ def _sweep(g: LfGraph, rng, check):
 
 
 def _class_action(g: LfGraph, perm: VertexPerm):
-    """A _sweep check: None when line_action accepts perm, else the
-    reason and broken edge.  Every other fact the structure claims state
-    holds on each automorphism it accepts (see check_structure)."""
+    """A _sweep check: None when line_action reads a class map off perm,
+    else the reason and broken edge it raises.  That one class map is all
+    the structure claims need: every fact they state holds on each
+    permutation that has one (see check_structure)."""
     try:
         line_action(g, perm)
     except LineActionError as e:
@@ -521,10 +522,7 @@ def _cmd_autos_check(args) -> int:
     except LineActionError as e:
         print(f"automorphism=no broken-edge={list(e.witness)}")
         return 1
-    print(f"automorphism=yes side-behavior={v.side_behavior} "
-          f"side-purity={v.side_purity} n-commutes={v.n_commutes} "
-          f"intersection={v.intersection} "
-          f"intersection-swapped={v.intersection_swapped}")
+    print(f"automorphism=yes side-behavior={v.side_behavior}")
     return 0
 
 

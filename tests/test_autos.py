@@ -173,6 +173,31 @@ def test_automorphism_defect_accepts_on_the_quotient(monkeypatch):
         automorphism_defect(g, VertexPerm(g, img))
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_automorphism_defect_is_line_action_witness(q, n):
+    """automorphism_defect answers with exactly the broken edge line_action
+    raises, on every transposition and on class-respecting permutations."""
+    g = graph_for(q, n)
+
+    def raised(perm):
+        try:
+            line_action(g, perm)
+        except LineActionError as e:
+            return e.witness
+        return None
+
+    perms = []
+    for a in range(g.num_vertices):
+        for b in range(a + 1, g.num_vertices):
+            img = list(range(g.num_vertices))
+            img[a], img[b] = b, a
+            perms.append(VertexPerm(g, img))
+    perms.extend(_class_respecting_perms(g, rng(), 10))
+    witnesses = [raised(perm) for perm in perms]
+    assert [automorphism_defect(g, perm) for perm in perms] == witnesses
+    assert None in witnesses and any(witnesses)
+
+
 # ---------- generators ----------
 
 def _chi_p_reference(g, P):
@@ -383,7 +408,7 @@ def _delta_reference(g, rho):
     for i in range(half):
         t = rho.image[lines[i].members[0]]
         if t >= g.nv:
-            crossing[partner[g.line_of(t) - half]] = True
+            crossing[partner[g.line_index()[t] - half]] = True
     image = list(range(g.num_vertices))
 
     def mirror(line):
@@ -513,15 +538,13 @@ def test_structure_full_group(q, n):
         if n >= 3:
             # mixed side behavior only exists in the disconnected n = 2 case
             assert v.side_behavior in ("preserved", "swapped")
-        if v.side_behavior == "preserved":
-            assert v.intersection is True
-        elif v.side_behavior == "swapped":
-            assert v.intersection_swapped is True
 
 
 def _structure_reference(g, perm):
-    """check_structure at vertex level: every fact recomputed from the
-    permutation itself, the swapped case through sigma . perm."""
+    """The structural facts at vertex level, each recomputed from the
+    permutation itself, the swapped case through sigma . perm: the side
+    behavior, and whether side purity, neighborhood commutation and (when
+    the sides are kept or swapped whole) the intersection identity hold."""
     def pmask(p, mask):
         return sum(1 << p.image[v] for v in range(g.num_vertices)
                    if (mask >> v) & 1)
@@ -536,8 +559,8 @@ def _structure_reference(g, perm):
                 if fmask & ~g.neighbor_set(lines[i]) == 0:
                     inter &= g.neighbor_set(lines[lmap[i]])
             if inter != pmask(psi, fmask):
-                return False, {"fun_class": j}
-        return True, None
+                return False
+        return True
 
     lmap = line_action(g, perm)
     lines = g.lines()
@@ -546,33 +569,21 @@ def _structure_reference(g, perm):
     to_fun = sum(1 for v in range(nv) if perm.image[v] >= nv)
     behavior = ("preserved" if to_fun == 0 else
                 "swapped" if to_fun == nv else "mixed")
-    witness = None
     if g.n >= 3:
         purity = behavior != "mixed"
-        if not purity:
-            witness = {"side": "mixed image of the vector side"}
     else:
         partner = _vec_partners(g)
         comp = list(range(half)) + partner
-        purity = True
-        for i in range(half):
-            if comp[lmap[i]] != comp[lmap[half + partner[i]]]:
-                purity, witness = False, {"component": i}
-                break
-    n_comm = True
-    for idx, line in enumerate(lines):
-        if pmask(perm, g.neighbor_set(line)) != g.neighbor_set(lines[lmap[idx]]):
-            n_comm = False
-            witness = witness or {"class": idx}
-            break
-    inter = inter_sw = None
-    if behavior == "preserved":
-        inter, w = intersection(perm)
-        witness = witness or w
-    elif behavior == "swapped":
-        inter_sw, w = intersection(sigma_swap(g).compose(perm))
-        witness = witness or w
-    return StructureVerdict(behavior, purity, n_comm, inter, inter_sw, witness)
+        purity = all(comp[lmap[i]] == comp[lmap[half + partner[i]]]
+                     for i in range(half))
+    n_comm = all(pmask(perm, g.neighbor_set(line))
+                 == g.neighbor_set(lines[lmap[idx]])
+                 for idx, line in enumerate(lines))
+    facts = {"side_purity": purity, "n_commutes": n_comm}
+    if behavior != "mixed":
+        facts["intersection"] = intersection(
+            perm if behavior == "preserved" else sigma_swap(g).compose(perm))
+    return behavior, facts
 
 
 def _structure_cases():
@@ -590,7 +601,9 @@ def test_check_structure_matches_vertex_reference():
     for q, n, perm in _structure_cases():
         g = graph_for(q, n)
         got = check_structure(g, perm)
-        assert got == _structure_reference(g, perm), (q, n, perm)
+        behavior, facts = _structure_reference(g, perm)
+        assert got == StructureVerdict(behavior), (q, n, perm)
+        assert all(facts.values()), (q, n, perm, facts)
         behaviors.setdefault((q, n), set()).add(got.side_behavior)
     # the cases reach every side behavior
     assert behaviors[(3, 2)] == {"preserved", "swapped", "mixed"}
@@ -900,6 +913,37 @@ def test_decompose_identity():
     assert d.tau.is_identity()
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3)])
+def test_decompose_reads_one_class_map(q, n, monkeypatch):
+    """One decompose call reads line_action once and never
+    automorphism_defect; at n = 2 delta is built from that class map
+    alone, with no vertex image in reach."""
+    import lfgraph.autos as autos
+    g = graph_for(q, n)
+    r = rng()
+    perms = [random_automorphism(g, r) for _ in range(30)]
+    calls = []
+    real_action, real_delta = autos.line_action, autos._delta_impl
+
+    def action(g, perm):
+        calls.append(("line_action", real_action(g, perm)))
+        return calls[-1][1]
+
+    def delta(g, lmap):
+        assert type(lmap) is list and lmap == calls[-1][1]
+        calls.append(("delta", None))
+        return real_delta(g, lmap)
+    monkeypatch.setattr(autos, "line_action", action)
+    monkeypatch.setattr(autos, "_delta_impl", delta)
+    monkeypatch.setattr(autos, "automorphism_defect",
+                        lambda g, perm: calls.append(("defect", None)))
+    for perm in perms:
+        calls.clear()
+        assert compose(g, decompose(g, perm)) == perm
+        kinds = [kind for kind, _ in calls]
+        assert kinds == (["line_action"] if n >= 3 else ["line_action", "delta"])
+
+
 def _exchanged(g, a, b):
     """The identity with the images of vertices a and b, (side, coords)
     pairs, exchanged: never an automorphism."""
@@ -929,8 +973,12 @@ def _exchanged(g, a, b):
 def test_decomposition_error_steps(q, n, a, b, step, witness):
     g = graph_for(q, n)
     recover = _decompose_general if n >= 3 else _decompose_n2
+    perm = _exchanged(g, a, b)
+    # the class of each class's first member's image, as line_action reads
+    # it off an automorphism
+    lmap = [g.line_index()[perm.image[line.members[0]]] for line in g.lines()]
     with pytest.raises(DecompositionError) as exc:
-        recover(g, _exchanged(g, a, b))
+        recover(g, perm, lmap)
     assert (exc.value.step, exc.value.witness) == (step, witness)
 
 

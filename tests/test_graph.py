@@ -209,8 +209,7 @@ def test_lines_partition_and_sizes(q, n):
     index = g.line_index()
     assert len(index) == g.num_vertices
     for vid in range(g.num_vertices):
-        assert vid in lines[g.line_of(vid)].members
-        assert index[vid] == g.line_of(vid)
+        assert vid in lines[index[vid]].members
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
@@ -466,7 +465,7 @@ def test_export_dispatch():
     g = graph_for(2, 2)
     assert export(g, "graph6") == to_graph6(g)
     assert export(g, "json") == to_edgelist_json(g)
-    assert export(g, "edge-list-json") == to_edgelist_json(g)
-    with pytest.raises(ValueError):
-        export(g, "dot")
+    for fmt in ("edge-list-json", "dot"):
+        with pytest.raises(ValueError):
+            export(g, fmt)
     assert json.loads(export(g, "json"))["q"] == 2

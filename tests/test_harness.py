@@ -441,21 +441,19 @@ def test_cli_perm_files(tmp_path, capsys):
 
 
 def test_cli_autos_check_scans_once(tmp_path, capsys, monkeypatch):
-    """One adjacency scan per document, and the same output as a scan
-    ahead of check_structure."""
+    """One class map read per document, and its side behaviour or broken
+    edge on one line."""
     import lfgraph.autos as autos
     from lfgraph.autos import VertexPerm, perm_to_json, sigma_swap
     g = __import__("conftest").graph_for(3, 2)
     swapped = list(range(g.num_vertices))
     swapped[0], swapped[2] = 2, 0  # two vectors of different classes
     calls = []
-    real = autos.automorphism_defect
-    monkeypatch.setattr(autos, "automorphism_defect",
+    real = autos.line_action
+    monkeypatch.setattr(autos, "line_action",
                         lambda g, perm: calls.append(1) or real(g, perm))
     for perm, code, out in [
-            (sigma_swap(g), 0,
-             "automorphism=yes side-behavior=swapped side-purity=True "
-             "n-commutes=True intersection=None intersection-swapped=True"),
+            (sigma_swap(g), 0, "automorphism=yes side-behavior=swapped"),
             (VertexPerm(g, swapped), 1,
              "automorphism=no broken-edge=[0, 10]")]:
         path = tmp_path / "perm.json"
