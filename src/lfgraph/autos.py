@@ -6,24 +6,25 @@ Composition is function composition: (a.compose(b))(v) = a(b(v)).
 
 The decomposition factors a verified automorphism into the generator chain
 sigma^s . chi_P . pi_j . tau for n >= 3, or delta . chi_P . phi_bar . tau
-for n = 2.  decompose tests adjacency on the class quotient first, so its
-recovery steps validate only what that test leaves unproved, each with a
+for n = 2.  decompose tests adjacency on the class quotient first
+(not-automorphism), so its recovery steps validate only what that test
+leaves unproved: that the class map is semilinear (frobenius) and that its
+chain leaves a shuffle inside each class (twin-residual), each with a
 witness, as a failure on a genuine automorphism is the interesting
-outcome.  compose, decompose and
-random_automorphism share one chain evaluator, _chain, which builds the
-generator part as a single image list from one semilinear sweep
-(_semilinear, P . v^(p^j) on both sides at once).  Whatever acts on
-whole scalar classes is built by one member-order lift, _lift: delta,
-phi_bar and the n = 2 sampler each lift a class map, and the twin shuffle
-tau lifts a shuffle of every class onto itself.  Class-level questions read
-the graph's cached line_index() and line_adjacency(); autos keeps no state.
-line_action is the one place that reads a class map off a permutation: it
-tests the permutation on the class quotient and returns that map, scanning
-vertex adjacency rows only to name a broken edge.  automorphism_defect,
-check_structure and decompose each call it once; delta reads its crossing
-pattern off the map.  The one structural fact no class map shows, the
-neighbourhood intersection identity, is a graph fact that
-_intersection_holds checks once per graph.
+outcome.  compose, decompose and random_automorphism share one chain
+evaluator, _chain, which builds the generator part as a single image list
+from one semilinear sweep (_semilinear, P . v^(p^j) on both sides at
+once).  Whatever acts on whole scalar classes is built by one member-order
+lift, _lift: delta, phi_bar and the n = 2 sampler each lift a class map,
+and the twin shuffle tau lifts a shuffle of every class onto itself.
+Class-level questions read the graph's cached line_index() and
+line_adjacency(); autos keeps no state.  line_action is the one place that
+reads a class map off a permutation: it tests the permutation on the class
+quotient and returns that map, scanning vertex adjacency rows only to name
+a broken edge.  automorphism_defect, check_structure and decompose each
+call it once; delta reads its crossing pattern off the map.  The one
+structural fact no class map shows, the neighbourhood intersection
+identity, is a graph fact that _intersection_holds checks once per graph.
 """
 
 from __future__ import annotations
@@ -653,8 +654,9 @@ def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
 def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
     """Factor an automorphism into generators; see Decomposition.
 
-    Raises DecompositionError naming the step and a witness whenever one
-    of the structural facts the recovery relies on fails to hold.
+    Raises DecompositionError naming the step and a witness: not-automorphism
+    (the broken edge), or frobenius or twin-residual for the facts the class
+    test leaves unproved.
     """
     try:
         lmap = line_action(g, perm)
@@ -664,17 +666,13 @@ def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
 
 
 def _basis_change(g: LfGraph, rho_p):
-    """P and P^-1, where the columns of P are the images of the standard
-    basis under the vertex map rho_p (a function of vertex ids that keeps
-    the vector side)."""
-    n = g.n
+    """P, whose columns are the coordinates of rho_p(e_i).  rho_p agrees up to
+    the mirror with rho' = sigma^swap . rho (delta . rho at n = 2), which
+    keeps the vector side, so P is invertible: were its columns dependent,
+    a functional would meet them all, and its preimage under rho' every e_i."""
     # e_i is the packed value q^(n-1-i)
-    cols = [g.coords_of(rho_p(g.q ** (n - 1 - i) - 1))[1] for i in range(n)]
-    P = tuple(zip(*cols))
-    try:
-        return P, mat_inv(g.field, P)
-    except ValueError:
-        raise DecompositionError("dependent-basis", {"images": cols}) from None
+    return tuple(zip(*(g.coords_of(rho_p(g.q ** (g.n - 1 - i) - 1))[1]
+                       for i in range(g.n))))
 
 
 def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
@@ -696,19 +694,17 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     # an n >= 3 graph is connected (CONN), so an automorphism keeps or
     # swaps the sides whole, and the image of one class tells which
     swap = lmap[0] >= len(lmap) // 2
-
     # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
     # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
-    P, Pinv = _basis_change(g, (lambda v: g.mirror(img[v])) if swap else img.__getitem__)
+    P = _basis_change(g, img.__getitem__)
+    Pinv = mat_inv(F, P)
 
+    # chi_P^-1 . rho' fixes e1 and e_axis, so it keeps the functional classes
+    # meeting both and the line of the two classes: the image of e1 + a*e_axis
+    # is x*e1 + y*e_axis, x != 0 (not in e_axis's class), y != 0 for a != 0
     def trace(axis, a):  # e_axis coordinate of the image of e1 + a*e_axis
         vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
-        m = monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))
-        if not (m[0] == 1 and m[axis] != 0
-                and all(m[t] == 0 for t in range(n) if t not in (0, axis))):
-            raise DecompositionError("support",
-                                     {"axis": axis, "a": a, "image": list(m)})
-        return m[axis]
+        return monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))[axis]
 
     # the axis-1 table must be a scaled Frobenius power, hence a bijection
     tab = [0] + [trace(1, a) for a in F.units()]
@@ -726,26 +722,19 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
 
 def _decompose_n2(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     F = g.field
-    q = g.q
     delta = _delta_impl(g, lmap)
     # rho' = delta^-1 . rho keeps the vector side; delta exchanges vertex
     # pairs, so it is its own inverse
     dimg, img = delta.image, rho.image
-    P, _ = _basis_change(g, lambda v: dimg[img[v]])
-    # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}),
-    # and these functional classes must map among themselves
-    phi = [0] * q
+    P = _basis_change(g, lambda v: dimg[img[v]])
+    # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}).  It
+    # fixes the classes of e1 and e2, so their one neighbour classes f_(0,1)
+    # and f_(1,0) too, and permutes the other classes f_(1,a): each monic rep
+    # is (1, phi(a)), and phi is a bijection fixing 0
     Pt = transpose(P)
-    for a in range(q):
-        coords = g.coords_of(dimg[img[g.fun_id((1, a))]])[1]
-        m = monic_rep(F, mat_vec(F, Pt, coords))
-        if m[0] != 1:
-            raise DecompositionError("support", {"a": a, "image": list(m)})
-        phi[a] = m[1]
-    if phi[0] != 0 or len(set(phi)) != q:
-        raise DecompositionError("phi", {"table": phi})
-
-    gen = (False, delta, P, None, tuple(phi))
+    phi = tuple(monic_rep(F, mat_vec(F, Pt, g.coords_of(dimg[img[v]])[1]))[1]
+                for v in (g.fun_id((1, a)) for a in range(g.q)))
+    gen = (False, delta, P, None, phi)
     return Decomposition(*gen, _residual(g, rho, gen))
 
 
@@ -836,4 +825,10 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
             table[src] = dst
     tau = tau_from_table(g, table)
     delta = None if doc["delta"] is None else VertexPerm(g, doc["delta"])
+    try:  # a genuine delta is the side swap its own crossing pattern calls for
+        genuine = delta is None or delta == delta_for(g, delta)
+    except ValueError:  # no automorphism, or n >= 3
+        genuine = False
+    if not genuine:
+        raise ValueError("bad 'delta' in decomposition document")
     return Decomposition(doc["swap"], delta, P, frob, phi, tau)

@@ -388,8 +388,6 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
     # drop dominated candidates (anything covered by a superset peer)
     keep = []
     for i, ci in enumerate(cover):
-        if not ci:
-            continue
         dominated = False
         for j, cj in enumerate(cover):
             if i != j and ci & ~cj == 0 and (ci != cj or j < i):

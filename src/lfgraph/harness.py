@@ -478,9 +478,11 @@ def _cmd_invariants(args) -> int:
     g = build(field_from_order(args.q), args.n)
     ok = {cid: _RUNNERS[cid](g, None, False)[2] in ("match", "property-pass")
           for cid in ("REG", "SIGMA-CARD", "TWIN", "CONN")}
+    # a passing CONN proved the count
+    comps = (1 if g.n >= 3 else g.q + 1) if ok["CONN"] else len(g.components())
     print(f"vertices={g.num_vertices} regular={ok['REG']} "
           f"degree={g.q ** (g.n - 1) - 1} classes-per-side={len(g.lines()) // 2} "
-          f"components={len(g.components())} "
+          f"components={comps} "
           f"twins-are-scalar-classes={ok['TWIN']}")
     return 0 if all(ok.values()) else 1
 

@@ -953,22 +953,13 @@ def _exchanged(g, a, b):
     return VertexPerm(g, img)
 
 
-# one crafted non-automorphism per checked read or step, fed past
-# decompose's adjacency check straight to the recovery routines
+# one crafted non-automorphism per recovery step, fed past decompose's
+# adjacency check straight to the recovery routines
 @pytest.mark.parametrize("q,n,a,b,step,witness", [
-    (3, 3, ("vec", (1, 0, 1)), ("vec", (1, 1, 1)), "support",
-     {"axis": 2, "a": 1, "image": [1, 1, 1]}),
-    (3, 3, ("vec", (0, 1, 0)), ("vec", (2, 0, 0)), "dependent-basis",
-     {"images": [(1, 0, 0), (2, 0, 0), (0, 0, 1)]}),
-    (3, 3, ("vec", (1, 1, 0)), ("vec", (1, 1, 1)), "support",
-     {"axis": 1, "a": 1, "image": [1, 1, 1]}),
     (3, 3, ("vec", (0, 1, 1)), ("vec", (0, 1, 2)), "twin-residual",
      {"vertex": 3, "image": 4}),
     (5, 3, ("vec", (1, 2, 0)), ("vec", (1, 3, 0)), "frobenius",
      {"pi": [0, 1, 3, 2, 4]}),
-    (3, 2, ("fun", (1, 0)), ("fun", (1, 1)), "phi", {"table": [1, 0, 2]}),
-    (3, 2, ("fun", (1, 1)), ("fun", (0, 1)), "support",
-     {"a": 1, "image": [0, 1]}),
 ])
 def test_decomposition_error_steps(q, n, a, b, step, witness):
     g = graph_for(q, n)
@@ -987,10 +978,11 @@ def test_round_trip_work(monkeypatch):
     the result) from one semilinear chain each: 4 _map_ids sweeps, and
     mat_inv for P^-1 and the two chains.  At n = 2 it also builds delta
     and chi_P once per chain, and lifts phi_bar's class map as a plain
-    list: five permutations from the same sweeps and inversions."""
+    list: five permutations from the same sweeps, and mat_inv for the two
+    chains only, as phi is read through P^T."""
     import lfgraph.autos as autos
-    cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 5)]
-    perms = [random_automorphism(g, rng()) for g, _ in cases]
+    cases = [(graph_for(3, 3), 2, 3), (graph_for(3, 2), 5, 2)]
+    perms = [random_automorphism(g, rng()) for g, _, _ in cases]
     calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
 
     def counted(name, fn):
@@ -1009,19 +1001,27 @@ def test_round_trip_work(monkeypatch):
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
     monkeypatch.setattr(autos, "_map_ids", counted("_map_ids", autos._map_ids))
     monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
-    for (g, built), perm in zip(cases, perms):
+    for (g, built, inverted), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image
-        assert calls == {"VertexPerm": built, "_map_ids": 4, "mat_inv": 3}
+        assert calls == {"VertexPerm": built, "_map_ids": 4, "mat_inv": inverted}
 
 
 def test_decompose_rejects_non_automorphism():
-    """The class test refuses each before any recovery step, also the
-    last two, which break side purity at n >= 3 and a component's side
-    decision at n = 2: facts decompose does not check again."""
+    """The class test refuses each before any recovery step.  Among them
+    are the inputs that, fed past it, would give a dependent basis image,
+    a trace off its support at n >= 3 or n = 2, or a phi that is no
+    permutation fixing 0, and those that break side purity at n >= 3 and
+    a component's side decision at n = 2: facts decompose does not check
+    again."""
     for q, n, a, b in [(3, 3, ("vec", (0, 0, 1)), ("vec", (0, 1, 0))),
                        (3, 3, ("vec", (1, 0, 0)), ("fun", (1, 0, 0))),
-                       (3, 2, ("fun", (1, 1)), ("vec", (1, 1)))]:
+                       (3, 3, ("vec", (1, 0, 1)), ("vec", (1, 1, 1))),
+                       (3, 3, ("vec", (0, 1, 0)), ("vec", (2, 0, 0))),
+                       (3, 3, ("vec", (1, 1, 0)), ("vec", (1, 1, 1))),
+                       (3, 2, ("fun", (1, 1)), ("vec", (1, 1))),
+                       (3, 2, ("fun", (1, 0)), ("fun", (1, 1))),
+                       (3, 2, ("fun", (1, 1)), ("fun", (0, 1)))]:
         g = graph_for(q, n)
         with pytest.raises(DecompositionError) as exc:
             decompose(g, _exchanged(g, a, b))
@@ -1088,7 +1088,8 @@ def test_perm_json_round_trip():
         perm_from_json(text, graph_for(2, 2))
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (4, 3)])
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2),
+                                 (3, 3), (4, 3)])
 def test_decomposition_json_round_trip(q, n):
     g = graph_for(q, n)
     r = rng()
@@ -1110,6 +1111,25 @@ def test_decomposition_json_rejects_malformed_delta(delta):
     doc["delta"] = delta
     with pytest.raises(ValueError):
         decomposition_from_json(json.dumps(doc), g)
+
+
+def test_decomposition_json_rejects_a_false_delta():
+    """delta must be the side swap its own crossing pattern calls for:
+    a transposition across the sides, an automorphism that is no side
+    swap, or any delta at n >= 3 is refused, where compose used to return
+    a non-automorphism for the first.  The round trip test shows every
+    genuine delta passes."""
+    g = graph_for(3, 2)
+    doc = json.loads(decomposition_to_json(g, decompose(g, random_automorphism(g, rng()))))
+    cross = list(range(g.num_vertices))
+    cross[0], cross[g.nv] = g.nv, 0
+    for delta in (cross, list(chi_p(g, ((1, 1), (0, 1))).image)):
+        with pytest.raises(ValueError, match="bad 'delta'"):
+            decomposition_from_json(json.dumps(dict(doc, delta=delta)), g)
+    g3 = graph_for(2, 3)
+    doc = json.loads(decomposition_to_json(g3, decompose(g3, sigma_swap(g3))))
+    with pytest.raises(ValueError, match="bad 'delta'"):
+        decomposition_from_json(json.dumps(dict(doc, delta=list(range(14)))), g3)
 
 
 @pytest.mark.parametrize("q,n,key,value", [

@@ -1,11 +1,14 @@
-"""Every name a source module imports is referenced in that module."""
+"""Every name a source module imports is referenced in that module, every
+private helper is used, and every decomposition step is tested."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lfgraph"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lfgraph"
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -57,3 +60,14 @@ def test_no_orphaned_private_helpers():
             if not uses.get(name, set()) - inside:
                 orphans.append(name)
     assert not orphans, f"never referenced: {sorted(orphans)}"
+
+
+def test_every_decomposition_step_is_named_in_tests():
+    """Each step name autos raises DecompositionError with appears, quoted,
+    in a test file, so a step no test names cannot stay behind."""
+    steps = set(re.findall(r'DecompositionError\(\s*"([^"]+)"',
+                           (SRC / "autos.py").read_text()))
+    tests = "".join(p.read_text() for p in TESTS.glob("test_*.py")
+                    if p.name != "test_imports.py")
+    assert steps, "no DecompositionError step found in autos.py"
+    assert not {s for s in steps if f'"{s}"' not in tests}
