@@ -13,8 +13,9 @@ keeps set algebra exact and fast at the sizes this package targets.
 from __future__ import annotations
 
 import json
+from binascii import b2a_base64
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 
 from .gf import Field, GuardError
 
@@ -39,14 +40,14 @@ def _bit_list(mask: int) -> list[int]:
             for b in _BYTE_BITS[byte]]
 
 
-def _row_lists(rows):
-    """Yield the set bits of each row as a list, decoding lazily; equal
-    rows (twins) share one decoded list."""
-    seen: dict[int, list[int]] = {}
+def _row_lists(rows, decode=_bit_list):
+    """Yield decode(row) for each row, decoding lazily; equal rows (twins)
+    share one decoded list."""
+    seen: dict[int, list] = {}
     for r in rows:
         ys = seen.get(r)
         if ys is None:
-            ys = seen[r] = _bit_list(r)
+            ys = seen[r] = decode(r)
         yield ys
 
 
@@ -126,7 +127,7 @@ class LfGraph:
         """Every (vector, functional) edge, sorted."""
         out = []
         for v, fs in enumerate(_row_lists(self.adj[:self.nv])):
-            out += zip(repeat(v, len(fs)), fs)
+            out += zip(repeat(v), fs)
         return out
 
     def components(self) -> list[list[int]]:
@@ -440,23 +441,37 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
 
 # ---------- export ----------
 
+_G6 = bytes.maketrans(  # base64 letter k -> graph6 byte k + 63
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+
+
 def graph6_bytes(n: int, edges) -> bytes:
     """Standard graph6 encoding of an n-vertex graph with the given edges."""
     if not 0 <= n < (1 << 18):
         raise ValueError(f"vertex count {n} out of graph6 range")
-    if n <= 62:
-        head = bytes([n + 63])
-    else:
-        head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    # bit k = j(j-1)/2 + i of the upper triangle, six bits per byte, high first
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    rows = [0] * n
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bad edge ({i}, {j})")
-        i, j = min(i, j), max(i, j)
-        k = j * (j - 1) // 2 + i
-        body[k // 6] |= 32 >> (k % 6)
-    return head + bytes(b + 63 for b in body)
+        rows[max(i, j)] |= 1 << min(i, j)
+    return _graph6_rows(rows)
+
+
+def _graph6_rows(rows) -> bytes:
+    """graph6 of the graph whose edges (i, j), i < j, are bits i of rows[j]."""
+    n = len(rows)
+    head = bytes([n + 63] if n <= 62 else
+                 [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    # the upper triangle by columns j, bits i < j ascending; base64 writes 24
+    # bits as four 6-bit letters, high first; 23 zeros flush the padded tail
+    body, bits = bytearray(), ""
+    for col in chain((format(r & ((1 << j) - 1), f"0{j}b")[::-1]
+                      for j, r in enumerate(rows) if j), ["0" * 23]):
+        bits += col
+        cut = len(bits) - len(bits) % 24
+        body += b2a_base64(int(bits[:cut] or "0", 2).to_bytes(cut // 8, "big"), newline=False)
+        bits = bits[cut:]
+    return head + body[:(n * (n - 1) // 2 + 5) // 6].translate(_G6)
 
 
 def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
@@ -496,21 +511,21 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
 
 
 def to_graph6(g: LfGraph) -> bytes:
-    return graph6_bytes(g.num_vertices, g.edges())
+    return _graph6_rows(g.adj)
 
 
 def to_edgelist_json(g: LfGraph) -> bytes:
+    """Compact ASCII JSON: q, n, vertices, then the sorted [vec, fun] edges."""
     vertices = []
     for vid in range(g.num_vertices):
         side, coords = g.coords_of(vid)
         vertices.append({"id": vid, "side": side, "coords": list(coords)})
-    doc = {
-        "q": g.q,
-        "n": g.n,
-        "vertices": vertices,
-        "edges": [list(e) for e in g.edges()],
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("ascii")
+    doc = json.dumps({"q": g.q, "n": g.n, "vertices": vertices},
+                     separators=(",", ":"))
+    rows = _row_lists(g.adj[:g.nv], lambda r: list(map(str, _bit_list(r))))
+    edges = ",".join(f"[{v}," + f"],[{v},".join(fs) + "]"
+                     for v, fs in enumerate(rows) if fs)
+    return b"".join([doc[:-1].encode(), b',"edges":[', edges.encode(), b"]}"])
 
 
 def parse_edgelist_json(data: bytes) -> dict:

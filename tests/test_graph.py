@@ -461,6 +461,80 @@ def test_edgelist_json_rejects_non_object(data):
         parse_edgelist_json(data)
 
 
+def _graph6_reference(n, edges):
+    """graph6 set bit by bit: edge (i, j), i < j, is bit j(j-1)/2 + i of
+    the upper triangle, six bits per byte, high first."""
+    head = (bytes([n + 63]) if n <= 62 else
+            bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]))
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in edges:
+        i, j = min(i, j), max(i, j)
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> (k % 6)
+    return head + bytes(b + 63 for b in body)
+
+
+def _edgelist_json_reference(g):
+    """The edge-list document built whole and handed to json.dumps."""
+    vertices = []
+    for vid in range(g.num_vertices):
+        side, coords = g.coords_of(vid)
+        vertices.append({"id": vid, "side": side, "coords": list(coords)})
+    doc = {"q": g.q, "n": g.n, "vertices": vertices,
+           "edges": [list(e) for e in g.edges()]}
+    return json.dumps(doc, separators=(",", ":")).encode("ascii")
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (2, 5), (3, 3),
+                                 (4, 3), (2, 6)])
+def test_exports_match_references(q, n):
+    # (2,5) has 62 vertices, the last size with a one-byte graph6 header
+    g = graph_for(q, n)
+    assert to_graph6(g) == _graph6_reference(g.num_vertices, g.edges())
+    assert to_edgelist_json(g) == _edgelist_json_reference(g)
+
+
+def test_exports_read_rows_not_edges(monkeypatch):
+    g = graph_for(3, 2)
+    want = {"graph6": _graph6_reference(g.num_vertices, g.edges()),
+            "json": _edgelist_json_reference(g)}
+
+    def unread(self):
+        raise AssertionError("export expanded the edge list")
+
+    monkeypatch.setattr(LfGraph, "edges", unread)
+    for fmt, data in want.items():
+        assert export(g, fmt) == data
+
+
+def test_edgelist_json_of_an_edgeless_graph():
+    g = LfGraph(field_from_order(2), 2, [0] * 6)
+    assert json.loads(to_edgelist_json(g))["edges"] == []
+    assert to_edgelist_json(g) == _edgelist_json_reference(g)
+
+
+@pytest.mark.parametrize("nverts", [0, 1, 62, 63, 64])
+def test_graph6_bytes_against_networkx_at_header_and_padding(nverts):
+    rng = random.Random(nverts)
+    for density in (0.0, 0.3, 1.0):
+        edges = [p for p in itertools.combinations(range(nverts), 2)
+                 if rng.random() < density]
+        # either orientation of an edge encodes the same
+        edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+        enc = graph6_bytes(nverts, edges)
+        assert enc == _graph6_reference(nverts, edges)
+        assert enc == nx.to_graph6_bytes(_nx_from_edges(nverts, edges),
+                                         header=False).strip()
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (2, 2)], [(0, 1), (1, 5)],
+                                   [(-1, 3)]])
+def test_graph6_bytes_rejects_bad_edges(edges):
+    i, j = edges[-1]
+    with pytest.raises(ValueError, match=rf"bad edge \({i}, {j}\)"):
+        graph6_bytes(5, edges)
+
+
 def test_export_dispatch():
     g = graph_for(2, 2)
     assert export(g, "graph6") == to_graph6(g)
