@@ -13,10 +13,11 @@ chain leaves a shuffle inside each class (twin-residual), each with a
 witness, as a failure on a genuine automorphism is the interesting
 outcome.  compose, decompose and random_automorphism share one chain
 evaluator, _chain, which builds the generator part as a single image list
-from one semilinear sweep (_semilinear, P . v^(p^j) on both sides at
-once).  Whatever acts on whole scalar classes is built by one member-order
-lift, _lift: delta, phi_bar and the n = 2 sampler each lift a class map,
-and the twin shuffle tau lifts a shuffle of every class onto itself.
+from one semilinear sweep (graph._semilinear, P . v^(p^j) on both sides
+at once, which the domination search's generators use too).  Whatever
+acts on whole scalar classes is built by one member-order lift, _lift:
+delta, phi_bar and the n = 2 sampler each lift a class map, and the twin
+shuffle tau lifts a shuffle of every class onto itself.
 Class-level questions read the graph's cached line_index() and
 line_adjacency(); autos keeps no state.  line_action is the one place that
 reads a class map off a permutation: it tests the permutation on the class
@@ -37,7 +38,8 @@ from itertools import islice
 from .gf import factor_prime_power, field_from_order
 from .linalg import (identity, mat_inv, mat_vec, monic_rep, random_invertible,
                      transpose)
-from .graph import GuardError, LfGraph, _bit_list, _map_ids, _row_lists, build
+from .graph import (GuardError, LfGraph, _bit_list, _row_lists, _semilinear,
+                    build)
 
 
 class VertexPerm:
@@ -141,19 +143,6 @@ def is_automorphism(g: LfGraph, perm: VertexPerm) -> bool:
 
 
 # ---------- generators ----------
-
-def _semilinear(g: LfGraph, P, j: int) -> list[int]:
-    """Image list of chi_P . pi_j: v -> P v^(p^j) on vectors and
-    f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side."""
-    F = g.field
-    if not 0 <= j < F.k:
-        raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
-    if len(P) != g.n:
-        raise ValueError(f"P must be {g.n}x{g.n}")
-    frob = [F.frobenius(c, j) for c in F.elements()] if j else None
-    funs = _map_ids(g, transpose(mat_inv(F, P)), frob)
-    return _map_ids(g, P, frob) + [t + g.nv for t in funs]
-
 
 def chi_p(g: LfGraph, P) -> VertexPerm:
     """v -> P v on vectors, f_u -> f_{(P^-1)^T u} on functionals."""

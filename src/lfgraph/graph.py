@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 
 from .gf import Field, GuardError
+from .linalg import identity, mat_inv, transpose
 
 VEC = "vec"
 FUN = "fun"
@@ -136,19 +137,21 @@ class LfGraph:
     def component_masks(self):
         """Yield each connected component as a bitset, in order of its
         least vertex."""
-        seen = 0
-        for s in range(self.num_vertices):
-            if (seen >> s) & 1:
-                continue
+        adj = self.adj
+        unseen = (1 << self.num_vertices) - 1
+        while unseen:
             comp = 0
-            frontier = 1 << s
+            frontier = unseen & -unseen
             while frontier:
                 comp |= frontier
                 nxt = 0
-                for v in _bit_list(frontier):
-                    nxt |= self.adj[v]
+                # build gives the members of a class one shared row object,
+                # so each distinct row is ORed once
+                rows = map(adj.__getitem__, _bit_list(frontier))
+                for row in {id(r): r for r in rows}.values():
+                    nxt |= row
                 frontier = nxt & ~comp
-            seen |= comp
+            unseen &= ~comp
             yield comp
 
     # ---------- scalar classes ----------
@@ -268,6 +271,49 @@ def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
     return [x - 1 for x in out[1:]]
 
 
+def _semilinear(g: LfGraph, P, j: int) -> list[int]:
+    """Image list of chi_P . pi_j: v -> P v^(p^j) on vectors and
+    f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side."""
+    F = g.field
+    if not 0 <= j < F.k:
+        raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
+    if len(P) != g.n:
+        raise ValueError(f"P must be {g.n}x{g.n}")
+    frob = [F.frobenius(c, j) for c in F.elements()] if j else None
+    funs = _map_ids(g, transpose(mat_inv(F, P)), frob)
+    return _map_ids(g, P, frob) + [t + g.nv for t in funs]
+
+
+def _symmetries(g: LfGraph) -> list[list[int]]:
+    """Image lists of automorphisms built from the paper's generators:
+    chi_P for diag(w, 1, ..., 1), the n-cycle, the e1 <-> e2 transposition
+    and E_12(w^i) for i < k, with w primitive and q = p^k, which generate
+    GL(n, q); pi_1 when k > 1; the side swap; and one twin transposition
+    when q > 2.  Callers check each one before trusting it."""
+    F, n, q = g.field, g.n, g.q
+    w = next(a for a in F.units()
+             if len({F.pow(a, e) for e in range(q - 1)}) == q - 1)
+
+    def matrix(cells):
+        return tuple(tuple(cells.get((r, c), int(r == c)) for c in range(n))
+                     for r in range(n))
+
+    cycle = {(r, c): int(c == (r + 1) % n) for r in range(n) for c in range(n)}
+    swap12 = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 1}
+    mats = [matrix({(0, 0): w}), matrix(cycle), matrix(swap12)] + [
+        matrix({(0, 1): F.pow(w, i)}) for i in range(F.k)]
+    gens = [_semilinear(g, P, 0) for P in mats]
+    if F.k > 1:
+        gens.append(_semilinear(g, identity(n), 1))
+    gens.append(list(range(g.nv, 2 * g.nv)) + list(range(g.nv)))
+    if q > 2:
+        twin = list(range(g.num_vertices))
+        a, b = g.lines()[0].members[:2]
+        twin[a], twin[b] = b, a
+        gens.append(twin)
+    return gens
+
+
 # ---------- domination ----------
 
 def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -> bool:
@@ -314,9 +360,9 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
 
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
-    method: "branch" (branch and bound on each independent block of the
-            cover instance; no component over MAX_SEARCH_VERTICES
-            vertices) or
+    method: "branch" (orbital branch and bound on each independent block
+            of the cover instance, under the automorphisms _symmetries
+            names; no component over MAX_SEARCH_VERTICES vertices) or
             "exhaustive" (subset sweep, only for graphs of at most 20
             vertices).
     """
@@ -335,7 +381,7 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
         raise GuardError("exhaustive search is limited to 20 vertices")
 
     covered = _covered_ids(g, target)
-    cands = list(_candidate_ids(g, target))
+    cands = _candidate_ids(g, target)
     # element i of the cover instance is vertex covered.start + i
     lo, full = covered.start, (1 << len(covered)) - 1
     cover_masks = []
@@ -347,7 +393,13 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     if method == "exhaustive":
         size, chosen = _min_cover_exhaustive(cover_masks, len(covered))
     else:
-        size, chosen = _min_cover(cover_masks, len(covered))
+        # the side swap moves the candidates of a one-sided target off
+        # their side, so it is dropped there.  _min_cover checks the rest
+        # against the cover masks, which hold every edge, so a generator
+        # that is no automorphism raises there and is never used
+        gens = [([s[c] - cands.start for c in cands], [s[v] - lo for v in covered])
+                for s in _symmetries(g) if all(s[c] in cands for c in cands)]
+        size, chosen = _min_cover(cover_masks, len(covered), gens)
     return size, tuple(sorted(cands[i] for i in chosen))
 
 
@@ -364,9 +416,20 @@ def _min_cover_exhaustive(cover: list[int], m: int) -> tuple[int, tuple]:
     raise ValueError("instance is infeasible")
 
 
-def _min_cover(cover: list[int], m: int) -> tuple[int, tuple]:
+def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     """Exact minimum set cover: candidates whose masks overlap, directly or
-    through others, form one block, and each block is solved on its own."""
+    through others, form one block, and each block is solved on its own.
+
+    gens are symmetries of the instance, each a pair (candidate image list,
+    element image list) with cover[cand[i]] the element image of cover[i];
+    any other pair raises ValueError.  Each block searches under those
+    that map its candidates onto themselves."""
+    n = len(cover)
+    for cand, elem in gens:
+        if (sorted(cand) != list(range(n)) or sorted(elem) != list(range(m))
+                or any(cover[t] != sum(1 << elem[e] for e in _bit_list(c))
+                       for c, t in zip(cover, cand))):
+            raise ValueError("a generator is not a symmetry of the cover instance")
     # disjoint element masks, so sum() is their union; a candidate merges
     # every block it meets
     blocks: list[int] = []
@@ -378,14 +441,28 @@ def _min_cover(cover: list[int], m: int) -> tuple[int, tuple]:
     size, chosen = 0, []
     for elems in blocks:
         idxs = [i for i, c in enumerate(cover) if c & elems]
-        k, sel = _min_cover_block([cover[i] for i in idxs], elems)
+        pos = {i: k for k, i in enumerate(idxs)}
+        block_gens = [[pos[cand[i]] for i in idxs] for cand, _ in gens
+                      if all(cand[i] in pos for i in idxs)]
+        k, sel = _min_cover_block([cover[i] for i in idxs], elems, block_gens)
         size += k
         chosen += (idxs[i] for i in sel)
     return size, tuple(sorted(chosen))
 
 
-def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
-    """Branch and bound over candidate masks that together cover full."""
+def _min_cover_block(cover: list[int], full: int, gens: list) -> tuple[int, list]:
+    """Branch and bound over candidate masks that together cover full, with
+    orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Prog.
+    2011) under gens, image lists on the candidates of symmetries of the
+    instance.
+
+    Each node holds generators of a group H of symmetries that keep its
+    subproblem (uncovered elements, excluded candidates) fixed setwise.  It
+    branches on the uncovered element with the fewest coverers not
+    excluded, trying them in order: choosing c recurses with Stab_H(c),
+    and afterwards c's whole H-orbit is excluded.  A cover meeting that
+    orbit maps under H to one holding c, which the child searched, so the
+    search stays exact; with no generators it is a plain DFS."""
     # drop dominated candidates (anything covered by a superset peer)
     keep = []
     for i, ci in enumerate(cover):
@@ -398,11 +475,15 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
             keep.append(i)
     keep.sort(key=lambda i: -cover[i].bit_count())
     masks = [cover[i] for i in keep]
+    # a symmetry permutes the kept masks, but not the kept index among
+    # equal masks, so each image is read back through its mask
+    slot = {mask: k for k, mask in enumerate(masks)}
+    gens = _merging(len(masks), ([slot[cover[s[i]]] for i in keep] for s in gens))
 
-    elem_cov = [[] for _ in range(full.bit_length())]
+    elem_cov = [0] * full.bit_length()
     for idx, mask in enumerate(masks):
         for e in _bit_list(mask):
-            elem_cov[e].append(idx)
+            elem_cov[e] |= 1 << idx
 
     # greedy upper bound doubles as the initial witness
     best_sel: list[int] = []
@@ -413,8 +494,11 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
         uncov &= ~masks[idx]
     best = [len(best_sel), best_sel]
     maxc = max(mask.bit_count() for mask in masks)
+    chosen: list[int] = []
 
-    def dfs(uncovered: int, chosen: list[int]):
+    def dfs(uncovered: int, excluded: int, gens: list, tree):
+        # gens generate the parent's group, and tree is the orbit of the
+        # candidate just chosen; the stabilizer is built past the bound
         if not uncovered:
             if len(chosen) < best[0]:
                 best[0] = len(chosen)
@@ -423,20 +507,84 @@ def _min_cover_block(cover: list[int], full: int) -> tuple[int, list]:
         need = -(-uncovered.bit_count() // maxc)
         if len(chosen) + need >= best[0]:
             return
-        pick, width = -1, None
+        if gens and tree:
+            gens = _merging(len(masks), _schreier(gens, tree))
+        pick, width = 0, None
         for e in _bit_list(uncovered):
-            w = len(elem_cov[e])
+            w = (elem_cov[e] & ~excluded).bit_count()
             if width is None or w < width:
-                pick, width = e, w
+                pick, width = elem_cov[e], w
                 if w <= 1:
                     break
-        for idx in elem_cov[pick]:
-            chosen.append(idx)
-            dfs(uncovered & ~masks[idx], chosen)
+        for c in _bit_list(pick & ~excluded):
+            if (excluded >> c) & 1:
+                continue
+            tree = _orbit(gens, c)
+            chosen.append(c)
+            dfs(uncovered & ~masks[c], excluded, gens, tree)
             chosen.pop()
+            for x in tree:
+                excluded |= 1 << x
 
-    dfs(full, [])
+    dfs(full, 0, gens, None)
     return best[0], [keep[i] for i in best[1]]
+
+
+def _orbit(gens: list, c: int) -> dict:
+    """The orbit of c under <gens> as a Schreier tree, in breadth-first
+    order: each point y but c maps to an (x, s) with s[x] = y, x before y."""
+    tree = {c: None}
+    queue = [c]
+    for x in queue:
+        for s in gens:
+            y = s[x]
+            if y not in tree:
+                tree[y] = (x, s)
+                queue.append(y)
+    return tree
+
+
+def _schreier(gens: list, tree: dict):
+    """Schreier's lemma: with u_x the tree's product sending the root c to
+    x, the u_{s(x)}^-1 . s . u_x over the orbit points x and generators s
+    generate the stabilizer of c."""
+    u, inv = {}, {}
+    for y, edge in tree.items():
+        u[y] = list(range(len(gens[0]))) if edge is None else [
+            edge[1][t] for t in u[edge[0]]]
+        v = inv[y] = [0] * len(u[y])
+        for t, z in enumerate(u[y]):
+            v[z] = t
+    for x, ux in u.items():
+        for s in gens:
+            w = inv[s[x]]
+            yield [w[s[t]] for t in ux]
+
+
+def _merging(n: int, gens) -> list:
+    """The generators that join two orbits of the ones kept before them,
+    at most n - 1 of n points.  They give the same orbits, and a subgroup."""
+    label = list(range(n))  # the least point of each point's orbit
+    kept = []
+    for s in gens:
+        if list(map(label.__getitem__, s)) == label:
+            continue
+        kept.append(s)
+        for x, y in enumerate(s):
+            a, b = label[x], label[y]
+            while label[a] != a:
+                a = label[a]
+            while label[b] != b:
+                b = label[b]
+            if a < b:
+                label[b] = a
+            elif b < a:
+                label[a] = b
+        flat: list[int] = []  # each parent is a lesser point
+        for x, a in enumerate(label):
+            flat.append(flat[a] if a < x else x)
+        label = flat
+    return kept
 
 
 # ---------- export ----------

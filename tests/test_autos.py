@@ -20,8 +20,9 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
                            _automorphism_search,
-                           _intersection_holds, _lift_classes, _semilinear,
+                           _intersection_holds, _lift_classes,
                            _uncoloured, _vec_partners)
+from lfgraph.graph import _semilinear
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
                             monic_rep, random_invertible, transpose)
 
@@ -998,9 +999,12 @@ def test_round_trip_work(monkeypatch):
             calls["VertexPerm"] += 1
             super().__init__(*args)
 
+    import lfgraph.graph as graph
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
-    monkeypatch.setattr(autos, "_map_ids", counted("_map_ids", autos._map_ids))
-    monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
+    # the semilinear sweep lives in graph; decompose inverts P in autos
+    monkeypatch.setattr(graph, "_map_ids", counted("_map_ids", graph._map_ids))
+    for mod in (autos, graph):
+        monkeypatch.setattr(mod, "mat_inv", counted("mat_inv", mod.mat_inv))
     for (g, built, inverted), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image

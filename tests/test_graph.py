@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lfgraph.graph as graph
+from lfgraph.autos import VertexPerm, is_automorphism
 from lfgraph.gf import field_from_order
 from lfgraph.graph import (FUN, VEC, LfGraph, _bit_list, _min_cover,
-                           _min_cover_exhaustive, build,
+                           _min_cover_exhaustive, _orbit, _symmetries, build,
                            domination_number, export, graph6_bytes,
                            is_dominating, parse_edgelist_json, parse_graph6,
                            to_edgelist_json, to_graph6)
@@ -346,6 +347,125 @@ def test_min_cover_splits_interleaved_blocks():
     cover = [0b00101, 0b01000, 0b10100, 0b00010, 0b00001, 0b01010]
     assert _min_cover(cover, 5) == (3, (0, 2, 5))
     assert _min_cover_exhaustive(cover, 5)[0] == 3
+
+
+def _shift_mask(mask, elem):
+    return sum(1 << elem[e] for e in _bit_list(mask))
+
+
+def _symmetric_cover(rng):
+    """A random instance closed under the cyclic shift e -> e + 1 of its m
+    elements: two copies A and B of the shift orbit of each of a few
+    random masks, with the candidate map sending A's i-th shift to B's
+    (i+1)-th and B's to A's.  It pairs equal masks across the copies, so
+    the dominance filter keeps neither copy whole."""
+    m = rng.choice([6, 7, 8, 9])
+    elem = [(e + 1) % m for e in range(m)]
+    cover, cand = [], []
+    for _ in range(rng.randint(1, 3)):
+        orbit = [sum(1 << e for e in range(m) if rng.random() < 0.35) or 1]
+        for _ in range(m - 1):
+            orbit.append(_shift_mask(orbit[-1], elem))
+        base = len(cover)
+        cover += orbit + orbit
+        cand += [base + m + (i + 1) % m for i in range(m)]
+        cand += [base + (i + 1) % m for i in range(m)]
+    return cover, m, (cand, elem)
+
+
+def test_orbital_search_matches_exhaustive():
+    """Under a known symmetry the orbital search finds the exhaustive
+    optimum, with a covering witness, on random instances.  Excluding
+    orbits of the whole group below a choice, not of its stabilizer,
+    misses the optimum on some of them."""
+    rng = random.Random(19)
+    for _ in range(200):
+        cover, m, gen = _symmetric_cover(rng)
+        cand, elem = gen
+        for i, c in enumerate(cover):
+            assert cover[cand[i]] == _shift_mask(c, elem)
+        size, chosen = _min_cover(cover, m, [gen])
+        # equal masks change no optimum, and the sweep is exponential
+        assert size == _min_cover_exhaustive(sorted(set(cover)), m)[0]
+        assert size == len(chosen)
+        acc = 0
+        for i in chosen:
+            acc |= cover[i]
+        assert acc == (1 << m) - 1
+    # two disjoint copies of one instance: the swap of the copies maps no
+    # block onto itself, so each block drops it and searches without it
+    half = [0b0011, 0b0110, 0b1100, 0b1001, 0b0101]
+    cover = half + [c << 4 for c in half]
+    swap = list(range(5, 10)) + list(range(5))
+    elem = list(range(4, 8)) + list(range(4))
+    assert _min_cover(cover, 8, [(swap, elem)])[0] == 4
+
+
+def test_min_cover_refuses_a_non_symmetry():
+    """A pair that is not a symmetry of the instance raises, whether its
+    candidate map breaks the masks, its element map does, or either is no
+    permutation; it is never used."""
+    rng = random.Random(5)
+    cover, m, (cand, elem) = _symmetric_cover(rng)
+    assert _min_cover(cover, m, [(cand, elem)])
+    bad = [(list(range(len(cover))), elem),  # elements move, candidates stay
+           (cand, list(range(m))),  # candidates move, elements stay
+           (cand[:-1] + cand[:1], elem),  # no permutation
+           (cand, elem[:-1] + elem[:1])]
+    for gen in bad:
+        with pytest.raises(ValueError, match="not a symmetry"):
+            _min_cover(cover, m, [gen])
+    # the 3-cycle maps {0,1} to {1,2} but {1,2} to {2,0}, no mask of a path
+    with pytest.raises(ValueError, match="not a symmetry"):
+        _min_cover([0b011, 0b110, 0b100], 3, [([1, 2, 0], [1, 2, 0])])
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
+                                 (4, 3), (8, 3)])
+def test_symmetries_are_automorphisms(q, n):
+    """Every generator the search uses is an automorphism, and for n >= 3
+    they move any vertex to any other."""
+    g = graph_for(q, n)
+    gens = _symmetries(g)
+    for image in gens:
+        assert is_automorphism(g, VertexPerm(g, image))
+    if n >= 3:
+        assert len(_orbit(gens, 0)) == g.num_vertices
+
+
+def test_domination_refuses_a_bad_generator(monkeypatch):
+    """domination_number hands every generator to the cover's symmetry
+    check, so a non-automorphism raises instead of pruning."""
+    g = graph_for(3, 3)
+    a, b = g.vec_id((0, 0, 1)), g.vec_id((0, 1, 0))
+    bad = list(range(g.num_vertices))
+    bad[a], bad[b] = b, a  # two vectors of different classes
+    assert not is_automorphism(g, VertexPerm(g, bad))
+    monkeypatch.setattr(graph, "_symmetries", lambda g: [bad])
+    for target in (VEC, "all"):
+        with pytest.raises(ValueError, match="not a symmetry"):
+            domination_number(g, target=target)
+
+
+@pytest.mark.parametrize("q,n,size", [(3, 3, 8), (2, 4, 6), (4, 3, 10)])
+def test_whole_graph_standard_domination_pinned(q, n, size):
+    g = graph_for(q, n)
+    got, witness = domination_number(g, target="all", mode="standard")
+    assert got == len(witness) == size
+    assert is_dominating(g, witness, target="all", mode="standard")
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_branch_agrees_with_exhaustive_on_every_target(q, n):
+    """On the graphs of at most 20 vertices, the target and mode pairs
+    that test_branch_agrees_with_exhaustive leaves out."""
+    g = graph_for(q, n)
+    for target, mode in [(VEC, "total"), (FUN, "standard"), (FUN, "total")]:
+        b, wb = domination_number(g, target=target, mode=mode)
+        e, _ = domination_number(g, target=target, mode=mode,
+                                 method="exhaustive")
+        assert b == e == len(wb), (target, mode)
+        assert is_dominating(g, wb, target=target, mode=mode)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3),
