@@ -8,24 +8,26 @@ The decomposition factors a verified automorphism into the generator chain
 sigma^s . chi_P . pi_j . tau for n >= 3, or delta . chi_P . phi_bar . tau
 for n = 2.  decompose tests adjacency on the class quotient first
 (not-automorphism), so its recovery steps validate only what that test
-leaves unproved: that the class map is semilinear (frobenius) and that its
-chain leaves a shuffle inside each class (twin-residual), each with a
-witness, as a failure on a genuine automorphism is the interesting
-outcome.  compose, decompose and random_automorphism share one chain
-evaluator, _chain, which builds the generator part as a single image list
-from one semilinear sweep (graph._semilinear, P . v^(p^j) on both sides
-at once, which the domination search's generators use too).  Whatever
-acts on whole scalar classes is built by one member-order lift, _lift:
-delta, phi_bar and the n = 2 sampler each lift a class map, and the twin
-shuffle tau lifts a shuffle of every class onto itself.
-Class-level questions read the graph's cached line_index() and
-line_adjacency(); autos keeps no state.  line_action is the one place that
-reads a class map off a permutation: it tests the permutation on the class
-quotient and returns that map, scanning vertex adjacency rows only to name
-a broken edge.  automorphism_defect, check_structure and decompose each
-call it once; delta reads its crossing pattern off the map.  The one
-structural fact no class map shows, the neighbourhood intersection
-identity, is a graph fact that _intersection_holds checks once per graph.
+leaves unproved, each with a witness: that the class map is semilinear
+(frobenius) and that its chain leaves a shuffle inside each class
+(twin-residual).  compose, decompose and random_automorphism share one
+chain evaluator, _chain, whose generator part is one image list from
+graph._semilinear (which the domination search's generators use too): a
+sweep of P . v^(p^j) on vectors, and on functionals the inverse of the
+sweep of w -> (P^T w)^(p^(k-j)), so no chain inverts P.  A round trip
+inverts P once at n >= 3, for the trace, and never at n = 2, where phi is
+read off the field tables.  Whatever acts on whole scalar classes is built
+by one member-order lift, _lift: delta, phi_bar and the n = 2 sampler each
+lift a class map, and the twin shuffle tau lifts a shuffle of each class.
+Class-level questions read the graph's cached line_index(),
+line_adjacency() and its rows decoded once, line_neighbors(); autos keeps
+no state.  line_action is the one place that reads a class map off a
+permutation: it tests the permutation on the class quotient and returns
+that map, scanning vertex adjacency rows only to name a broken edge.
+automorphism_defect, check_structure and decompose each call it once;
+delta reads its crossing pattern off the map.  The one structural fact no
+class map shows, the neighbourhood intersection identity, is a graph fact
+that _intersection_holds checks once per graph.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .gf import factor_prime_power, field_from_order
-from .linalg import (identity, mat_inv, mat_vec, monic_rep, random_invertible,
-                     transpose)
+from .linalg import identity, mat_inv, mat_vec, monic_rep, random_invertible
 from .graph import (GuardError, LfGraph, _bit_list, _row_lists, _semilinear,
                     build)
 
@@ -115,9 +116,9 @@ def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
     lof, img = g.line_index(), perm.image
     cls = list(map(lof.__getitem__, img))
     lmap = [cls[line.members[0]] for line in g.lines()]
-    rows = g.line_adjacency()
+    rows, nbrs = g.line_adjacency(), g.line_neighbors()
     if list(map(lmap.__getitem__, lof)) == cls and all(
-            sum(map((1).__lshift__, map(lmap.__getitem__, _bit_list(rows[c]))))
+            sum(map((1).__lshift__, map(lmap.__getitem__, nbrs[c])))
             == rows[lmap[c]] for c in range(len(rows) // 2)):
         return lmap
     adj = g.adj
@@ -629,7 +630,7 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int]:
         return list(map(g.mirror, image)) if swap else image
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
-    lin = chi_p(g, P).image
+    lin = _semilinear(g, P, 0)
     image = [lin[t] for t in _lift_classes(g, _phi_classes(g, phi))]
     return image if delta is None else [delta.image[t] for t in image]
 
@@ -716,38 +717,53 @@ def _decompose_n2(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     # pairs, so it is its own inverse
     dimg, img = delta.image, rho.image
     P = _basis_change(g, lambda v: dimg[img[v]])
-    # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + a e2}).  It
+    # chi_P^-1 . rho' sends f_u to f_{P^T u} for u = rho'(f_{e1 + s e2}).  It
     # fixes the classes of e1 and e2, so their one neighbour classes f_(0,1)
-    # and f_(1,0) too, and permutes the other classes f_(1,a): each monic rep
-    # is (1, phi(a)), and phi is a bijection fixing 0
-    Pt = transpose(P)
-    phi = tuple(monic_rep(F, mat_vec(F, Pt, g.coords_of(dimg[img[v]])[1]))[1]
-                for v in (g.fun_id((1, a)) for a in range(g.q)))
+    # and f_(1,0) too, and permutes the other classes f_(1,s): each monic rep
+    # is (1, phi(s)), and phi is a bijection fixing 0.  With P = ((a, b),
+    # (c, d)) and u = (x, y), P^T u = (ax + cy, bx + dy), so phi(s) is
+    # (bx + dy) / (ax + cy), where ax + cy != 0 as f_(0,1)'s class is fixed
+    (a, b), (c, d) = P
+    q, nv, add, mul, inv = g.q, g.nv, F._add, F._mul, F._inv
+    phi = tuple(mul[add[mul[b][x]][mul[d][y]]][inv[add[mul[a][x]][mul[c][y]]]]
+                for x, y in (divmod(dimg[img[v]] + 1 - nv, q)
+                             for v in range(nv + q - 1, nv + 2 * q - 1)))
     gen = (False, delta, P, None, phi)
     return Decomposition(*gen, _residual(g, rho, gen))
 
 
 # ---------- serialization ----------
 
+def _header(g: LfGraph) -> dict:
+    """q, n and the field's p, k and modulus, as documents name them."""
+    F = g.field
+    return {"q": g.q, "n": g.n, "p": F.p, "k": F.k,
+            "modulus": None if F.modulus is None else list(F.modulus)}
+
+
 def perm_to_json(perm: VertexPerm) -> str:
-    doc = {"q": perm.g.q, "n": perm.g.n, "image": list(perm.image)}
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps({**_header(perm.g), "image": list(perm.image)},
+                      separators=(",", ":"))
 
 
 def _read_doc(text, what: str, keys, g: LfGraph | None):
-    """The parsed document and its graph; a malformed header raises
-    ValueError, never TypeError."""
+    """The parsed document and its graph, built over the document's
+    modulus when g is None; a malformed header raises ValueError, never
+    TypeError.  p, k and modulus are optional, but must match the field."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document is not a JSON object")
     for key in ("q", "n") + keys:
         if key not in doc:
             raise ValueError(f"{what} document is missing {key!r}")
-    if type(doc["q"]) is not int or type(doc["n"]) is not int:
-        raise ValueError(f"{what} document needs integer q and n")
+    modulus = doc.get("modulus")
+    if type(modulus) not in (list, type(None)) or any(
+            type(x) is not int for x in [doc["q"], doc["n"], *(modulus or [])]):
+        raise ValueError(f"{what} document needs integer q and n, and an "
+                         "integer list or null modulus")
     if g is None:
-        g = build(field_from_order(doc["q"]), doc["n"])
-    elif (g.q, g.n) != (doc["q"], doc["n"]):
+        g = build(field_from_order(doc["q"], modulus), doc["n"])
+    if any(doc.get(key, value) != value for key, value in _header(g).items()):
         raise ValueError(f"{what} document does not match the graph")
     return doc, g
 
@@ -767,16 +783,10 @@ def _tau_tables(g: LfGraph, tau: VertexPerm) -> dict[str, list[int]]:
 
 
 def decomposition_to_json(g: LfGraph, d: Decomposition) -> str:
-    doc = {
-        "q": g.q,
-        "n": g.n,
-        "swap": d.swap,
-        "P": [list(row) for row in d.P],
-        "frob": d.frob,
-        "phi": None if d.phi is None else list(d.phi),
-        "delta": None if d.delta is None else list(d.delta.image),
-        "tau": _tau_tables(g, d.tau),
-    }
+    doc = {**_header(g), "swap": d.swap, "P": [list(row) for row in d.P],
+           "frob": d.frob, "phi": None if d.phi is None else list(d.phi),
+           "delta": None if d.delta is None else list(d.delta.image),
+           "tau": _tau_tables(g, d.tau)}
     return json.dumps(doc, separators=(",", ":"))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 
 from .gf import Field, GuardError
-from .linalg import identity, mat_inv, transpose
+from .linalg import identity
 
 VEC = "vec"
 FUN = "fun"
@@ -72,6 +72,7 @@ class LfGraph:
         self._lines = None
         self._line_of = None
         self._line_adj = None
+        self._line_nbrs = None
 
     # ---------- vertex indexing ----------
 
@@ -190,6 +191,12 @@ class LfGraph:
                 for v in reps)
         return self._line_adj
 
+    def line_neighbors(self) -> tuple[list[int], ...]:
+        """line_adjacency() decoded once per graph: each class's neighbours."""
+        if self._line_nbrs is None:
+            self._line_nbrs = tuple(map(_bit_list, self.line_adjacency()))
+        return self._line_nbrs
+
     def neighbor_set(self, line: Line) -> int:
         """Common adjacency bitset of every member of the class."""
         return self.adj[line.members[0]]
@@ -273,15 +280,24 @@ def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
 
 def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     """Image list of chi_P . pi_j: v -> P v^(p^j) on vectors and
-    f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side."""
+    f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side.
+    The functional map is the inverse of w -> (P^T w)^(p^(k-j)), swept with
+    P^T's entries and the digits raised to p^(k-j), so P is never inverted;
+    a singular P^T sends some nonzero w to zero, id -1."""
     F = g.field
     if not 0 <= j < F.k:
         raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
-    if len(P) != g.n:
+    if len(P) != g.n or any(len(row) != g.n for row in P):
         raise ValueError(f"P must be {g.n}x{g.n}")
-    frob = [F.frobenius(c, j) for c in F.elements()] if j else None
-    funs = _map_ids(g, transpose(mat_inv(F, P)), frob)
-    return _map_ids(g, P, frob) + [t + g.nv for t in funs]
+    frob, back = ([F.frobenius(c, e) for c in F.elements()] if e else None
+                  for e in (j, -j % F.k))
+    pre = _map_ids(g, [[back[c] for c in col] if j else col for col in zip(*P)], back)
+    if -1 in pre:
+        raise ValueError("matrix is singular")
+    funs = [0] * g.nv
+    for w, u in enumerate(pre, g.nv):
+        funs[u] = w
+    return _map_ids(g, P, frob) + funs
 
 
 def _symmetries(g: LfGraph) -> list[list[int]]:
@@ -648,14 +664,8 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
         bits.extend((v >> s) & 1 for s in range(5, -1, -1))
     if len(bits) < need:
         raise ValueError("graph6 body too short")
-    edges = set()
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.add((i, j))
-            k += 1
-    return n, edges
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return n, {e for e, bit in zip(pairs, bits) if bit}
 
 
 def to_graph6(g: LfGraph) -> bytes:

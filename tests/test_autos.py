@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from lfgraph import build, field_from_order
+from lfgraph import Field, build, field_from_order
 from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            DecompositionError, LineActionError,
                            StructureVerdict, VertexPerm, all_automorphisms,
@@ -22,7 +22,7 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            _automorphism_search,
                            _intersection_holds, _lift_classes,
                            _uncoloured, _vec_partners)
-from lfgraph.graph import _semilinear
+from lfgraph.graph import _map_ids, _semilinear
 from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
                             monic_rep, random_invertible, transpose)
 
@@ -271,6 +271,34 @@ def test_chi_p_rejects_singular():
     g = graph_for(2, 2)
     with pytest.raises(ValueError):
         chi_p(g, ((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (4, 3), (8, 2), (8, 3), (9, 2), (9, 3)])
+def test_semilinear_functionals_match_inverse_transpose(q, n):
+    """The functional half, swept from P^T without inverting P, is the
+    sweep of (P^-1)^T with the Frobenius digit map, for every j."""
+    g = graph_for(q, n)
+    F, r = g.field, rng()
+    for j in range(F.k):
+        frob = [F.frobenius(c, j) for c in F.elements()]
+        for _ in range(3):
+            P = random_invertible(F, n, r)
+            ref = _map_ids(g, transpose(mat_inv(F, P)), frob)
+            assert _semilinear(g, P, j)[g.nv:] == [t + g.nv for t in ref]
+
+
+@pytest.mark.parametrize("q,n,P", [(3, 2, ((1, 1), (2, 2))),
+                                   (4, 2, ((0, 2), (0, 3))),
+                                   (3, 3, ((1, 0, 1), (0, 1, 1), (1, 1, 2)))])
+def test_singular_p_is_refused(q, n, P):
+    """chi_p, and compose of a document whose P is singular, both raise."""
+    g = graph_for(q, n)
+    with pytest.raises(ValueError, match="singular"):
+        chi_p(g, P)
+    doc = json.loads(decomposition_to_json(g, decompose(g, sigma_swap(g))))
+    d = decomposition_from_json(json.dumps(dict(doc, P=P)), g)
+    with pytest.raises(ValueError, match="singular"):
+        compose(g, d)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])
@@ -977,12 +1005,13 @@ def test_decomposition_error_steps(q, n, a, b, step, witness):
 def test_round_trip_work(monkeypatch):
     """One decompose + compose at n >= 3 builds two permutations (tau and
     the result) from one semilinear chain each: 4 _map_ids sweeps, and
-    mat_inv for P^-1 and the two chains.  At n = 2 it also builds delta
-    and chi_P once per chain, and lifts phi_bar's class map as a plain
-    list: five permutations from the same sweeps, and mat_inv for the two
-    chains only, as phi is read through P^T."""
+    mat_inv once, for the trace of P^-1, as the chains sweep P^T.  At
+    n = 2 it also builds delta and lifts phi_bar's class map as a plain
+    list: three permutations from the same sweeps, and no mat_inv, as phi
+    is read off the field tables.  A second line_action on one graph
+    decodes no quotient row."""
     import lfgraph.autos as autos
-    cases = [(graph_for(3, 3), 2, 3), (graph_for(3, 2), 5, 2)]
+    cases = [(graph_for(3, 3), 2, 1), (graph_for(3, 2), 3, 0)]
     perms = [random_automorphism(g, rng()) for g, _, _ in cases]
     calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
 
@@ -1003,12 +1032,22 @@ def test_round_trip_work(monkeypatch):
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
     # the semilinear sweep lives in graph; decompose inverts P in autos
     monkeypatch.setattr(graph, "_map_ids", counted("_map_ids", graph._map_ids))
-    for mod in (autos, graph):
-        monkeypatch.setattr(mod, "mat_inv", counted("mat_inv", mod.mat_inv))
+    monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
     for (g, built, inverted), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image
         assert calls == {"VertexPerm": built, "_map_ids": 4, "mat_inv": inverted}
+    # a fresh graph, so the first line_action decodes the quotient rows
+    g = build(field_from_order(2), 3)
+    bit_list = counted("_bit_list", graph._bit_list)
+    for mod in (autos, graph):
+        monkeypatch.setattr(mod, "_bit_list", bit_list)
+    calls["_bit_list"] = 0
+    line_action(g, sigma_swap(g))
+    assert calls["_bit_list"] == len(g.lines())
+    calls["_bit_list"] = 0
+    line_action(g, sigma_swap(g))
+    assert calls["_bit_list"] == 0
 
 
 def test_decompose_rejects_non_automorphism():
@@ -1090,6 +1129,35 @@ def test_perm_json_round_trip():
         perm_from_json(json.dumps({"q": 3, "n": 2}))
     with pytest.raises(ValueError):
         perm_from_json(text, graph_for(2, 2))
+
+
+def test_documents_name_their_field():
+    """Over GF(8) = F_2[x]/(x^3 + x^2 + 1), not the built-in cubic, a
+    document rebuilds its own field and is refused by the built-in graph;
+    one without p, k and modulus loads as before."""
+    g = build(Field(2, 3, (1, 0, 1, 1)), 2)
+    perm = random_automorphism(g, rng())
+    text = perm_to_json(perm)
+    assert {k: v for k, v in json.loads(text).items() if k != "image"} == {
+        "q": 8, "n": 2, "p": 2, "k": 3, "modulus": [1, 0, 1, 1]}
+    rebuilt = perm_from_json(text)
+    assert rebuilt.g.field == g.field and rebuilt.image == perm.image
+    d = decompose(g, perm)
+    doc = json.loads(decomposition_to_json(g, d))
+    assert doc["modulus"] == [1, 0, 1, 1]
+    back = decomposition_from_json(json.dumps(doc))
+    assert compose(back.tau.g, back).image == perm.image and back.P == d.P
+    builtin = graph_for(8, 2)
+    for bad in (lambda: perm_from_json(text, builtin),
+                lambda: decomposition_from_json(json.dumps(doc), builtin),
+                lambda: perm_from_json(json.dumps(dict(json.loads(text), k=1)))):
+        with pytest.raises(ValueError, match="does not match"):
+            bad()
+    for modulus in ("x", [1, "0", 1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError):
+            perm_from_json(json.dumps(dict(json.loads(text), modulus=modulus)))
+    old = {k: v for k, v in json.loads(text).items() if k not in ("p", "k", "modulus")}
+    assert perm_from_json(json.dumps(old), builtin).g is builtin
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2),
