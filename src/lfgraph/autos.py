@@ -630,7 +630,7 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int]:
         return list(map(g.mirror, image)) if swap else image
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
-    lin = _semilinear(g, P, 0)
+    lin = chi_p(g, P).image
     image = [lin[t] for t in _lift_classes(g, _phi_classes(g, phi))]
     return image if delta is None else [delta.image[t] for t in image]
 
@@ -757,10 +757,11 @@ def _read_doc(text, what: str, keys, g: LfGraph | None):
         if key not in doc:
             raise ValueError(f"{what} document is missing {key!r}")
     modulus = doc.get("modulus")
+    ints = [doc[key] for key in ("q", "n", "p", "k") if key in doc]
     if type(modulus) not in (list, type(None)) or any(
-            type(x) is not int for x in [doc["q"], doc["n"], *(modulus or [])]):
-        raise ValueError(f"{what} document needs integer q and n, and an "
-                         "integer list or null modulus")
+            type(x) is not int for x in ints + (modulus or [])):
+        raise ValueError(f"{what} document needs integer q, n, p and k, and "
+                         "an integer list or null modulus")
     if g is None:
         g = build(field_from_order(doc["q"], modulus), doc["n"])
     if any(doc.get(key, value) != value for key, value in _header(g).items()):

@@ -664,8 +664,14 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
         bits.extend((v >> s) & 1 for s in range(5, -1, -1))
     if len(bits) < need:
         raise ValueError("graph6 body too short")
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    return n, {e for e, bit in zip(pairs, bits) if bit}
+    edges = set()
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.add((i, j))
+            k += 1
+    return n, edges
 
 
 def to_graph6(g: LfGraph) -> bytes:

@@ -223,14 +223,18 @@ def _run_conn(g, rng, deep):
                                              "expected": g.q + 1}
     part = g.q - 1
     for comp in comps:
-        vmask = sum(1 << v for v in comp if g.is_vec(v))
-        fmask = sum(1 << v for v in comp) & ~vmask
-        if vmask.bit_count() != part or fmask.bit_count() != part:
+        vecs = [v for v in comp if g.is_vec(v)]
+        funs = [v for v in comp if not g.is_vec(v)]
+        fmask = sum(1 << v for v in funs)
+        vmask = sum(1 << v for v in vecs)
+        if len(vecs) != part or len(funs) != part:
             return None, None, "property-fail", {
                 "component": _labels(g, comp), "expected_part": part}
         # complete bipartite: every vector sees every functional of the
         # component and nothing else
-        if any(g.adj[v] != (fmask if g.is_vec(v) else vmask) for v in comp):
+        ok = (all(g.adj[v] == fmask for v in vecs)
+              and all(g.adj[f] == vmask for f in funs))
+        if not ok:
             return None, None, "property-fail", {
                 "component": _labels(g, comp),
                 "reason": "component is not complete bipartite"}
@@ -352,10 +356,13 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
     """
     if seed is None:
         seed = env_seed()
-    selected = set(CLAIM_IDS if claims is None else claims)
-    unknown = selected - set(CLAIM_IDS)
-    if unknown:
-        raise ValueError(f"unknown claim ids: {sorted(unknown)}")
+    if claims is None:
+        selected = set(CLAIM_IDS)
+    else:
+        selected = set(claims)
+        unknown = selected - set(CLAIM_IDS)
+        if unknown:
+            raise ValueError(f"unknown claim ids: {sorted(unknown)}")
     g = build(field_from_order(q), n)
     start = time.monotonic()
     results = []
@@ -391,12 +398,23 @@ def _jsonable(obj):
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    claims = [{"id": c.id, "paper_locus": c.locus,
-               "formula": None if c.formula is None else str(c.formula),
-               "oracle": None if c.oracle is None else str(c.oracle),
-               "verdict": c.verdict, "witness": _jsonable(c.witness), "ms": None}
-              for c in report.claims]
-    return {"q": report.q, "n": report.n, "seed": report.seed, "claims": claims}
+    return {
+        "q": report.q,
+        "n": report.n,
+        "seed": report.seed,
+        "claims": [
+            {
+                "id": c.id,
+                "paper_locus": c.locus,
+                "formula": None if c.formula is None else str(c.formula),
+                "oracle": None if c.oracle is None else str(c.oracle),
+                "verdict": c.verdict,
+                "witness": _jsonable(c.witness),
+                "ms": None,
+            }
+            for c in report.claims
+        ],
+    }
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -532,8 +550,10 @@ def _cmd_verify(args) -> int:
     instances = [(args.q, args.n)] if args.q is not None else list(DEFAULT_MATRIX)
     claims = _parse_claims(args.claims)
     seed = args.seed if args.seed is not None else env_seed()
-    reports = [run_verify(q, n, claims=claims, seed=seed, budget=args.budget,
-                          deep=args.deep) for q, n in instances]
+    reports = []
+    for q, n in instances:
+        reports.append(run_verify(q, n, claims=claims, seed=seed,
+                                  budget=args.budget, deep=args.deep))
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
     else:

@@ -1006,12 +1006,12 @@ def test_round_trip_work(monkeypatch):
     """One decompose + compose at n >= 3 builds two permutations (tau and
     the result) from one semilinear chain each: 4 _map_ids sweeps, and
     mat_inv once, for the trace of P^-1, as the chains sweep P^T.  At
-    n = 2 it also builds delta and lifts phi_bar's class map as a plain
-    list: three permutations from the same sweeps, and no mat_inv, as phi
-    is read off the field tables.  A second line_action on one graph
-    decodes no quotient row."""
+    n = 2 it also builds delta and chi_P once per chain, and lifts
+    phi_bar's class map as a plain list: five permutations from the same
+    sweeps, and no mat_inv, as phi is read off the field tables.  A second
+    line_action on one graph decodes no quotient row."""
     import lfgraph.autos as autos
-    cases = [(graph_for(3, 3), 2, 1), (graph_for(3, 2), 3, 0)]
+    cases = [(graph_for(3, 3), 2, 1), (graph_for(3, 2), 5, 0)]
     perms = [random_automorphism(g, rng()) for g, _, _ in cases]
     calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
 
@@ -1156,6 +1156,9 @@ def test_documents_name_their_field():
     for modulus in ("x", [1, "0", 1, 1], [1, 1, 1, 1]):
         with pytest.raises(ValueError):
             perm_from_json(json.dumps(dict(json.loads(text), modulus=modulus)))
+    for key, value in (("p", 2.0), ("k", 3.0), ("k", True)):
+        with pytest.raises(ValueError, match="integer"):
+            perm_from_json(json.dumps({**json.loads(text), key: value}))
     old = {k: v for k, v in json.loads(text).items() if k not in ("p", "k", "modulus")}
     assert perm_from_json(json.dumps(old), builtin).g is builtin
 
