@@ -39,8 +39,8 @@ from itertools import islice
 
 from .gf import factor_prime_power, field_from_order
 from .linalg import identity, mat_inv, mat_vec, monic_rep, random_invertible
-from .graph import (GuardError, LfGraph, _bit_list, _row_lists, _semilinear,
-                    build)
+from .graph import (GuardError, LfGraph, _bit_list, _orbit, _row_lists,
+                    _semilinear, build)
 
 
 class VertexPerm:
@@ -326,7 +326,7 @@ def check_structure(g: LfGraph, perm: VertexPerm) -> StructureVerdict:
 # this many vertices, and the quotient search and component isomorphisms at
 # this many classes per side
 MAX_ENUM_VERTICES = 20
-MAX_QUOTIENT_CLASSES = 32
+MAX_QUOTIENT_CLASSES = 40
 
 
 def _automorphism_search(adj: list[int], init: dict[int, int],
@@ -400,35 +400,37 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
 def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     """The order of the group G of maps _automorphism_search finds from
     init (each mask inside init's domain), and the first-hit searches run.
-    Orbit-stabilizer: |G| is the product over the vertices v of init in
-    turn of |v^H|, H the stabilizer of the vertices before v (Seress,
-    Permutation Group Algorithms, ch. 4).  w is in v^H exactly when one
-    search pinning v -> w finds a map, as the search is complete; a map
-    found adds its whole cycle through v to the orbit, unsearched."""
-    pins = dict(init)
-    order, searches = 1, 0
+    Orbit-stabilizer: |G| is the product of |v_i^(G_i)| over the vertices
+    v_i of init, G_i fixing v_0 .. v_(i-1) (Seress, Permutation Group
+    Algorithms, ch. 4).  Levels are settled deepest first (McKay, Practical
+    graph isomorphism, 1981): a map found at level j is in every G_i with
+    i <= j, so v_i's orbit starts closed under every map found.  Each other
+    candidate w costs one complete search pinning v_i -> w: a hit joins
+    the maps and closes the orbit again, a miss rules out w's orbit."""
+    pins, levels = dict(init), []
     for v in init:
-        orbit = 1 << v
-        opts = pins[v] & ~orbit
-        while opts:
-            low = opts & -opts
-            opts ^= low
-            pins[v] = low
-            hit = _automorphism_search(adj, pins)
-            searches += 1
-            if hit is not None:
-                u = low.bit_length() - 1
-                while not (orbit >> u) & 1:
-                    orbit |= 1 << u
-                    u = hit[u]
-                opts &= ~orbit
-        order *= orbit.bit_count()
+        levels.append((v, dict(pins)))
         # fix v: a map fixing v keeps every vertex's adjacency to v
         pins[v] = 1 << v
         av, notv = adj[v], ~(1 << v)
         for u in pins:
             if u != v:
                 pins[u] &= notv & (av if (av >> u) & 1 else ~av)
+    found, order, searches = [], 1, 0
+    for v, pins in reversed(levels):
+        orbit, ruled_out = _orbit(found, v), set()
+        for w in _bit_list(pins[v]):
+            if w in orbit or w in ruled_out:
+                continue
+            pins[v] = 1 << w
+            hit = _automorphism_search(adj, pins)
+            searches += 1
+            if hit is None:
+                ruled_out.update(_orbit(found, w))
+            else:
+                found.append(hit)
+                orbit = _orbit(found, v)
+        order *= len(orbit)
     return order, searches
 
 

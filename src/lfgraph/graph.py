@@ -381,6 +381,8 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
             names; no component over MAX_SEARCH_VERTICES vertices) or
             "exhaustive" (subset sweep, only for graphs of at most 20
             vertices).
+    With target "all" and q >= 3, "branch" runs the total search, equal by
+    the lemma below, so its witness is a total dominating set.
     """
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -395,6 +397,15 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
                                  f"the exact-search guard {MAX_SEARCH_VERTICES}")
     if method == "exhaustive" and g.num_vertices > 20:
         raise GuardError("exhaustive search is limited to 20 vertices")
+    # Lemma: if no vertex is isolated and each has a false twin (same
+    # neighbourhood, not adjacent), gamma = gamma_t.  Proof: let D be a
+    # minimum dominating set with the fewest members x with no neighbour
+    # in D.  x's twin x' has N(x') = N(x) outside D, so x' is in D.  Trading
+    # x' for a neighbour y of x keeps D dominating (y covers x', x covers
+    # N(x')) with one such member fewer.  So D is total, and gamma = gamma_t.
+    # At q >= 3 each class holds q - 1 >= 2 twins; "exhaustive" stays direct.
+    if target == "all" and method == "branch" and g.q > 2:
+        mode = "total"
 
     covered = _covered_ids(g, target)
     cands = _candidate_ids(g, target)

@@ -19,7 +19,7 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
-                           _automorphism_search,
+                           _automorphism_search, _count_with_searches,
                            _intersection_holds, _lift_classes,
                            _uncoloured, _vec_partners)
 from lfgraph.graph import _map_ids, _semilinear
@@ -784,17 +784,17 @@ def test_enumeration_guards_raise_guard_error():
     # (2,6) has 63 classes a side
     for call in (quotient_adjacency, count_automorphisms):
         with pytest.raises(GuardError,
-                           match="63 classes per side is over the 32 guard"):
+                           match="63 classes per side is over the 40 guard"):
             call(graph_for(2, 6))
 
 
 def test_component_isomorphisms_behind_the_class_guard():
-    """(37,2) has 38 classes a side: the component count is refused before
+    """(41,2) has 42 classes a side: the component count is refused before
     any search, with the quotient search's message."""
     from lfgraph import GuardError
     with pytest.raises(GuardError,
-                       match="38 classes per side is over the 32 guard"):
-        count_component_isomorphisms(graph_for(37, 2))
+                       match="42 classes per side is over the 40 guard"):
+        count_component_isomorphisms(graph_for(41, 2))
 
 
 def test_quotient_adjacency_is_projective_incidence():
@@ -897,6 +897,20 @@ def test_count_reach_4_3():
     """(4,3), 21 classes a side: 2.2.|PGL(3,4)|.(3!)^42 by orbit-stabilizer
     on the quotient, where enumerating its group takes minutes."""
     assert count_automorphisms(graph_for(4, 3)) == 241920 * 6 ** 42
+
+
+@pytest.mark.parametrize("q,n,order,searches,one_cycle", [
+    (3, 3, 11232 * 2 ** 26, 37, 105),
+    (2, 4, 40320, 40, 129),
+    (4, 3, 241920 * 6 ** 42, 111, 261)], ids=["3-3", "2-4", "4-3"])
+def test_quotient_count_first_hit_searches(q, n, order, searches, one_cycle):
+    """The quotient count's work counter, which no host's speed moves.
+    Closing each orbit under every map found, deepest level first, runs
+    fewer first-hit searches than adding one cycle per map found did
+    (one_cycle)."""
+    assert _count_with_searches(graph_for(q, n), "quotient") == (order,
+                                                                 searches)
+    assert searches < one_cycle
 
 
 def _brute_component_isomorphisms(g):

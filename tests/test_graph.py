@@ -455,6 +455,36 @@ def test_whole_graph_standard_domination_pinned(q, n, size):
     assert is_dominating(g, witness, target="all", mode="standard")
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
+                                 (9, 2), (3, 3), (4, 3), (5, 3), (3, 4)])
+def test_whole_graph_standard_equals_total_domination(q, n, monkeypatch):
+    """For q >= 3 every vertex has a false twin, so gamma = gamma_t and
+    domination_number answers target "all" by the total search.  The
+    oracle is the direct standard search: _min_cover on the standard cover
+    instance, where each vertex also covers itself, under the symmetries
+    domination_number would use."""
+    if (q, n) == (5, 3):  # one component of 248 vertices
+        monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 248)
+    g = graph_for(q, n)
+    cover = [row | 1 << v for v, row in enumerate(g.adj)]
+    direct, chosen = _min_cover(cover, g.num_vertices,
+                                [(s, s) for s in graph._symmetries(g)])
+    size, witness = domination_number(g, target="all", mode="standard")
+    assert size == direct == len(witness) == len(chosen)
+    assert is_dominating(g, chosen, target="all", mode="standard")
+    assert is_dominating(g, witness, target="all", mode="total")
+
+
+def test_whole_graph_standard_domination_q2_is_direct():
+    """At q = 2 no vertex has a twin and gamma < gamma_t at (2,3), so the
+    standard search runs directly and its witness is not total."""
+    g = graph_for(2, 3)
+    size, witness = domination_number(g, target="all", mode="standard")
+    assert size == 4 < domination_number(g, target="all", mode="total")[0] == 6
+    assert is_dominating(g, witness, target="all", mode="standard")
+    assert not is_dominating(g, witness, target="all", mode="total")
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
 def test_branch_agrees_with_exhaustive_on_every_target(q, n):
     """On the graphs of at most 20 vertices, the target and mode pairs

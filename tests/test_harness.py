@@ -129,36 +129,43 @@ def test_verify_skips_domination_the_guard_refuses():
 
 
 def test_verify_skips_card_n2_over_the_class_guard():
-    c = claims_by_id(run_verify(37, 2, claims=["CARD-N2"]))["CARD-N2"]
+    c = claims_by_id(run_verify(41, 2, claims=["CARD-N2"]))["CARD-N2"]
     assert (c.verdict, c.formula, c.oracle) == (
-        "skipped", formula_card_n2(37), None)
-    assert c.witness == {"reason": "38 classes per side is over the 32 guard"}
+        "skipped", formula_card_n2(41), None)
+    assert c.witness == {"reason": "42 classes per side is over the 40 guard"}
 
 
 def test_cli_verify_skips_comp_iso_over_the_class_guard(capsys):
     """COMP-ISO's search sits behind the same class guard as CARD-N2's, so
-    (37,2) is skipped with the guard's message, keeps its formula, and
+    (41,2) is skipped with the guard's message, keeps its formula, and
     verify exits 0."""
-    assert run_cli("verify", "--q", "37", "--n", "2", "--claims", "COMP-ISO",
+    assert run_cli("verify", "--q", "41", "--n", "2", "--claims", "COMP-ISO",
                    "--format", "json") == 0
     c = json.loads(capsys.readouterr().out)["claims"][
         CLAIM_IDS.index("COMP-ISO")]
     assert (c["verdict"], c["formula"], c["oracle"]) == (
-        "skipped", str(formula_component_isos(37)), None)
-    assert c["witness"] == {"reason": "38 classes per side is over the 32 guard"}
+        "skipped", str(formula_component_isos(41)), None)
+    assert c["witness"] == {"reason": "42 classes per side is over the 40 guard"}
 
 
 def test_card_gen_opt_in_gate_runs_before_the_guard():
     """(3,4) has 40 classes a side: without --deep the opt-in gate skips
-    CARD-GEN, with it the quotient search's guard does."""
-    for deep, reason in [
-            (False, "brute oracle beyond (2, 3) is opt-in; rerun with --deep"),
-            (True, "40 classes per side is over the 32 guard")]:
-        c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"],
-                                    deep=deep))["CARD-GEN"]
-        assert (c.verdict, c.formula) == ("skipped",
-                                          formula_card_general(3, 4))
-        assert c.witness == {"reason": reason}
+    CARD-GEN, with it the quotient search counts 2|PGL(4,3)| (2!)^80 and
+    misses the paper's formula.  (2,6), 63 classes a side, is refused by
+    the quotient search's guard even with --deep."""
+    c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"]))["CARD-GEN"]
+    assert (c.verdict, c.formula) == ("skipped", formula_card_general(3, 4))
+    assert c.witness == {
+        "reason": "brute oracle beyond (2, 3) is opt-in; rerun with --deep"}
+    c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"],
+                                deep=True))["CARD-GEN"]
+    pgl = 80 * 78 * 72 * 54 // 2
+    assert (c.verdict, c.formula, c.oracle) == (
+        "mismatch", formula_card_general(3, 4), 2 * pgl * 2 ** 80)
+    c = claims_by_id(run_verify(2, 6, claims=["CARD-GEN"],
+                                deep=True))["CARD-GEN"]
+    assert (c.verdict, c.formula) == ("skipped", formula_card_general(2, 6))
+    assert c.witness == {"reason": "63 classes per side is over the 40 guard"}
 
 
 def test_sweep_failures_name_the_broken_edge(monkeypatch):
@@ -342,7 +349,7 @@ def test_cli_autos_count_work_on_stderr(capsys):
                    "--method", "brute") == 0
     captured = capsys.readouterr()
     assert captured.out == "brute=336\n"
-    assert captured.err == "# first-hit searches: 34\n"
+    assert captured.err == "# first-hit searches: 12\n"
     assert run_cli("autos", "count", "--q", "4", "--n", "3",
                    "--method", "both") == 1
     captured = capsys.readouterr()
@@ -497,9 +504,9 @@ def test_cli_byte_identical_runs():
 
 @pytest.mark.parametrize("args,digest", [
     (["verify", "--format", "json"],
-     "89eadccacfa7f619628e231b1108e9ce0337046e4e3513b86f05b812ed1f293d"),
+     "5b21c4760e1f445c491c5841963cd8aa34989c52034270afe292ef60d4dd6d6f"),
     (["verify", "--deep", "--format", "json", "--seed", "1729"],
-     "04939eceb75ce0bf5a4b63f1a5556ad9b132ba64dcce82472f3fa4d61abc2444"),
+     "ba30d3338c8c244559518a4dabf109cace43002614ca01870ebb6139cabdabcc"),
 ], ids=["default", "deep"])
 def test_cli_verify_report_bytes_pinned(args, digest, capsys, monkeypatch):
     """The default-matrix reports, byte for byte.  A change that alters a
