@@ -182,19 +182,20 @@ class LfGraph:
 
     def line_adjacency(self) -> tuple[int, ...]:
         """The class quotient: one bitset row per class of lines(), bit d
-        of row c set when classes c and d are adjacent, read off adj at one
-        member of each class."""
+        of row c set when classes c and d are adjacent."""
         if self._line_adj is None:
-            reps = [line.members[0] for line in self.lines()]
-            self._line_adj = tuple(
-                sum(1 << d for d, r in enumerate(reps) if (self.adj[v] >> r) & 1)
-                for v in reps)
+            self._line_adj = tuple(sum(map((1).__lshift__, ds))
+                                   for ds in self.line_neighbors())
         return self._line_adj
 
     def line_neighbors(self) -> tuple[list[int], ...]:
-        """line_adjacency() decoded once per graph: each class's neighbours."""
+        """Each class's adjacent classes, ascending: adj at its first member,
+        masked to the first members, keeps one bit per adjacent class."""
         if self._line_nbrs is None:
-            self._line_nbrs = tuple(map(_bit_list, self.line_adjacency()))
+            lof, firsts = self.line_index(), [ln.members[0] for ln in self.lines()]
+            first = sum(map((1).__lshift__, firsts))
+            self._line_nbrs = tuple([lof[v] for v in _bit_list(self.adj[f] & first)]
+                                    for f in firsts)
         return self._line_nbrs
 
     def neighbor_set(self, line: Line) -> int:
@@ -304,8 +305,8 @@ def _symmetries(g: LfGraph) -> list[list[int]]:
     """Image lists of automorphisms built from the paper's generators:
     chi_P for diag(w, 1, ..., 1), the n-cycle, the e1 <-> e2 transposition
     and E_12(w^i) for i < k, with w primitive and q = p^k, which generate
-    GL(n, q); pi_1 when k > 1; the side swap; and one twin transposition
-    when q > 2.  Callers check each one before trusting it."""
+    GL(n, q); pi_1 when k > 1; and the side swap.  Callers check each one
+    before trusting it."""
     F, n, q = g.field, g.n, g.q
     w = next(a for a in F.units()
              if len({F.pow(a, e) for e in range(q - 1)}) == q - 1)
@@ -322,11 +323,6 @@ def _symmetries(g: LfGraph) -> list[list[int]]:
     if F.k > 1:
         gens.append(_semilinear(g, identity(n), 1))
     gens.append(list(range(g.nv, 2 * g.nv)) + list(range(g.nv)))
-    if q > 2:
-        twin = list(range(g.num_vertices))
-        a, b = g.lines()[0].members[:2]
-        twin[a], twin[b] = b, a
-        gens.append(twin)
     return gens
 
 
@@ -341,7 +337,7 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     dmask = 0
     for v in dset:
         dmask |= 1 << v
-    for v in _covered_ids(g, target):
+    for v in _covered_ids(g.nv, target):
         hit = g.adj[v] & dmask
         if mode == "standard":
             hit |= dmask & (1 << v)
@@ -350,24 +346,24 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     return True
 
 
-def _covered_ids(g: LfGraph, target: str) -> range:
-    """The target vertices, always one contiguous run of ids."""
+def _covered_ids(side: int, target: str) -> range:
+    """The target ids of two sides of side ids, vectors first: one run."""
     if target == VEC:
-        return range(g.nv)
+        return range(side)
     if target == FUN:
-        return range(g.nv, g.num_vertices)
+        return range(side, 2 * side)
     if target == "all":
-        return range(g.num_vertices)
+        return range(2 * side)
     raise ValueError(f"unknown target {target!r}")
 
 
-def _candidate_ids(g: LfGraph, target: str) -> range:
+def _candidate_ids(side: int, target: str) -> range:
     # one-sided domination draws dominators from the opposite side
     if target == VEC:
-        return range(g.nv, g.num_vertices)
+        return range(side, 2 * side)
     if target == FUN:
-        return range(g.nv)
-    return range(g.num_vertices)
+        return range(side)
+    return range(2 * side)
 
 
 def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
@@ -377,13 +373,16 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
     method: "branch" (orbital branch and bound on each independent block
-            of the cover instance, under the automorphisms _symmetries
-            names; no component over MAX_SEARCH_VERTICES vertices) or
-            "exhaustive" (subset sweep, only for graphs of at most 20
-            vertices).
-    With target "all" and q >= 3, "branch" runs the total search, equal by
-    the lemma below, so its witness is a total dominating set.
+            of the cover instance on the scalar classes, under the class
+            maps of the automorphisms _symmetries names; no component over
+            MAX_SEARCH_VERTICES vertices) or "exhaustive" (subset sweep on
+            the vertices, only for graphs of at most 20 vertices).
+    "branch" returns the first member of each chosen class.  With target
+    "all" and q >= 3 it runs the total search, equal by the lemma below,
+    so its witness is a total dominating set.
     """
+    if target not in (VEC, FUN, "all"):
+        raise ValueError(f"unknown target {target!r}")
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("branch", "exhaustive"):
@@ -406,28 +405,34 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     # At q >= 3 each class holds q - 1 >= 2 twins; "exhaustive" stays direct.
     if target == "all" and method == "branch" and g.q > 2:
         mode = "total"
-
-    covered = _covered_ids(g, target)
-    cands = _candidate_ids(g, target)
-    # element i of the cover instance is vertex covered.start + i
+    # "branch" runs on the class quotient.  Twins cover, and are covered
+    # by, the same vertices, so a minimum class cover lifts, one member a
+    # class, to a minimum cover unless a class covers itself: after the
+    # lemma such self-bits (standard, "all") remain only at q = 2, where
+    # each class is one vertex.
+    rows, side = ((g.adj, g.nv) if method == "exhaustive"
+                  else (g.line_adjacency(), len(g.lines()) // 2))
+    # element i of the cover instance is id covered.start + i
+    covered, cands = _covered_ids(side, target), _candidate_ids(side, target)
     lo, full = covered.start, (1 << len(covered)) - 1
     cover_masks = []
     for c in cands:
-        mask = (g.adj[c] >> lo) & full
+        mask = (rows[c] >> lo) & full
         if mode == "standard" and c in covered:
             mask |= 1 << (c - lo)
         cover_masks.append(mask)
     if method == "exhaustive":
         size, chosen = _min_cover_exhaustive(cover_masks, len(covered))
-    else:
-        # the side swap moves the candidates of a one-sided target off
-        # their side, so it is dropped there.  _min_cover checks the rest
-        # against the cover masks, which hold every edge, so a generator
-        # that is no automorphism raises there and is never used
-        gens = [([s[c] - cands.start for c in cands], [s[v] - lo for v in covered])
-                for s in _symmetries(g) if all(s[c] in cands for c in cands)]
-        size, chosen = _min_cover(cover_masks, len(covered), gens)
-    return size, tuple(sorted(cands[i] for i in chosen))
+        return size, tuple(cands[i] for i in chosen)
+    # the side swap moves a one-sided target's candidates off their side,
+    # so it is dropped there; _min_cover checks every other class map
+    # against the masks, which hold every class edge, and refuses a bad one
+    lines, lof = g.lines(), g.line_index()
+    cmaps = ([lof[s[line.members[0]]] for line in lines] for s in _symmetries(g))
+    gens = [([m[c] - cands.start for c in cands], [m[v] - lo for v in covered])
+            for m in cmaps if all(m[c] in cands for c in cands)]
+    size, chosen = _min_cover(cover_masks, len(covered), gens)
+    return size, tuple(lines[cands[i]].members[0] for i in chosen)
 
 
 def _min_cover_exhaustive(cover: list[int], m: int) -> tuple[int, tuple]:
@@ -477,7 +482,7 @@ def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     return size, tuple(sorted(chosen))
 
 
-def _min_cover_block(cover: list[int], full: int, gens: list) -> tuple[int, list]:
+def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list]:
     """Branch and bound over candidate masks that together cover full, with
     orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Prog.
     2011) under gens, image lists on the candidates of symmetries of the
@@ -486,27 +491,12 @@ def _min_cover_block(cover: list[int], full: int, gens: list) -> tuple[int, list
     Each node holds generators of a group H of symmetries that keep its
     subproblem (uncovered elements, excluded candidates) fixed setwise.  It
     branches on the uncovered element with the fewest coverers not
-    excluded, trying them in order: choosing c recurses with Stab_H(c),
-    and afterwards c's whole H-orbit is excluded.  A cover meeting that
-    orbit maps under H to one holding c, which the child searched, so the
-    search stays exact; with no generators it is a plain DFS."""
-    # drop dominated candidates (anything covered by a superset peer)
-    keep = []
-    for i, ci in enumerate(cover):
-        dominated = False
-        for j, cj in enumerate(cover):
-            if i != j and ci & ~cj == 0 and (ci != cj or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    keep.sort(key=lambda i: -cover[i].bit_count())
-    masks = [cover[i] for i in keep]
-    # a symmetry permutes the kept masks, but not the kept index among
-    # equal masks, so each image is read back through its mask
-    slot = {mask: k for k, mask in enumerate(masks)}
-    gens = _merging(len(masks), ([slot[cover[s[i]]] for i in keep] for s in gens))
-
+    excluded, trying them in index order: choosing c recurses with
+    Stab_H(c), and afterwards c's whole H-orbit is excluded.  A cover
+    meeting that orbit maps under H to one holding c, which the child
+    searched, so the search stays exact; with no generators it is a plain
+    DFS."""
+    gens = _merging(len(masks), gens)
     elem_cov = [0] * full.bit_length()
     for idx, mask in enumerate(masks):
         for e in _bit_list(mask):
@@ -554,7 +544,7 @@ def _min_cover_block(cover: list[int], full: int, gens: list) -> tuple[int, list
                 excluded |= 1 << x
 
     dfs(full, 0, gens, None)
-    return best[0], [keep[i] for i in best[1]]
+    return best[0], best[1]
 
 
 def _orbit(gens: list, c: int) -> dict:

@@ -357,8 +357,8 @@ def _symmetric_cover(rng):
     """A random instance closed under the cyclic shift e -> e + 1 of its m
     elements: two copies A and B of the shift orbit of each of a few
     random masks, with the candidate map sending A's i-th shift to B's
-    (i+1)-th and B's to A's.  It pairs equal masks across the copies, so
-    the dominance filter keeps neither copy whole."""
+    (i+1)-th and B's to A's.  It pairs equal masks across the copies,
+    which the search keeps as they are."""
     m = rng.choice([6, 7, 8, 9])
     elem = [(e + 1) % m for e in range(m)]
     cover, cand = [], []
@@ -434,8 +434,8 @@ def test_symmetries_are_automorphisms(q, n):
 
 
 def test_domination_refuses_a_bad_generator(monkeypatch):
-    """domination_number hands every generator to the cover's symmetry
-    check, so a non-automorphism raises instead of pruning."""
+    """domination_number hands every generator's class map to the cover's
+    symmetry check, so one that is no symmetry raises instead of pruning."""
     g = graph_for(3, 3)
     a, b = g.vec_id((0, 0, 1)), g.vec_id((0, 1, 0))
     bad = list(range(g.num_vertices))
@@ -460,9 +460,9 @@ def test_whole_graph_standard_domination_pinned(q, n, size):
 def test_whole_graph_standard_equals_total_domination(q, n, monkeypatch):
     """For q >= 3 every vertex has a false twin, so gamma = gamma_t and
     domination_number answers target "all" by the total search.  The
-    oracle is the direct standard search: _min_cover on the standard cover
-    instance, where each vertex also covers itself, under the symmetries
-    domination_number would use."""
+    oracle is the direct standard search: _min_cover on the vertex-level
+    standard cover instance, where each vertex also covers itself, under
+    the automorphisms of _symmetries."""
     if (q, n) == (5, 3):  # one component of 248 vertices
         monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 248)
     g = graph_for(q, n)
@@ -473,6 +473,59 @@ def test_whole_graph_standard_equals_total_domination(q, n, monkeypatch):
     assert size == direct == len(witness) == len(chosen)
     assert is_dominating(g, chosen, target="all", mode="standard")
     assert is_dominating(g, witness, target="all", mode="total")
+
+
+def _vertex_cover(g, target, mode):
+    """_min_cover on the vertex-level cover instance of target and mode,
+    under the automorphisms of _symmetries that keep its candidates; the
+    chosen candidates as vertex ids."""
+    covered = graph._covered_ids(g.nv, target)
+    cands = graph._candidate_ids(g.nv, target)
+    lo, full = covered.start, (1 << len(covered)) - 1
+    cover = [(g.adj[c] >> lo) & full
+             | (1 << (c - lo) if mode == "standard" and c in covered else 0)
+             for c in cands]
+    gens = [([s[c] - cands.start for c in cands], [s[v] - lo for v in covered])
+            for s in _symmetries(g) if all(s[c] in cands for c in cands)]
+    size, chosen = _min_cover(cover, len(covered), gens)
+    return size, [cands[i] for i in chosen]
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (2, 4), (3, 3), (4, 3), (2, 5)])
+def test_class_search_matches_vertex_search(q, n):
+    """The branch search covers classes by classes.  On every target and
+    mode it finds the optimum of the vertex-level instance, and its witness
+    holds the first member of distinct classes and dominates."""
+    g = graph_for(q, n)
+    firsts = {line.members[0] for line in g.lines()}
+    for target in (VEC, FUN, "all"):
+        for mode in ("standard", "total"):
+            size, witness = domination_number(g, target=target, mode=mode)
+            vsize, vchosen = _vertex_cover(g, target, mode)
+            assert size == vsize == len(witness), (target, mode)
+            assert is_dominating(g, vchosen, target=target, mode=mode)
+            # first members are one a class, so these are distinct classes
+            assert set(witness) <= firsts and len(set(witness)) == len(witness)
+            assert is_dominating(g, witness, target=target, mode=mode)
+
+
+def test_class_search_work(monkeypatch):
+    """The branch search hands _min_cover one candidate a class: 2M for
+    target "all" and M for one side, not a candidate a vertex."""
+    sizes = []
+
+    def counted(cover, m, gens=()):
+        sizes.append((len(cover), m))
+        return _min_cover(cover, m, gens)
+
+    monkeypatch.setattr(graph, "_min_cover", counted)
+    for q, n in [(2, 3), (3, 3), (4, 3), (5, 2)]:
+        g = graph_for(q, n)
+        m = len(g.lines()) // 2
+        sizes.clear()
+        for target in (VEC, FUN, "all"):
+            domination_number(g, target=target, mode="standard")
+        assert sizes == [(m, m), (m, m), (2 * m, 2 * m)]
 
 
 def test_whole_graph_standard_domination_q2_is_direct():
@@ -536,6 +589,11 @@ def test_domination_argument_validation():
         domination_number(g, method="nope")
     with pytest.raises(ValueError):
         domination_number(graph_for(3, 3), method="exhaustive")  # > 20 vertices
+    # the target is checked before either guard reads the graph
+    with pytest.raises(ValueError, match="unknown target 'nope'"):
+        domination_number(graph_for(5, 3), target="nope")
+    with pytest.raises(ValueError, match="unknown target 'nope'"):
+        domination_number(graph_for(3, 3), target="nope", method="exhaustive")
 
 
 # ---------- serialization ----------
