@@ -14,8 +14,9 @@ leaves unproved, each with a witness: that the class map is semilinear
 chain evaluator, _chain, whose generator part is one image list from
 graph._semilinear (which the domination search's generators use too): a
 sweep of P . v^(p^j) on vectors, and on functionals the inverse of the
-sweep of w -> (P^T w)^(p^(k-j)), so no chain inverts P.  A round trip
-inverts P once at n >= 3, for the trace, and never at n = 2, where phi is
+sweep of w -> (P^T w)^(p^(k-j)), so no chain inverts P.  No round trip
+calls linalg: at n >= 3 the rows of P^-1 are the scaled coordinates of the
+images of the functionals f_{e_i}, and the traces, like phi at n = 2, are
 read off the field tables.  Whatever acts on whole scalar classes is built
 by one member-order lift, _lift: delta, phi_bar and the n = 2 sampler each
 lift a class map, and the twin shuffle tau lifts a shuffle of each class.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .gf import factor_prime_power, field_from_order
-from .linalg import identity, mat_inv, mat_vec, monic_rep, random_invertible
+from .linalg import identity, random_invertible
 from .graph import (GuardError, LfGraph, _bit_list, _orbit, _row_lists,
                     _semilinear, build)
 
@@ -689,14 +690,31 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     # rho' = sigma^swap . rho keeps the vector side; a vertex and its mirror
     # share coordinates, so chi_P^-1 . rho' is P^-1 on rho's coordinates
     P = _basis_change(g, img.__getitem__)
-    Pinv = mat_inv(F, P)
+    add, mul, inv = F._add, F._mul, F._inv
+
+    def dot(u, w):
+        acc = 0
+        for a, b in zip(u, w):
+            acc = add[acc][mul[a][b]]
+        return acc
+
+    # row i of P^-1, read off u = the coordinates of rho(f_{e_i}), as
+    # u / (u . P_i) with P_i column i of P.  rho and sigma are
+    # automorphisms (line_action), so rho' is one and keeps the sides:
+    # f_{e_i} meets every e_k but e_i, so rho'(f_{e_i}) = f_u meets every
+    # rho'(e_k), coordinates P_k, but rho'(e_i).  Then u . P_k = 0 for
+    # k != i and u . P_i != 0, and u / (u . P_i) times P is e_i^T.
+    Pinv = []
+    for i, col in enumerate(zip(*P)):
+        u = g.coords_of(img[g.nv + q ** (n - 1 - i) - 1])[1]
+        Pinv.append([mul[inv[dot(u, col)]][a] for a in u])
 
     # chi_P^-1 . rho' fixes e1 and e_axis, so it keeps the functional classes
     # meeting both and the line of the two classes: the image of e1 + a*e_axis
     # is x*e1 + y*e_axis, x != 0 (not in e_axis's class), y != 0 for a != 0
-    def trace(axis, a):  # e_axis coordinate of the image of e1 + a*e_axis
-        vid = q ** (n - 1) + a * q ** (n - 1 - axis) - 1
-        return monic_rep(F, mat_vec(F, Pinv, g.coords_of(img[vid])[1]))[axis]
+    def trace(axis, a):  # y / x for the image of e1 + a*e_axis
+        w = g.coords_of(img[q ** (n - 1) + a * q ** (n - 1 - axis) - 1])[1]
+        return mul[dot(Pinv[axis], w)][inv[dot(Pinv[0], w)]]
 
     # the axis-1 table must be a scaled Frobenius power, hence a bijection
     tab = [0] + [trace(1, a) for a in F.units()]
@@ -771,9 +789,18 @@ def _read_doc(text, what: str, keys, g: LfGraph | None):
     return doc, g
 
 
+def _ids(value, length, bound, what) -> tuple:
+    """value, a list of length ints in [0, bound), as a tuple; no bools."""
+    if (not isinstance(value, list) or len(value) != length
+            or any(type(x) is not int or not 0 <= x < bound for x in value)):
+        raise ValueError(f"bad {what} document")
+    return tuple(value)
+
+
 def perm_from_json(text, g: LfGraph | None = None) -> VertexPerm:
     doc, g = _read_doc(text, "permutation", ("image",), g)
-    return VertexPerm(g, doc["image"])
+    nv = g.num_vertices
+    return VertexPerm(g, _ids(doc["image"], nv, nv, "'image' in permutation"))
 
 
 def _tau_tables(g: LfGraph, tau: VertexPerm) -> dict[str, list[int]]:
@@ -797,21 +824,16 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
     doc, g = _read_doc(text, "decomposition",
                        ("swap", "P", "frob", "phi", "delta", "tau"), g)
 
-    def ints(value, length, bound, what):
-        if (not isinstance(value, list) or len(value) != length
-                or any(type(x) is not int or not 0 <= x < bound for x in value)):
-            raise ValueError(f"bad {what} in decomposition document")
-        return tuple(value)
-
     if type(doc["swap"]) is not bool:
         raise ValueError("bad 'swap' in decomposition document")
     frob = doc["frob"]
     if frob is not None and (type(frob) is not int or not 0 <= frob < g.field.k):
         raise ValueError("bad 'frob' in decomposition document")
-    phi = None if doc["phi"] is None else ints(doc["phi"], g.q, g.q, "'phi'")
+    phi = (None if doc["phi"] is None
+           else _ids(doc["phi"], g.q, g.q, "'phi' in decomposition"))
     if not isinstance(doc["P"], list) or len(doc["P"]) != g.n:
         raise ValueError("bad 'P' in decomposition document")
-    P = tuple(ints(row, g.n, g.q, "'P' row") for row in doc["P"])
+    P = tuple(_ids(row, g.n, g.q, "'P' row in decomposition") for row in doc["P"])
     if not isinstance(doc["tau"], dict):
         raise ValueError("bad 'tau' in decomposition document")
     by_key = {f"{line.side}:{','.join(map(str, line.rep))}": line
@@ -821,12 +843,14 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
         line = by_key.get(key)
         if line is None:
             raise ValueError(f"bad tau table for {key!r}")
-        images = ints(images, len(line.members), g.num_vertices,
-                      f"tau table for {key!r}")
+        images = _ids(images, len(line.members), g.num_vertices,
+                      f"tau table for {key!r} in decomposition")
         for src, dst in zip(line.members, images):
             table[src] = dst
     tau = tau_from_table(g, table)
-    delta = None if doc["delta"] is None else VertexPerm(g, doc["delta"])
+    nv = g.num_vertices
+    delta = (None if doc["delta"] is None
+             else VertexPerm(g, _ids(doc["delta"], nv, nv, "'delta' in decomposition")))
     try:  # a genuine delta is the side swap its own crossing pattern calls for
         genuine = delta is None or delta == delta_for(g, delta)
     except ValueError:  # no automorphism, or n >= 3

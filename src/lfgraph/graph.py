@@ -457,10 +457,11 @@ def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     any other pair raises ValueError.  Each block searches under those
     that map its candidates onto themselves."""
     n = len(cover)
+    bits = [_bit_list(c) for c in cover]
     for cand, elem in gens:
         if (sorted(cand) != list(range(n)) or sorted(elem) != list(range(m))
-                or any(cover[t] != sum(1 << elem[e] for e in _bit_list(c))
-                       for c, t in zip(cover, cand))):
+                or any(bits[t] != sorted(map(elem.__getitem__, b))
+                       for b, t in zip(bits, cand))):
             raise ValueError("a generator is not a symmetry of the cover instance")
     # disjoint element masks, so sum() is their union; a candidate merges
     # every block it meets

@@ -1,4 +1,5 @@
-"""Exact linear algebra over GF(q).
+"""The matrices the library builds over GF(q): the identity, a vector's
+monic representative, and the seeded sampler of invertible matrices.
 
 Vectors are tuples of field-element indices and matrices are tuples of row
 tuples; the field travels as the first argument of every function.  Nothing
@@ -10,75 +11,8 @@ from __future__ import annotations
 from .gf import Field
 
 
-def _same_length(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-
-
-def dot(field: Field, u, v) -> int:
-    _same_length(u, v)
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-# ---------- matrices ----------
-
-def mat_shape(P) -> tuple[int, int]:
-    rows = len(P)
-    if rows == 0:
-        raise ValueError("empty matrix")
-    cols = len(P[0])
-    if any(len(r) != cols for r in P):
-        raise ValueError("ragged matrix")
-    return rows, cols
-
-
 def identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(P) -> tuple:
-    mat_shape(P)
-    return tuple(zip(*P))
-
-
-def mat_vec(field: Field, P, v) -> tuple:
-    rows, cols = mat_shape(P)
-    if cols != len(v):
-        raise ValueError(f"dimension mismatch: matrix is {rows}x{cols}, vector has {len(v)}")
-    return tuple(dot(field, row, v) for row in P)
-
-
-def mat_mul(field: Field, A, B) -> tuple:
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca != rb:
-        raise ValueError(f"dimension mismatch: {ra}x{ca} times {rb}x{cb}")
-    Bt = transpose(B)
-    return tuple(tuple(dot(field, row, col) for col in Bt) for row in A)
-
-
-def mat_inv(field: Field, P) -> tuple:
-    """Inverse by Gauss-Jordan elimination; raises ValueError if singular."""
-    rows, cols = mat_shape(P)
-    if rows != cols:
-        raise ValueError("only square matrices are invertible")
-    n = rows
-    aug = [list(P[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = field.inv(aug[col][col])
-        aug[col] = [field.mul(pinv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def monic_rep(field: Field, v) -> tuple:
@@ -91,11 +25,21 @@ def monic_rep(field: Field, v) -> tuple:
 
 
 def random_invertible(field: Field, n: int, rng) -> tuple:
-    """Uniform invertible matrix by rejection sampling."""
+    """Uniform invertible matrix by rejection sampling.  Forward elimination
+    on the field tables tests each draw: it is singular exactly when some
+    column has no pivot among the rows not yet used."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     while True:
         P = tuple(tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n))
-        try:
-            mat_inv(field, P)
-        except ValueError:
-            continue
-        return P
+        rows = list(P)
+        for col in range(n):
+            k = next((k for k, row in enumerate(rows) if row[col]), None)
+            if k is None:
+                break
+            pivot = rows.pop(k)
+            s = neg[inv[pivot[col]]]
+            for i, row in enumerate(rows):
+                m = mul[mul[row[col]][s]]
+                rows[i] = [add[x][m[y]] for x, y in zip(row, pivot)]
+        else:
+            return P

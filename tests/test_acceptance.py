@@ -23,9 +23,10 @@ from lfgraph.autos import (all_automorphisms, check_structure, chi_p, compose,
                            random_twin_permutation, sigma_swap, VertexPerm,
                            _intersection_holds)
 from lfgraph.graph import FUN, VEC, domination_number, is_dominating
-from lfgraph.linalg import mat_mul, random_invertible
+from lfgraph.linalg import random_invertible
 
 from conftest import graph_for
+from linalg_reference import mat_mul
 
 FULL_MATRIX = [(q, n) for q in (2, 3, 4, 5) for n in (2, 3)]
 

@@ -23,10 +23,10 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            _intersection_holds, _lift_classes,
                            _uncoloured, _vec_partners)
 from lfgraph.graph import _map_ids, _semilinear
-from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
-                            monic_rep, random_invertible, transpose)
+from lfgraph.linalg import identity, monic_rep, random_invertible
 
 from conftest import graph_for
+from linalg_reference import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG_SEED = 20240817
 
@@ -1018,16 +1018,20 @@ def test_decomposition_error_steps(q, n, a, b, step, witness):
 
 def test_round_trip_work(monkeypatch):
     """One decompose + compose at n >= 3 builds two permutations (tau and
-    the result) from one semilinear chain each: 4 _map_ids sweeps, and
-    mat_inv once, for the trace of P^-1, as the chains sweep P^T.  At
-    n = 2 it also builds delta and chi_P once per chain, and lifts
-    phi_bar's class map as a plain list: five permutations from the same
-    sweeps, and no mat_inv, as phi is read off the field tables.  A second
-    line_action on one graph decodes no quotient row."""
+    the result) from one semilinear chain each: 4 _map_ids sweeps, and no
+    call into lfgraph.linalg, as P^-1's rows are read off the functional
+    images and the chains sweep P^T.  At n = 2 it also builds delta and
+    chi_P once per chain, and lifts phi_bar's class map as a plain list:
+    five permutations from the same sweeps, and no linalg call either, as
+    phi is read off the field tables.  A second line_action on one graph
+    decodes no quotient row."""
+    import inspect
+    import sys
     import lfgraph.autos as autos
-    cases = [(graph_for(3, 3), 2, 1), (graph_for(3, 2), 5, 0)]
-    perms = [random_automorphism(g, rng()) for g, _, _ in cases]
-    calls = {"VertexPerm": 0, "_map_ids": 0, "mat_inv": 0}
+    import lfgraph.linalg as linalg
+    cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 5)]
+    perms = [random_automorphism(g, rng()) for g, _ in cases]
+    calls = {"VertexPerm": 0, "_map_ids": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1044,13 +1048,23 @@ def test_round_trip_work(monkeypatch):
 
     import lfgraph.graph as graph
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
-    # the semilinear sweep lives in graph; decompose inverts P in autos
     monkeypatch.setattr(graph, "_map_ids", counted("_map_ids", graph._map_ids))
-    monkeypatch.setattr(autos, "mat_inv", counted("mat_inv", autos.mat_inv))
-    for (g, built, inverted), perm in zip(cases, perms):
+    # every function linalg defines, under every name a module binds it to
+    modules = [m for key, m in sys.modules.items() if key.startswith("lfgraph")]
+    helpers = {fn: f"linalg.{name}" for name, fn in vars(linalg).items()
+               if inspect.isfunction(fn) and fn.__module__ == linalg.__name__}
+    assert {"linalg.identity", "linalg.random_invertible"} <= set(helpers.values())
+    for fn, name in helpers.items():
+        calls[name] = 0
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted(name, fn))
+    for (g, built), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image
-        assert calls == {"VertexPerm": built, "_map_ids": 4, "mat_inv": inverted}
+        assert calls == {"VertexPerm": built, "_map_ids": 4,
+                         **dict.fromkeys(helpers.values(), 0)}
     # a fresh graph, so the first line_action decodes the quotient rows
     g = build(field_from_order(2), 3)
     bit_list = counted("_bit_list", graph._bit_list)
@@ -1177,6 +1191,21 @@ def test_documents_name_their_field():
     assert perm_from_json(json.dumps(old), builtin).g is builtin
 
 
+def test_seeded_decompositions_pinned():
+    """Seeded decompositions are part of every seeded report, so the
+    digest of their documents is pinned: 25 seeded automorphisms at each
+    size, over prime and prime-power fields and n = 3, 4."""
+    import hashlib
+    digest = hashlib.sha256()
+    for q, n in [(2, 3), (3, 3), (4, 3), (8, 3), (9, 3), (2, 4)]:
+        g, r = graph_for(q, n), random.Random(q * 100 + n)
+        for _ in range(25):
+            d = decompose(g, random_automorphism(g, r))
+            digest.update(decomposition_to_json(g, d).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9e2f7c24fbee7e33220e896f8748a7bb30a517c5ae6171e3cb1d890718dec747")
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2),
                                  (3, 3), (4, 3)])
 def test_decomposition_json_round_trip(q, n):
@@ -1199,6 +1228,19 @@ def test_decomposition_json_rejects_malformed_delta(delta):
     assert doc["delta"] is not None
     doc["delta"] = delta
     with pytest.raises(ValueError):
+        decomposition_from_json(json.dumps(doc), g)
+
+
+def test_documents_refuse_boolean_ids():
+    """JSON true is no vertex id, though True == 1 passes a compare: a
+    permutation image or a delta holding one is refused."""
+    with pytest.raises(ValueError, match="bad 'image'"):
+        perm_from_json('{"q":2,"n":2,"image":[true,0,2,3,4,5]}')
+    g = graph_for(3, 2)
+    doc = json.loads(decomposition_to_json(g, decompose(g, sigma_swap(g))))
+    assert 1 in doc["delta"]
+    doc["delta"] = [True if t == 1 else t for t in doc["delta"]]
+    with pytest.raises(ValueError, match="bad 'delta'"):
         decomposition_from_json(json.dumps(doc), g)
 
 

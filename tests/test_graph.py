@@ -14,9 +14,10 @@ from lfgraph.graph import (FUN, VEC, LfGraph, _bit_list, _min_cover,
                            domination_number, export, graph6_bytes,
                            is_dominating, parse_edgelist_json, parse_graph6,
                            to_edgelist_json, to_graph6)
-from lfgraph.linalg import dot, monic_rep
+from lfgraph.linalg import monic_rep
 
 from conftest import graph_for
+from linalg_reference import dot
 
 
 def test_build_guards():

@@ -479,6 +479,7 @@ def test_cli_autos_check_scans_once(tmp_path, capsys, monkeypatch):
     {"q": 2, "n": "3", "image": list(range(14))},
     [2, 3],
     5,
+    {"q": 2, "n": 2, "image": [True, 0, 2, 3, 4, 5]},
 ])
 def test_cli_malformed_perm_files(tmp_path, capsys, doc):
     """A malformed document is a bad file (exit 2), never a verdict of

@@ -1,11 +1,13 @@
 import random
+from itertools import product
 
 import pytest
 
 from lfgraph.gf import field_from_order
-from lfgraph.linalg import (dot, identity, mat_inv, mat_mul, mat_vec,
-                            monic_rep, random_invertible, transpose)
+from lfgraph.linalg import identity, monic_rep, random_invertible
 
+from linalg_reference import dot, mat_inv, mat_mul, mat_vec, transpose
+from linalg_reference import random_invertible as reference_random_invertible
 from test_graph import kernel_basis, span_nonzero
 
 F2 = field_from_order(2)
@@ -128,3 +130,43 @@ def test_random_invertible_draw_order():
     assert [random_invertible(F9, 2, rng) for _ in range(5)] == [
         ((5, 2), (6, 0)), ((1, 8), (1, 5)), ((0, 8), (3, 0)),
         ((1, 6), (6, 1)), ((3, 1), (8, 6))]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 3), (4, 3), (8, 3)])
+def test_random_invertible_draws_match_reference(q, n):
+    """The sampler's forward elimination on the field tables draws exactly
+    what the rejection loop over the reference mat_inv draws, and leaves
+    the generator in the same state."""
+    F = field_from_order(q)
+    for seed in (1, 7, 1729):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert (random_invertible(F, n, ours)
+                    == reference_random_invertible(F, n, ref))
+        assert ours.getstate() == ref.getstate()
+
+
+class _Scripted:
+    """A stand-in generator that returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, stop):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+def test_random_invertible_accepts_exactly_the_invertible(q, n):
+    """Every n x n matrix, drawn first and followed by the identity: the
+    sampler returns it exactly when the reference mat_inv inverts it."""
+    F = field_from_order(q)
+    for entries in product(range(F.q), repeat=n * n):
+        M = tuple(zip(*[iter(entries)] * n))
+        try:
+            mat_inv(F, M)
+            invertible = True
+        except ValueError:
+            invertible = False
+        drawn = random_invertible(F, n, _Scripted(entries + sum(identity(n), ())))
+        assert drawn == (M if invertible else identity(n)), M
