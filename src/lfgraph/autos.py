@@ -234,8 +234,6 @@ def phi_bar(g: LfGraph, phi) -> VertexPerm:
 def _vec_partners(g: LfGraph) -> list[int]:
     """For each vector class index i, the functional class index (less
     half) of its orthogonal line: at n = 2 each class meets exactly one."""
-    if g.n != 2:
-        raise ValueError("orthogonal pairing applies to n = 2 only")
     rows = g.line_adjacency()
     half = len(rows) // 2
     return [row.bit_length() - 1 - half for row in rows[:half]]
@@ -330,6 +328,22 @@ MAX_ENUM_VERTICES = 20
 MAX_QUOTIENT_CLASSES = 40
 
 
+def _narrow(adj: list[int], cands, rest, v: int, c: int):
+    """A copy of the candidate masks cands (a list or a dict) with v mapped
+    to c: each u in rest keeps the candidates other than c whose adjacency
+    to c matches u's to v.  None when some mask empties.  With c = v and
+    every mask holding its own vertex, no mask empties."""
+    out = cands.copy()
+    out[v] = 1 << c
+    av, ac, notc = adj[v], adj[c], ~(1 << c)
+    for u in rest:
+        cu = out[u] & notc & (ac if (av >> u) & 1 else ~ac)
+        if not cu:
+            return None
+        out[u] = cu
+    return out
+
+
 def _automorphism_search(adj: list[int], init: dict[int, int],
                          collect: list | None = None):
     """Search the adjacency-preserving injections of the vertices in init
@@ -339,84 +353,54 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
     maps are found.  Return the first complete map as an image tuple (None
     if there is none), or, given a list collect, append every map to it.
     Plain forward-checking backtracking; no structural assumptions."""
-    n = len(adj)
-    cands0 = [0] * n
-    domain = 0
+    cands0 = [0] * len(adj)
     for v, mask in init.items():
         cands0[v] = mask
-        domain |= 1 << v
-    image = [0] * n
+    image = [0] * len(adj)
 
-    def rec(cands: list[int], remaining: int):
-        if remaining == 0:
+    def rec(cands: list[int], rest: list[int]):
+        if not rest:
             if collect is None:
                 return tuple(image)
             collect.append(tuple(image))
             return
-        pick, best = -1, None
-        m = remaining
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            pc = cands[v].bit_count()
-            if best is None or pc < best:
-                best, pick = pc, v
-                if pc <= 1:
-                    break
-        if best == 0:
-            return
-        v = pick
-        rem2 = remaining & ~(1 << v)
-        av = adj[v]
-        opts = cands[v]
-        while opts:
-            low = opts & -opts
-            c = low.bit_length() - 1
-            opts ^= low
-            ac = adj[c]
-            ncands = list(cands)
-            ok = True
-            m2 = rem2
-            notc = ~(1 << c)
-            while m2:
-                l2 = m2 & -m2
-                u = l2.bit_length() - 1
-                m2 ^= l2
-                cu = ncands[u] & notc
-                cu &= ac if (av >> u) & 1 else ~ac
-                if cu == 0:
-                    ok = False
-                    break
-                ncands[u] = cu
-            if ok:
+        # the first unassigned vertex with the fewest candidates
+        i, best = 0, cands[rest[0]].bit_count()
+        for j in range(1, len(rest)):
+            if best <= 1:
+                break
+            pc = cands[rest[j]].bit_count()
+            if pc < best:
+                i, best = j, pc
+        v = rest.pop(i)
+        for c in _bit_list(cands[v]):
+            ncands = _narrow(adj, cands, rest, v, c)
+            if ncands is not None:
                 image[v] = c
-                hit = rec(ncands, rem2)
+                hit = rec(ncands, rest)
                 if hit is not None:
                     return hit
+        rest.insert(i, v)
 
-    return rec(cands0, domain)
+    return rec(cands0, sorted(init))
 
 
 def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     """The order of the group G of maps _automorphism_search finds from
-    init (each mask inside init's domain), and the first-hit searches run.
-    Orbit-stabilizer: |G| is the product of |v_i^(G_i)| over the vertices
-    v_i of init, G_i fixing v_0 .. v_(i-1) (Seress, Permutation Group
-    Algorithms, ch. 4).  Levels are settled deepest first (McKay, Practical
-    graph isomorphism, 1981): a map found at level j is in every G_i with
-    i <= j, so v_i's orbit starts closed under every map found.  Each other
-    candidate w costs one complete search pinning v_i -> w: a hit joins
-    the maps and closes the orbit again, a miss rules out w's orbit."""
+    init (each mask inside init's domain and holding its own vertex), and
+    the first-hit searches run.  Orbit-stabilizer: |G| is the product of
+    |v_i^(G_i)| over the vertices v_i of init, G_i fixing v_0 .. v_(i-1)
+    (Seress, Permutation Group Algorithms, ch. 4).  Levels are settled
+    deepest first (McKay, Practical graph isomorphism, 1981): a map found
+    at level j is in every G_i with i <= j, so v_i's orbit starts closed
+    under every map found.  Each other candidate w costs one complete
+    search pinning v_i -> w: a hit joins the maps and closes the orbit
+    again, a miss rules out w's orbit."""
     pins, levels = dict(init), []
     for v in init:
-        levels.append((v, dict(pins)))
+        levels.append((v, pins))
         # fix v: a map fixing v keeps every vertex's adjacency to v
-        pins[v] = 1 << v
-        av, notv = adj[v], ~(1 << v)
-        for u in pins:
-            if u != v:
-                pins[u] &= notv & (av if (av >> u) & 1 else ~av)
+        pins = _narrow(adj, pins, [u for u in pins if u != v], v, v)
     found, order, searches = [], 1, 0
     for v, pins in reversed(levels):
         orbit, ruled_out = _orbit(found, v), set()

@@ -19,10 +19,11 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
-                           _automorphism_search, _count_with_searches,
+                           _automorphism_search, _count_by_orbits,
+                           _count_with_searches,
                            _intersection_holds, _lift_classes,
                            _uncoloured, _vec_partners)
-from lfgraph.graph import _map_ids, _semilinear
+from lfgraph.graph import LfGraph, _bit_list, _map_ids, _semilinear
 from lfgraph.linalg import identity, monic_rep, random_invertible
 
 from conftest import graph_for
@@ -913,6 +914,37 @@ def test_quotient_count_first_hit_searches(q, n, order, searches, one_cycle):
     assert searches < one_cycle
 
 
+def test_search_outputs_pinned():
+    """The search's output, pinned as one digest: every map of (2,2) and
+    (2,3) in the order the search finds them, the first hit under seeded
+    pins, the vertex-level counts of (5,2) and (3,3), and the quotient
+    count of (2,5), each count with its first-hit searches."""
+    import hashlib
+    digest = hashlib.sha256()
+
+    def put(x):
+        digest.update(repr(x).encode() + b"\n")
+
+    for q, n in [(2, 2), (2, 3)]:
+        put(all_automorphisms(graph_for(q, n)))
+    r = rng()
+    for q, n in [(3, 2), (2, 3), (3, 3)]:
+        g = graph_for(q, n)
+        for pinned in (1, 2, 3):
+            target = random_automorphism(g, r).image
+            pins = _uncoloured(g.adj)
+            for v in r.sample(range(g.num_vertices), pinned):
+                pins[v] = 1 << target[v]
+            put(_automorphism_search(g.adj, pins))
+    counts = [_count_by_orbits(g.adj, _uncoloured(g.adj))
+              for g in (graph_for(5, 2), graph_for(3, 3))]
+    counts.append(_count_with_searches(graph_for(2, 5), "quotient"))
+    assert [searches for _, searches in counts] == [101, 142, 157]
+    put(counts)
+    assert digest.hexdigest() == (
+        "de134ff7fa44f54d51a0bc54e942f623c2d323807583e088f45c79a9bc6d88c3")
+
+
 def _brute_component_isomorphisms(g):
     """Reference count: try every bijection of the first component onto
     the second."""
@@ -931,6 +963,21 @@ def test_component_isomorphisms(q):
     assert got == formula_component_isos(q)
     if q <= 4:
         assert got == _brute_component_isomorphisms(g)
+
+
+def test_component_isomorphisms_none():
+    """Components that are not isomorphic count 0: the (3,2) graph with
+    one edge removed inside its second component, which stays connected,
+    so the first search finds no map onto it."""
+    g = graph_for(3, 2)
+    v = g.components()[1][0]
+    u = _bit_list(g.adj[v])[0]
+    adj = list(g.adj)
+    adj[v] &= ~(1 << u)
+    adj[u] &= ~(1 << v)
+    cut = LfGraph(g.field, g.n, adj)
+    assert [len(c) for c in cut.components()] == [4] * 4
+    assert count_component_isomorphisms(cut) == 0
 
 
 def test_formula_values():
@@ -1278,6 +1325,7 @@ def test_decomposition_json_rejects_a_false_delta():
     (4, 3, "frob", True),
     (4, 3, "swap", "no"),
     (3, 2, "swap", 0),
+    (3, 2, "tau", {"vec:9,9": [0, 1]}),
 ])
 def test_decomposition_json_rejects_malformed_fields(q, n, key, value):
     """A malformed field is a ValueError, never a TypeError or

@@ -447,6 +447,23 @@ def test_cli_perm_files(tmp_path, capsys):
     assert run_cli("autos", "check", "--perm", str(missing)) == 2
 
 
+def test_cli_decompose_refuses_a_non_automorphism(tmp_path, capsys):
+    """A well-formed permutation that is no automorphism fails decompose
+    at its first step: exit 1, the step named on stderr, nothing on
+    stdout."""
+    from lfgraph.autos import VertexPerm, perm_to_json
+    g = __import__("conftest").graph_for(3, 2)
+    swapped = list(range(g.num_vertices))
+    swapped[0], swapped[2] = 2, 0  # two vectors of different classes
+    path = tmp_path / "perm.json"
+    path.write_text(perm_to_json(VertexPerm(g, swapped)))
+    assert run_cli("autos", "decompose", "--perm", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "decomposition failed at step 'not-automorphism'")
+    assert not captured.out
+
+
 def test_cli_autos_check_scans_once(tmp_path, capsys, monkeypatch):
     """One class map read per document, and its side behaviour or broken
     edge on one line."""
