@@ -7,26 +7,20 @@ Composition is function composition: (a.compose(b))(v) = a(b(v)).
 The decomposition factors a verified automorphism into the generator chain
 sigma^s . chi_P . pi_j . tau for n >= 3, or delta . chi_P . phi_bar . tau
 for n = 2.  decompose tests adjacency on the class quotient first
-(not-automorphism), so its recovery steps validate only what that test
-leaves unproved, each with a witness: that the class map is semilinear
+(not-automorphism); its recovery steps then validate, each with a witness,
+only what that test leaves unproved: that the class map is semilinear
 (frobenius) and that its chain leaves a shuffle inside each class
 (twin-residual).  compose, decompose and random_automorphism share one
-chain evaluator, _chain, whose generator part is one image list from
-graph._semilinear (which the domination search's generators use too): a
-sweep of P . v^(p^j) on vectors, and on functionals the inverse of the
-sweep of w -> (P^T w)^(p^(k-j)), so no chain inverts P.  No round trip
-calls linalg: at n >= 3 the rows of P^-1 are the scaled coordinates of the
-images of the functionals f_{e_i}, and the traces, like phi at n = 2, are
-read off the field tables.  Whatever acts on whole scalar classes is built
-by one member-order lift, _lift: delta, phi_bar and the n = 2 sampler each
-lift a class map, and the twin shuffle tau lifts a shuffle of each class.
-Class-level questions read the graph's cached line_index(),
-line_adjacency() and its rows decoded once, line_neighbors(); autos keeps
-no state.  line_action is the one place that reads a class map off a
-permutation: it tests the permutation on the class quotient and returns
-that map, scanning vertex adjacency rows only to name a broken edge.
-automorphism_defect, check_structure and decompose each call it once;
-delta reads its crossing pattern off the map.  The one structural fact no
+chain evaluator, _chain, built on graph._semilinear, so no chain inverts P
+and no round trip calls linalg: the rows of P^-1, the traces and phi are
+read off the field tables.  Whatever acts on whole scalar classes (delta,
+phi_bar, the n = 2 sampler, the twin shuffle tau) is one gather, _lift, of
+class members at the graph's member_positions().  Class-level questions
+read the graph's cached class readers (line_index(), line_firsts(),
+line_neighbors(), line_partners()); autos keeps no state.  line_action is
+the one place that reads a class map off a permutation: it checks that
+the map is well defined and sends every quotient edge to an edge, and
+scans vertex rows only to name a broken edge.  The one structural fact no
 class map shows, the neighbourhood intersection identity, is a graph fact
 that _intersection_holds checks once per graph.
 """
@@ -36,12 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .gf import factor_prime_power, field_from_order
 from .linalg import identity, random_invertible
-from .graph import (GuardError, LfGraph, _bit_list, _orbit, _row_lists,
-                    _semilinear, build)
+from .graph import (GuardError, LfGraph, _bit_list, _gather, _orbit,
+                    _row_lists, _semilinear, build)
 
 
 class VertexPerm:
@@ -109,18 +103,19 @@ def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
     The test runs on the class quotient.  An automorphism sends twins to
     twins, and between two classes adjacency is all or nothing, so perm is
     one exactly when it sends every class onto a single class, the class
-    of its first member's image, and lmap preserves line_adjacency().
-    Classes are equal in size, so such an lmap is a bijection, and
-    checking it on the vector classes covers every edge.  Only a failing
-    perm is scanned row by row, to name its first broken edge: every edge
-    has one vector endpoint x, so only the vector rows are read."""
+    of its first member's image, and lmap sends each quotient edge (c, d),
+    c a vector class, to an edge.  Classes are equal in size, so lmap is
+    a bijection; every edge has a vector end, so it sends the finite edge
+    set into, hence onto, itself.  Only a failing perm is scanned row by
+    row, to name its first broken edge: every edge has one vector endpoint
+    x, so only the vector rows are read."""
     lof, img = g.line_index(), perm.image
-    cls = list(map(lof.__getitem__, img))
-    lmap = [cls[line.members[0]] for line in g.lines()]
-    rows, nbrs = g.line_adjacency(), g.line_neighbors()
-    if list(map(lmap.__getitem__, lof)) == cls and all(
-            sum(map((1).__lshift__, map(lmap.__getitem__, nbrs[c])))
-            == rows[lmap[c]] for c in range(len(rows) // 2)):
+    cls = _gather(lof, img)
+    lmap = list(_gather(cls, g.line_firsts()))
+    half, nbrs = len(lmap) // 2, g.line_neighbors()
+    images = map(map, repeat(lmap.__getitem__), nbrs[:half])  # mapped neighbours
+    if _gather(lmap, lof) == cls and all(map(
+            frozenset.issuperset, map(nbrs.__getitem__, lmap), images)):
         return lmap
     adj = g.adj
     # the test accepts every automorphism, and a bijection that keeps every
@@ -164,7 +159,7 @@ def sigma_swap(g: LfGraph) -> VertexPerm:
 def _class_escape(g: LfGraph, image) -> int | None:
     """The least vertex that image sends out of its twin class, or None."""
     lof = g.line_index()
-    if tuple(map(lof.__getitem__, image)) == lof:
+    if _gather(lof, image) == lof:
         return None
     return next(v for v, t in enumerate(image) if lof[t] != lof[v])
 
@@ -186,21 +181,16 @@ def tau_from_table(g: LfGraph, table: dict[int, int]) -> VertexPerm:
     return VertexPerm(g, image)
 
 
-def _lift(g: LfGraph, targets) -> list[int]:
-    """The image list sending the k-th member of class c to targets[c][k].
-    With targets[c] the members of class lmap[c], this is the member-order
-    lift of the class map lmap, which line_action reads back."""
-    image = [0] * g.num_vertices
-    for line, dst in zip(g.lines(), targets):
-        for m, t in zip(line.members, dst):
-            image[m] = t
-    return image
+def _lift(g: LfGraph, targets) -> tuple:
+    """The image sending the k-th member of class c to targets[c][k]: one
+    gather at member_positions().  With targets[c] the members of class
+    lmap[c], it is the member-order lift of lmap, which line_action reads."""
+    return _gather(tuple(chain.from_iterable(targets)), g.member_positions())
 
 
-def _lift_classes(g: LfGraph, lmap) -> list[int]:
+def _lift_classes(g: LfGraph, lmap) -> tuple:
     """The member-order lift of the class map lmap."""
-    lines = g.lines()
-    return _lift(g, [lines[c].members for c in lmap])
+    return _lift(g, [line.members for line in _gather(g.lines(), lmap)])
 
 
 def _phi_classes(g: LfGraph, phi) -> list[int]:
@@ -216,7 +206,7 @@ def _phi_classes(g: LfGraph, phi) -> list[int]:
         raise ValueError("phi must be a permutation of the field fixing 0")
     # lines() lists (0, 1), then (1, s) in field order: class 1 + s a side
     fun = [0] + [1 + t for t in phi]
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     return [partner[fun[p]] for p in partner] + [q + 1 + c for c in fun]
 
 
@@ -231,17 +221,9 @@ def phi_bar(g: LfGraph, phi) -> VertexPerm:
     return VertexPerm(g, _lift_classes(g, _phi_classes(g, phi)))
 
 
-def _vec_partners(g: LfGraph) -> list[int]:
-    """For each vector class index i, the functional class index (less
-    half) of its orthogonal line: at n = 2 each class meets exactly one."""
-    rows = g.line_adjacency()
-    half = len(rows) // 2
-    return [row.bit_length() - 1 - half for row in rows[:half]]
-
-
 def _delta_impl(g: LfGraph, lmap) -> VertexPerm:
     half = len(lmap) // 2
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     # a component counts as crossed when lmap sends some vector class onto
     # its functional part; the flag lives on the target component, not the
     # source, so that delta(V) = rho(V) as sets
@@ -568,7 +550,7 @@ def random_automorphism(g: LfGraph, rng) -> VertexPerm:
         return compose(g, Decomposition(rng.random() < 0.5, None, P, j, None, tau))
     lines = g.lines()
     half = len(lines) // 2
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     target = list(range(half))
     rng.shuffle(target)
     dst = [None] * len(lines)
@@ -607,25 +589,24 @@ class Decomposition:
     tau: VertexPerm
 
 
-def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int]:
-    """Image list of a decomposition's generator part: sigma^swap . chi_P .
+def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:
+    """Image of a decomposition's generator part: sigma^swap . chi_P .
     pi_frob for n >= 3, delta . chi_P . phi_bar(phi) for n = 2."""
     if g.n >= 3:
         if frob is None or phi is not None or delta is not None:
             raise ValueError("n >= 3 decompositions use swap/P/frob/tau only")
-        image = _semilinear(g, P, frob)
-        return list(map(g.mirror, image)) if swap else image
+        image, nv = _semilinear(g, P, frob), g.nv  # the sides stay: mirror by shifts
+        return [t + nv for t in image[:nv]] + [t - nv for t in image[nv:]] if swap else image
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
-    lin = chi_p(g, P).image
-    image = [lin[t] for t in _lift_classes(g, _phi_classes(g, phi))]
-    return image if delta is None else [delta.image[t] for t in image]
+    image = _gather(chi_p(g, P).image, _lift_classes(g, _phi_classes(g, phi)))
+    return image if delta is None else _gather(delta.image, image)
 
 
 def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
     """Multiply a decomposition back into a single vertex permutation."""
-    chain = _chain(g, d.swap, d.delta, d.P, d.frob, d.phi)
-    return VertexPerm(g, [chain[t] for t in d.tau.image])
+    gen = _chain(g, d.swap, d.delta, d.P, d.frob, d.phi)
+    return VertexPerm(g, _gather(gen, d.tau.image))
 
 
 def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
@@ -648,8 +629,14 @@ def _basis_change(g: LfGraph, rho_p):
     keeps the vector side, so P is invertible: were its columns dependent,
     a functional would meet them all, and its preimage under rho' every e_i."""
     # e_i is the packed value q^(n-1-i)
-    return tuple(zip(*(g.coords_of(rho_p(g.q ** (g.n - 1 - i) - 1))[1]
+    return tuple(zip(*(_coords(g, rho_p(g.q ** (g.n - 1 - i) - 1))
                        for i in range(g.n))))
+
+
+def _coords(g: LfGraph, vid: int) -> list[int]:
+    """The coordinates of vertex vid, either side, with no range check."""
+    r, q = vid % g.nv + 1, g.q
+    return [r // q ** e % q for e in range(g.n - 1, -1, -1)]
 
 
 def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
@@ -657,7 +644,7 @@ def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     inv = [0] * g.num_vertices
     for v, t in enumerate(_chain(g, *gen)):
         inv[t] = v
-    tau = [inv[t] for t in rho.image]
+    tau = _gather(inv, rho.image)
     v = _class_escape(g, tau)
     if v is not None:
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
@@ -690,14 +677,14 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     # k != i and u . P_i != 0, and u / (u . P_i) times P is e_i^T.
     Pinv = []
     for i, col in enumerate(zip(*P)):
-        u = g.coords_of(img[g.nv + q ** (n - 1 - i) - 1])[1]
+        u = _coords(g, img[g.nv + q ** (n - 1 - i) - 1])
         Pinv.append([mul[inv[dot(u, col)]][a] for a in u])
 
     # chi_P^-1 . rho' fixes e1 and e_axis, so it keeps the functional classes
     # meeting both and the line of the two classes: the image of e1 + a*e_axis
     # is x*e1 + y*e_axis, x != 0 (not in e_axis's class), y != 0 for a != 0
     def trace(axis, a):  # y / x for the image of e1 + a*e_axis
-        w = g.coords_of(img[q ** (n - 1) + a * q ** (n - 1 - axis) - 1])[1]
+        w = _coords(g, img[q ** (n - 1) + a * q ** (n - 1 - axis) - 1])
         return mul[dot(Pinv[axis], w)][inv[dot(Pinv[0], w)]]
 
     # the axis-1 table must be a scaled Frobenius power, hence a bijection

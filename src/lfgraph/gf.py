@@ -102,10 +102,10 @@ class Field:
 
     def _build_tables(self):
         """Sweep the digits of b one at a time, least significant fastest,
-        as graph._map_ids does.  A sum row packs (a_i + t) mod p; a product
-        row sums b_i (a x^i), where a x^(i+1) is a x^i shifted up one digit
-        with its top digit t folded back as t x^k mod the modulus.  A unit
-        row without 1 means F_p[x]/(m) is not a field: m is reducible."""
+        as graph._map_ids does at odd p.  A sum row packs (a_i + t) mod p;
+        a product row sums b_i (a x^i), where a x^(i+1) is a x^i shifted up
+        one digit with its top digit t folded back as t x^k mod the modulus.
+        A unit row without 1 means F_p[x]/(m) is not a field: m is reducible."""
         p, k, q = self.p, self.k, self.q
         self._add = []
         for a in range(q):

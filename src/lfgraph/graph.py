@@ -16,6 +16,7 @@ import json
 from binascii import b2a_base64
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
+from operator import itemgetter
 
 from .gf import Field, GuardError
 from .linalg import identity
@@ -39,6 +40,10 @@ def _bit_list(mask: int) -> list[int]:
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [8 * i + b for i, byte in enumerate(data) if byte
             for b in _BYTE_BITS[byte]]
+
+
+def _gather(seq, idx) -> tuple:  # seq[i] for i in idx in C; len(idx) > 1
+    return itemgetter(*idx)(seq)
 
 
 def _row_lists(rows, decode=_bit_list):
@@ -71,6 +76,7 @@ class LfGraph:
         self.adj = adj
         self._lines = None
         self._line_of = None
+        self._pos = self._firsts = self._partners = None
         self._line_adj = None
         self._line_nbrs = None
 
@@ -171,14 +177,25 @@ class LfGraph:
         return self._lines
 
     def line_index(self) -> tuple[int, ...]:
-        """The class index of every vertex id, in id order."""
+        """Each vertex id's class index; the pass fills member_positions()."""
         if self._line_of is None:
-            lof = [0] * self.num_vertices
+            lof, pos = [0] * self.num_vertices, [0] * self.num_vertices
             for idx, line in enumerate(self.lines()):
-                for m in line.members:
-                    lof[m] = idx
-            self._line_of = tuple(lof)
+                for k, m in enumerate(line.members, idx * (self.q - 1)):
+                    lof[m], pos[m] = idx, k
+            self._line_of, self._pos = tuple(lof), tuple(pos)
         return self._line_of
+
+    def member_positions(self) -> tuple[int, ...]:
+        """Each vertex id's place in lines()' members end to end."""
+        self.line_index()
+        return self._pos
+
+    def line_firsts(self) -> list[int]:
+        """The first member of each class of lines()."""
+        if self._firsts is None:
+            self._firsts = [ln.members[0] for ln in self.lines()]
+        return self._firsts
 
     def line_adjacency(self) -> tuple[int, ...]:
         """The class quotient: one bitset row per class of lines(), bit d
@@ -188,15 +205,22 @@ class LfGraph:
                                    for ds in self.line_neighbors())
         return self._line_adj
 
-    def line_neighbors(self) -> tuple[list[int], ...]:
-        """Each class's adjacent classes, ascending: adj at its first member,
+    def line_neighbors(self) -> tuple[frozenset[int], ...]:
+        """Each class's adjacent classes, as a set: adj at its first member,
         masked to the first members, keeps one bit per adjacent class."""
         if self._line_nbrs is None:
-            lof, firsts = self.line_index(), [ln.members[0] for ln in self.lines()]
+            lof, firsts = self.line_index(), self.line_firsts()
             first = sum(map((1).__lshift__, firsts))
-            self._line_nbrs = tuple([lof[v] for v in _bit_list(self.adj[f] & first)]
-                                    for f in firsts)
+            self._line_nbrs = tuple(frozenset(map(
+                lof.__getitem__, _bit_list(self.adj[f] & first))) for f in firsts)
         return self._line_nbrs
+
+    def line_partners(self) -> list[int]:
+        """n = 2: each vector class's one neighbour class, less half."""
+        if self._partners is None:
+            half = len(self.lines()) // 2
+            self._partners = [min(ds) - half for ds in self.line_neighbors()[:half]]
+        return self._partners
 
     def neighbor_set(self, line: Line) -> int:
         """Common adjacency bitset of every member of the class."""
@@ -263,19 +287,32 @@ def _kernel_mask(field: Field, u) -> int:
 
 def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
     """Vector id of M . digit(v) for every vector v, indexed by vector id.
-
-    digit maps each coordinate first (None: the identity).  Row k of M is
-    coordinate k for every packed id at once, one list sweep per column.
-    """
+    digit maps each coordinate first (None: the identity) and must be
+    additive, as a Frobenius power is.  At odd p, row k of M is coordinate k
+    for every packed id at once, one list sweep per column after the first.
+    At p = 2 an element's code is its coefficient bits and q = 2^k, so a
+    packed id + 1 is the coordinate codes side by side and vector addition
+    is XOR; v -> M . digit(v) is XOR-linear in the bits of v, so the list
+    doubles once per bit j (bit j mod k of coordinate n-1 - j//k), XORing in
+    its image, digit(2^(j mod k)) times that column of M."""
     q, add, mul = g.q, g.field._add, g.field._mul
     digit = range(q) if digit is None else digit
-    out = [0] * (g.nv + 1)
-    for row in M:
-        d = [0]
-        for p in row:
-            col = [mul[p][c] for c in digit]
-            d = [to[y] for to in map(add.__getitem__, d) for y in col]
-        out = [x * q + y for x, y in zip(out, d)]
+    if g.field.p == 2:
+        k, n, out = g.field.k, len(M), [0]
+        for j in range(n * k):
+            col, c, b = n - 1 - j // k, digit[1 << j % k], 0
+            for row in M:
+                b = b << k | mul[row[col]][c]
+            out += [x ^ b for x in out]
+    else:
+        out = None
+        for row in M:
+            d = None
+            for a in row:
+                col = list(map(mul[a].__getitem__, digit))
+                d = col if d is None else [
+                    to[y] for to in map(add.__getitem__, d) for y in col]
+            out = d if out is None else [x * q + y for x, y in zip(out, d)]
     return [x - 1 for x in out[1:]]
 
 

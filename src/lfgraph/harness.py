@@ -27,7 +27,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .gf import field_from_order
 from .graph import (VEC, GuardError, LfGraph, build, domination_number,
@@ -142,20 +142,27 @@ def _guarded(formula: int, run):
         return _skip(str(e), formula)
 
 
-def _sample_autos(g: LfGraph, rng) -> tuple[list[VertexPerm], str]:
-    if (g.num_vertices <= MAX_ENUM_VERTICES
-            and count_automorphisms(g) <= EXHAUSTIVE_GROUP):
-        imgs = all_automorphisms(g)
-        return [VertexPerm(g, im) for im in imgs], f"all {len(imgs)}"
+def _enumerated(g: LfGraph) -> list[VertexPerm] | None:
+    """Every automorphism, when the group is small enough to sweep whole."""
+    if g.num_vertices > MAX_ENUM_VERTICES or count_automorphisms(g) > EXHAUSTIVE_GROUP:
+        return None
+    return [VertexPerm(g, im) for im in all_automorphisms(g)]
+
+
+def _sample_autos(g: LfGraph, rng, group) -> tuple[list[VertexPerm], str]:
+    """group(), run_verify's one _enumerated(g), else SAMPLE_COUNT draws."""
+    perms = group()
+    if perms is not None:
+        return perms, f"all {len(perms)}"
     perms = [random_automorphism(g, rng) for _ in range(SAMPLE_COUNT)]
     return perms, f"sampled {SAMPLE_COUNT}"
 
 
-def _sweep(g: LfGraph, rng, check):
-    """Run check(g, perm) on the sampled automorphisms; the first one that
-    returns failure fields fails the claim, its fields after the method
-    and the index."""
-    perms, how = _sample_autos(g, rng)
+def _sweep(g: LfGraph, sample, check):
+    """Run check(g, perm) on the automorphisms sample() returns; the first
+    one that returns failure fields fails the claim, its fields after the
+    method and the index."""
+    perms, how = sample()
     for idx, perm in enumerate(perms):
         fields = check(g, perm)
         if fields is not None:
@@ -178,7 +185,7 @@ def _class_action(g: LfGraph, perm: VertexPerm):
 
 # ---------- claim runners ----------
 
-def _run_reg(g, rng, deep):
+def _run_reg(g, sample, deep):
     """Degrees only: num_vertices is 2(q^n - 1) by its definition."""
     want = g.q ** (g.n - 1) - 1
     for v in range(g.num_vertices):
@@ -189,13 +196,13 @@ def _run_reg(g, rng, deep):
     return None, None, "property-pass", None
 
 
-def _run_sigma_card(g, rng, deep):
+def _run_sigma_card(g, sample, deep):
     """Vector side only: lines() mirrors each vector class to the other."""
     formula = (g.q ** g.n - 1) // (g.q - 1)
     return _compare(formula, sum(1 for line in g.lines() if line.side == VEC))
 
 
-def _run_twin(g, rng, deep):
+def _run_twin(g, sample, deep):
     """Twin classes against lines(), then each vertex's monic rep against
     its line_index() class: build gives a class of lines() one row, so
     only the second test is independent of lines()."""
@@ -212,7 +219,7 @@ def _run_twin(g, rng, deep):
     return None, None, "property-pass", None
 
 
-def _run_conn(g, rng, deep):
+def _run_conn(g, sample, deep):
     comps = g.components()
     if g.n >= 3:
         if len(comps) == 1:
@@ -241,7 +248,7 @@ def _run_conn(g, rng, deep):
     return None, None, "property-pass", None
 
 
-def _run_dom_side(g, rng, deep):
+def _run_dom_side(g, sample, deep):
     formula = g.q + 1
 
     def run():
@@ -258,7 +265,7 @@ def _run_dom_side(g, rng, deep):
     return _guarded(formula, run)
 
 
-def _run_dom_whole(g, rng, deep, mode):
+def _run_dom_whole(g, sample, deep, mode):
     formula = 2 * g.q + 2
 
     def run():
@@ -267,7 +274,7 @@ def _run_dom_whole(g, rng, deep, mode):
     return _guarded(formula, run)
 
 
-def _run_comp_iso(g, rng, deep):
+def _run_comp_iso(g, sample, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_component_isos(g.q)
@@ -275,23 +282,23 @@ def _run_comp_iso(g, rng, deep):
         formula, count_component_isomorphisms(g)))
 
 
-def _run_struct_gen(g, rng, deep):
+def _run_struct_gen(g, sample, deep):
     """The intersection identity once per graph, then the class action of
     every sampled automorphism."""
     holds, witness = _intersection_holds(g)
     if not holds:
         return None, None, "property-fail", {"witness": witness}
-    return _sweep(g, rng, _class_action)
+    return _sweep(g, sample, _class_action)
 
 
-def _run_struct_n2(g, rng, deep):
+def _run_struct_n2(g, sample, deep):
     """At n = 2 a well-defined class action keeps each component whole."""
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    return _sweep(g, rng, _class_action)
+    return _sweep(g, sample, _class_action)
 
 
-def _run_card_n2(g, rng, deep):
+def _run_card_n2(g, sample, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_card_n2(g.q)
@@ -299,7 +306,7 @@ def _run_card_n2(g, rng, deep):
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_gen(g, rng, deep):
+def _run_card_gen(g, sample, deep):
     if g.n < 3:
         return _skip("applies to n >= 3 only")
     formula = formula_card_general(g.q, g.n)
@@ -310,7 +317,7 @@ def _run_card_gen(g, rng, deep):
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_stab(g, rng, deep):
+def _run_card_stab(g, sample, deep):
     formula = formula_twin_stabilizer(g.q, g.n)
     return _guarded(formula,
                     lambda: _compare(formula, count_class_stabilizers(g)))
@@ -324,8 +331,8 @@ def _decomp_fields(g, perm):
     return None if compose(g, d) == perm else {"step": "recompose"}
 
 
-def _run_decomp(g, rng, deep):
-    return _sweep(g, rng, _decomp_fields)
+def _run_decomp(g, sample, deep):
+    return _sweep(g, sample, _decomp_fields)
 
 
 _RUNNERS = {
@@ -364,6 +371,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
         if unknown:
             raise ValueError(f"unknown claim ids: {sorted(unknown)}")
     g = build(field_from_order(q), n)
+    group = cache(partial(_enumerated, g))  # one enumeration for every sweep
     start = time.monotonic()
     results = []
     for cid, locus in REGISTRY:
@@ -375,9 +383,9 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
             results.append(ClaimResult(cid, locus, None, None, "skipped",
                                        {"reason": "budget exhausted"}))
             continue
-        rng = random.Random(f"{seed}:{cid}")
+        sample = partial(_sample_autos, g, random.Random(f"{seed}:{cid}"), group)
         t0 = time.monotonic()
-        formula, oracle, verdict, witness = _RUNNERS[cid](g, rng, deep)
+        formula, oracle, verdict, witness = _RUNNERS[cid](g, sample, deep)
         print(f"# {cid} q={q} n={n}: {verdict} "
               f"[{time.monotonic() - t0:.2f}s]", file=sys.stderr)
         results.append(ClaimResult(cid, locus, formula, oracle, verdict,

@@ -21,8 +21,8 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            tau_from_table, _decompose_general, _decompose_n2,
                            _automorphism_search, _count_by_orbits,
                            _count_with_searches,
-                           _intersection_holds, _lift_classes,
-                           _uncoloured, _vec_partners)
+                           _intersection_holds, _lift, _lift_classes,
+                           _uncoloured)
 from lfgraph.graph import LfGraph, _bit_list, _map_ids, _semilinear
 from lfgraph.linalg import identity, monic_rep, random_invertible
 
@@ -149,6 +149,37 @@ def test_automorphism_defect_matches_full_scan(q, n):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
+                                 (4, 3), (2, 4)])
+def test_line_action_matches_vertex_scan_on_shuffled_lifts(q, n):
+    """Lifts of class maps with every class's members shuffled: random
+    class permutations that keep the sides, random ones that may cross
+    them, and automorphisms' class maps with two classes swapped.  Each
+    keeps every class whole, so only the quotient edge test can reject
+    it; acceptance, class map and broken edge match a vertex-level scan."""
+    g = graph_for(q, n)
+    r = rng()
+    lines = g.lines()
+    m = len(lines)
+    half = m // 2
+    verdicts = []
+    for _ in range(20):
+        kept = r.sample(range(half), half) + r.sample(range(half, m), half)
+        swapped = line_action(g, random_automorphism(g, r))
+        a, b = r.sample(range(m), 2)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        for lmap in (kept, r.sample(range(m), m), swapped):
+            targets = [r.sample(lines[c].members, q - 1) for c in lmap]
+            perm = VertexPerm(g, _lift(g, targets))
+            want = _defect_full_scan(g, perm)
+            try:
+                assert (want, line_action(g, perm)) == (None, lmap)
+            except LineActionError as e:
+                assert e.witness == want is not None
+            verdicts.append(want is None)
+    assert not all(verdicts)
+
+
 def test_automorphism_defect_accepts_on_the_quotient(monkeypatch):
     """An automorphism is accepted without reading a vertex adjacency row;
     the row scan runs only to name a non-automorphism's broken edge."""
@@ -237,7 +268,7 @@ def _phi_bar_reference(g, phi):
 
 
 @pytest.mark.parametrize("q,n", [(4, 3), (8, 3), (9, 2), (2, 2), (3, 2),
-                                 (4, 2), (5, 2), (7, 2), (8, 2)])
+                                 (4, 2), (5, 2), (7, 2), (8, 2), (2, 4), (16, 2)])
 def test_vertex_actions_match_tuple_reference(q, n):
     g = graph_for(q, n)
     r = rng()
@@ -274,7 +305,8 @@ def test_chi_p_rejects_singular():
         chi_p(g, ((1, 1), (1, 1)))
 
 
-@pytest.mark.parametrize("q,n", [(4, 2), (4, 3), (8, 2), (8, 3), (9, 2), (9, 3)])
+@pytest.mark.parametrize("q,n", [(4, 2), (4, 3), (8, 2), (8, 3), (9, 2), (9, 3),
+                                 (2, 3), (16, 2)])
 def test_semilinear_functionals_match_inverse_transpose(q, n):
     """The functional half, swept from P^T without inverting P, is the
     sweep of (P^-1)^T with the Frobenius digit map, for every j."""
@@ -433,7 +465,7 @@ def _delta_reference(g, rho):
     and swap the two parts inside the component when only one does."""
     lines = g.lines()
     half = len(lines) // 2
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     crossing = [False] * half
     for i in range(half):
         t = rho.image[lines[i].members[0]]
@@ -468,7 +500,7 @@ def test_vec_partners_follow_orthogonal_rule(q):
     g = graph_for(q, 2)
     F, lines = g.field, g.lines()
     half = len(lines) // 2
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     assert len(partner) == half == q + 1
     for i, p in enumerate(partner):
         c, d = lines[i].rep
@@ -479,7 +511,7 @@ def test_vec_partners_follow_orthogonal_rule(q):
                                                (5, True), (7, False), (9, True)])
 def test_delta_matches_case_reference(q, self_orthogonal):
     g = graph_for(q, 2)
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     assert any(p == i for i, p in enumerate(partner)) == self_orthogonal
     r = rng()
     for rho in [sigma_swap(g)] + [random_automorphism(g, r) for _ in range(40)]:
@@ -504,7 +536,7 @@ def test_delta_asymmetric_crossing():
     g = graph_for(3, 2)
     lines = g.lines()
     half = len(lines) // 2
-    partner = _vec_partners(g)
+    partner = g.line_partners()
     v0, f0 = lines[0].members, lines[half + partner[0]].members
     v1, f1 = lines[1].members, lines[half + partner[1]].members
     img = list(range(g.num_vertices))
@@ -602,7 +634,7 @@ def _structure_reference(g, perm):
     if g.n >= 3:
         purity = behavior != "mixed"
     else:
-        partner = _vec_partners(g)
+        partner = g.line_partners()
         comp = list(range(half)) + partner
         purity = all(comp[lmap[i]] == comp[lmap[half + partner[i]]]
                      for i in range(half))

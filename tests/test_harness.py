@@ -173,7 +173,7 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
     STRUCT-N2 with line_action's broken edge, and DECOMP with decompose's
     step and witness.  Swapping vertex 0 with the first member of class 1
     breaks the edge from vertex 0 to the functional with class 1's rep."""
-    def swapped(g, rng):
+    def swapped(g, rng, group):
         img = list(range(g.num_vertices))
         b = g.lines()[1].members[0]
         img[0], img[b] = b, 0
@@ -193,6 +193,23 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
         assert c.verdict == "property-fail"
         assert c.witness == {**head, "step": "not-automorphism",
                              "witness": {"edge": edge}}
+
+
+def test_verify_enumerates_each_group_once(monkeypatch):
+    """STRUCT-GEN, STRUCT-N2 and DECOMP sweep one enumeration per
+    run_verify call: under --deep on the default matrix, (2,2) and (2,3)
+    enumerate once each, and the sampled instances never."""
+    calls = []
+    enumerate_all = harness.all_automorphisms
+
+    def counted(g):
+        calls.append((g.q, g.n))
+        return enumerate_all(g)
+
+    monkeypatch.setattr(harness, "all_automorphisms", counted)
+    for q, n in harness.DEFAULT_MATRIX:
+        run_verify(q, n, deep=True)
+    assert calls == [(2, 2), (2, 3)]
 
 
 def _toggled(q, n, *edges):
