@@ -34,8 +34,8 @@ from itertools import chain, islice, repeat
 
 from .gf import factor_prime_power, field_from_order
 from .linalg import identity, random_invertible
-from .graph import (GuardError, LfGraph, _bit_list, _gather, _orbit,
-                    _row_lists, _semilinear, build)
+from .graph import (GuardError, LfGraph, _bit_list, _coords, _gather,
+                    _orbit, _row_lists, _semilinear, build)
 
 
 class VertexPerm:
@@ -490,19 +490,15 @@ def count_component_isomorphisms(g: LfGraph) -> int:
 
 # ---------- closed-form counts ----------
 
-def _validate_q(q: int) -> None:
-    factor_prime_power(q)
-
-
 def formula_card_n2(q: int) -> int:
     """(q+1)! * (2 ((q-1)!)^2)^(q+1)"""
-    _validate_q(q)
+    factor_prime_power(q)
     return math.factorial(q + 1) * (2 * math.factorial(q - 1) ** 2) ** (q + 1)
 
 
 def formula_card_general(q: int, n: int) -> int:
     """2 * M! * ((q-1)!)^(2M) with M = (q^n - 1)/(q - 1), for n >= 3."""
-    _validate_q(q)
+    factor_prime_power(q)
     if n < 3:
         raise ValueError("the general count applies to n >= 3")
     m = (q ** n - 1) // (q - 1)
@@ -511,7 +507,7 @@ def formula_card_general(q: int, n: int) -> int:
 
 def formula_twin_stabilizer(q: int, n: int) -> int:
     """((q-1)!)^(2M): automorphisms fixing every class setwise."""
-    _validate_q(q)
+    factor_prime_power(q)
     if n < 2:
         raise ValueError("dimension must be >= 2")
     m = (q ** n - 1) // (q - 1)
@@ -520,7 +516,7 @@ def formula_twin_stabilizer(q: int, n: int) -> int:
 
 def formula_component_isos(q: int) -> int:
     """2 ((q-1)!)^2: isomorphisms between two n = 2 components."""
-    _validate_q(q)
+    factor_prime_power(q)
     return 2 * math.factorial(q - 1) ** 2
 
 
@@ -633,12 +629,6 @@ def _basis_change(g: LfGraph, rho_p):
                        for i in range(g.n))))
 
 
-def _coords(g: LfGraph, vid: int) -> list[int]:
-    """The coordinates of vertex vid, either side, with no range check."""
-    r, q = vid % g.nv + 1, g.q
-    return [r // q ** e % q for e in range(g.n - 1, -1, -1)]
-
-
 def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     """tau = chain(gen)^-1 . rho, which must fix every twin class."""
     inv = [0] * g.num_vertices
@@ -690,8 +680,7 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     # the axis-1 table must be a scaled Frobenius power, hence a bijection
     tab = [0] + [trace(1, a) for a in F.units()]
     pi_norm = [F.div(t, tab[1]) for t in tab]
-    jstar = next((j for j in range(F.k)
-                  if all(pi_norm[a] == F.frobenius(a, j) for a in range(q))), None)
+    jstar = next((j for j, row in enumerate(F._frob) if pi_norm == row), None)
     if jstar is None:
         raise DecompositionError("frobenius", {"pi": pi_norm})
 

@@ -134,6 +134,11 @@ class Field:
         if any(1 not in row for row in self._mul[1:]):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        # _frob[j][a] = a^(p^j): row 0 is the identity, each next row the
+        # p-th power of the one before
+        self._frob = [list(range(q))]
+        for _ in range(k - 1):
+            self._frob.append([self.pow(a, p) for a in self._frob[-1]])
 
     # ---------- arithmetic ----------
 
@@ -170,10 +175,11 @@ class Field:
         return acc
 
     def frobenius(self, a: int, j: int) -> int:
-        """a -> a^(p^j), the j-th power of the absolute Frobenius."""
+        """a -> a^(p^j), the j-th power of the absolute Frobenius, read off
+        the table _build_tables fills."""
         if not 0 <= j < self.k:
             raise ValueError(f"Frobenius exponent {j} out of range [0, {self.k})")
-        return self.pow(a, self.p ** j)
+        return self._frob[j][a]
 
     # ---------- iteration and identity ----------
 

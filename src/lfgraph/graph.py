@@ -19,7 +19,6 @@ from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 
 from .gf import Field, GuardError
-from .linalg import identity
 
 VEC = "vec"
 FUN = "fun"
@@ -44,6 +43,12 @@ def _bit_list(mask: int) -> list[int]:
 
 def _gather(seq, idx) -> tuple:  # seq[i] for i in idx in C; len(idx) > 1
     return itemgetter(*idx)(seq)
+
+
+def _coords(g: LfGraph, vid: int) -> list[int]:
+    """The coordinates of vertex vid, either side, with no range check."""
+    r, q = vid % g.nv + 1, g.q
+    return [r // q ** e % q for e in range(g.n - 1, -1, -1)]
 
 
 def _row_lists(rows, decode=_bit_list):
@@ -112,13 +117,7 @@ class LfGraph:
     def coords_of(self, vid: int) -> tuple[str, tuple]:
         if not 0 <= vid < self.num_vertices:
             raise ValueError(f"vertex id {vid} out of range")
-        side = VEC if vid < self.nv else FUN
-        r = (vid if vid < self.nv else vid - self.nv) + 1
-        coords = []
-        for _ in range(self.n):
-            r, c = divmod(r, self.q)
-            coords.append(c)
-        return side, tuple(reversed(coords))
+        return (VEC if vid < self.nv else FUN), tuple(_coords(self, vid))
 
     # ---------- basic invariants ----------
 
@@ -227,10 +226,7 @@ class LfGraph:
         return self.adj[line.members[0]]
 
     def line_mask(self, line: Line) -> int:
-        mask = 0
-        for m in line.members:
-            mask |= 1 << m
-        return mask
+        return sum(map((1).__lshift__, line.members))
 
     def twin_classes(self) -> list[tuple[int, ...]]:
         """Vertices grouped by identical neighbor bitsets."""
@@ -285,9 +281,9 @@ def _kernel_mask(field: Field, u) -> int:
     return kmask >> 1
 
 
-def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
+def _map_ids(g: LfGraph, M, digit) -> list[int]:
     """Vector id of M . digit(v) for every vector v, indexed by vector id.
-    digit maps each coordinate first (None: the identity) and must be
+    digit, a table on the field, maps each coordinate first and must be
     additive, as a Frobenius power is.  At odd p, row k of M is coordinate k
     for every packed id at once, one list sweep per column after the first.
     At p = 2 an element's code is its coefficient bits and q = 2^k, so a
@@ -296,7 +292,6 @@ def _map_ids(g: LfGraph, M, digit=None) -> list[int]:
     doubles once per bit j (bit j mod k of coordinate n-1 - j//k), XORing in
     its image, digit(2^(j mod k)) times that column of M."""
     q, add, mul = g.q, g.field._add, g.field._mul
-    digit = range(q) if digit is None else digit
     if g.field.p == 2:
         k, n, out = g.field.k, len(M), [0]
         for j in range(n * k):
@@ -320,16 +315,16 @@ def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     """Image list of chi_P . pi_j: v -> P v^(p^j) on vectors and
     f_u -> f_{(P^-1)^T u^(p^j)} on functionals, one _map_ids sweep a side.
     The functional map is the inverse of w -> (P^T w)^(p^(k-j)), swept with
-    P^T's entries and the digits raised to p^(k-j), so P is never inverted;
-    a singular P^T sends some nonzero w to zero, id -1."""
+    P^T's entries and the digits raised to p^(k-j), both read off the
+    field's Frobenius table, so P is never inverted; a singular P^T sends
+    some nonzero w to zero, id -1."""
     F = g.field
     if not 0 <= j < F.k:
         raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
     if len(P) != g.n or any(len(row) != g.n for row in P):
         raise ValueError(f"P must be {g.n}x{g.n}")
-    frob, back = ([F.frobenius(c, e) for c in F.elements()] if e else None
-                  for e in (j, -j % F.k))
-    pre = _map_ids(g, [[back[c] for c in col] if j else col for col in zip(*P)], back)
+    frob, back = F._frob[j], F._frob[-j % F.k]
+    pre = _map_ids(g, [[back[c] for c in col] for col in zip(*P)], back)
     if -1 in pre:
         raise ValueError("matrix is singular")
     funs = [0] * g.nv
@@ -358,7 +353,7 @@ def _symmetries(g: LfGraph) -> list[list[int]]:
         matrix({(0, 1): F.pow(w, i)}) for i in range(F.k)]
     gens = [_semilinear(g, P, 0) for P in mats]
     if F.k > 1:
-        gens.append(_semilinear(g, identity(n), 1))
+        gens.append(_semilinear(g, matrix({}), 1))
     gens.append(list(range(g.nv, 2 * g.nv)) + list(range(g.nv)))
     return gens
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -32,8 +31,8 @@ from functools import cache, partial
 from .gf import field_from_order
 from .graph import (VEC, GuardError, LfGraph, build, domination_number,
                     export, is_dominating)
-from .autos import (MAX_ENUM_VERTICES, DecompositionError, LineActionError,
-                    VertexPerm, all_automorphisms, check_structure, compose,
+from .autos import (DecompositionError, LineActionError, VertexPerm,
+                    all_automorphisms, check_structure, compose,
                     count_automorphisms, count_class_stabilizers,
                     count_component_isomorphisms, decompose,
                     decomposition_to_json, formula_card_general,
@@ -45,39 +44,6 @@ from .linalg import monic_rep
 
 DEFAULT_SEED = 1729
 DEFAULT_MATRIX = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
-
-# id -> the statement the claim checks (kept stable: report consumers key on it)
-REGISTRY = (
-    ("CARD-GEN", "for n >= 3 the automorphism count equals "
-                 "2 M! ((q-1)!)^(2M) with M = (q^n-1)/(q-1)"),
-    ("CARD-N2", "for n = 2 the automorphism count equals "
-                "(q+1)! (2((q-1)!)^2)^(q+1)"),
-    ("CARD-STAB", "automorphisms fixing every scalar class setwise "
-                  "number ((q-1)!)^(2M)"),
-    ("COMP-ISO", "for n = 2 any two components admit exactly "
-                 "2((q-1)!)^2 isomorphisms"),
-    ("CONN", "the graph is connected for n >= 3 and splits into q+1 "
-             "complete bipartite components for n = 2"),
-    ("DECOMP", "every automorphism factors through the generator chain "
-               "and the factors recompose to it"),
-    ("DOM-SIDE", "the least functional set dominating the vector side "
-                 "has size q+1"),
-    ("DOM-WHOLE-STD", "the standard domination number of the whole graph "
-                      "equals 2q+2"),
-    ("DOM-WHOLE-TOT", "the total domination number of the whole graph "
-                      "equals 2q+2"),
-    ("REG", "the graph is (q^(n-1)-1)-regular on 2(q^n-1) vertices"),
-    ("SIGMA-CARD", "each side splits into (q^n-1)/(q-1) scalar classes"),
-    ("STRUCT-GEN", "class actions of automorphisms are well-defined "
-                   "bijections that commute with class neighborhoods, and "
-                   "the neighborhood intersection identity holds"),
-    ("STRUCT-N2", "for n = 2 every automorphism permutes the components "
-                  "with a pure side decision on each"),
-    ("TWIN", "two same-side vertices are twins exactly when one is a "
-             "scalar multiple of the other"),
-)
-
-CLAIM_IDS = tuple(cid for cid, _ in REGISTRY)
 
 # property claims sample this many random automorphisms when the group is
 # too large to sweep; small groups are swept in full
@@ -107,16 +73,6 @@ class VerificationReport:
                    for c in self.claims)
 
 
-def env_seed() -> int:
-    raw = os.environ.get("LFG_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LFG_SEED must be an integer, got {raw!r}")
-
-
 def _label(g: LfGraph, vid: int) -> list:
     side, coords = g.coords_of(vid)
     return [side, list(coords)]
@@ -143,10 +99,15 @@ def _guarded(formula: int, run):
 
 
 def _enumerated(g: LfGraph) -> list[VertexPerm] | None:
-    """Every automorphism, when the group is small enough to sweep whole."""
-    if g.num_vertices > MAX_ENUM_VERTICES or count_automorphisms(g) > EXHAUSTIVE_GROUP:
-        return None
-    return [VertexPerm(g, im) for im in all_automorphisms(g)]
+    """Every automorphism, when the group is small enough to sweep whole.
+    The vertex count sits under all_automorphisms' guard, so a graph over
+    it is refused before any search, and None sends the sweep to samples."""
+    try:
+        if count_automorphisms(g, method="vertex") <= EXHAUSTIVE_GROUP:
+            return [VertexPerm(g, im) for im in all_automorphisms(g)]
+    except GuardError:
+        pass
+    return None
 
 
 def _sample_autos(g: LfGraph, rng, group) -> tuple[list[VertexPerm], str]:
@@ -335,22 +296,41 @@ def _run_decomp(g, sample, deep):
     return _sweep(g, sample, _decomp_fields)
 
 
-_RUNNERS = {
-    "CARD-GEN": _run_card_gen,
-    "CARD-N2": _run_card_n2,
-    "CARD-STAB": _run_card_stab,
-    "COMP-ISO": _run_comp_iso,
-    "CONN": _run_conn,
-    "DECOMP": _run_decomp,
-    "DOM-SIDE": _run_dom_side,
-    "DOM-WHOLE-STD": partial(_run_dom_whole, mode="standard"),
-    "DOM-WHOLE-TOT": partial(_run_dom_whole, mode="total"),
-    "REG": _run_reg,
-    "SIGMA-CARD": _run_sigma_card,
-    "STRUCT-GEN": _run_struct_gen,
-    "STRUCT-N2": _run_struct_n2,
-    "TWIN": _run_twin,
-}
+# (id, the statement the claim checks, its runner); ids and statements are
+# kept stable, as report consumers key on them
+REGISTRY = (
+    ("CARD-GEN", "for n >= 3 the automorphism count equals "
+                 "2 M! ((q-1)!)^(2M) with M = (q^n-1)/(q-1)", _run_card_gen),
+    ("CARD-N2", "for n = 2 the automorphism count equals "
+                "(q+1)! (2((q-1)!)^2)^(q+1)", _run_card_n2),
+    ("CARD-STAB", "automorphisms fixing every scalar class setwise "
+                  "number ((q-1)!)^(2M)", _run_card_stab),
+    ("COMP-ISO", "for n = 2 any two components admit exactly "
+                 "2((q-1)!)^2 isomorphisms", _run_comp_iso),
+    ("CONN", "the graph is connected for n >= 3 and splits into q+1 "
+             "complete bipartite components for n = 2", _run_conn),
+    ("DECOMP", "every automorphism factors through the generator chain "
+               "and the factors recompose to it", _run_decomp),
+    ("DOM-SIDE", "the least functional set dominating the vector side "
+                 "has size q+1", _run_dom_side),
+    ("DOM-WHOLE-STD", "the standard domination number of the whole graph "
+                      "equals 2q+2", partial(_run_dom_whole, mode="standard")),
+    ("DOM-WHOLE-TOT", "the total domination number of the whole graph "
+                      "equals 2q+2", partial(_run_dom_whole, mode="total")),
+    ("REG", "the graph is (q^(n-1)-1)-regular on 2(q^n-1) vertices", _run_reg),
+    ("SIGMA-CARD", "each side splits into (q^n-1)/(q-1) scalar classes",
+     _run_sigma_card),
+    ("STRUCT-GEN", "class actions of automorphisms are well-defined "
+                   "bijections that commute with class neighborhoods, and "
+                   "the neighborhood intersection identity holds",
+     _run_struct_gen),
+    ("STRUCT-N2", "for n = 2 every automorphism permutes the components "
+                  "with a pure side decision on each", _run_struct_n2),
+    ("TWIN", "two same-side vertices are twins exactly when one is a "
+             "scalar multiple of the other", _run_twin),
+)
+
+CLAIM_IDS = tuple(cid for cid, _, _ in REGISTRY)
 
 
 def run_verify(q: int, n: int, claims=None, seed: int | None = None,
@@ -358,11 +338,12 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
     """Evaluate every registered claim for one (q, n) instance.
 
     claims: optional iterable of claim ids; everything else is reported as
-    skipped.  budget: soft wall-clock limit in seconds; claims that have
-    not started when it runs out are skipped, never dropped.
+    skipped.  seed: DEFAULT_SEED when None.  budget: soft wall-clock limit
+    in seconds; claims that have not started when it runs out are skipped,
+    never dropped.
     """
     if seed is None:
-        seed = env_seed()
+        seed = DEFAULT_SEED
     if claims is None:
         selected = set(CLAIM_IDS)
     else:
@@ -374,7 +355,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
     group = cache(partial(_enumerated, g))  # one enumeration for every sweep
     start = time.monotonic()
     results = []
-    for cid, locus in REGISTRY:
+    for cid, locus, runner in REGISTRY:
         if cid not in selected:
             results.append(ClaimResult(cid, locus, None, None, "skipped",
                                        {"reason": "not selected"}))
@@ -385,7 +366,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
             continue
         sample = partial(_sample_autos, g, random.Random(f"{seed}:{cid}"), group)
         t0 = time.monotonic()
-        formula, oracle, verdict, witness = _RUNNERS[cid](g, sample, deep)
+        formula, oracle, verdict, witness = runner(g, sample, deep)
         print(f"# {cid} q={q} n={n}: {verdict} "
               f"[{time.monotonic() - t0:.2f}s]", file=sys.stderr)
         results.append(ClaimResult(cid, locus, formula, oracle, verdict,
@@ -484,8 +465,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = build(field_from_order(args.q), args.n)
-    ok = {cid: _RUNNERS[cid](g, None, False)[2] in ("match", "property-pass")
-          for cid in ("REG", "SIGMA-CARD", "TWIN", "CONN")}
+    ok = {cid: run(g, None, False)[2] in ("match", "property-pass")
+          for cid, _, run in REGISTRY
+          if cid in ("REG", "SIGMA-CARD", "TWIN", "CONN")}
     # a passing CONN proved the count
     comps = (1 if g.n >= 3 else g.q + 1) if ok["CONN"] else len(g.components())
     print(f"vertices={g.num_vertices} regular={ok['REG']} "
@@ -557,10 +539,9 @@ def _cmd_verify(args) -> int:
         return 2
     instances = [(args.q, args.n)] if args.q is not None else list(DEFAULT_MATRIX)
     claims = _parse_claims(args.claims)
-    seed = args.seed if args.seed is not None else env_seed()
     reports = []
     for q, n in instances:
-        reports.append(run_verify(q, n, claims=claims, seed=seed,
+        reports.append(run_verify(q, n, claims=claims, seed=args.seed,
                                   budget=args.budget, deep=args.deep))
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))

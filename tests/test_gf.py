@@ -166,6 +166,8 @@ def test_frobenius_is_field_automorphism(q):
                 fa, fb = F.frobenius(a, j), F.frobenius(b, j)
                 assert F.frobenius(F.add(a, b), j) == F.add(fa, fb)
                 assert F.frobenius(F.mul(a, b), j) == F.mul(fa, fb)
+            # the homomorphism checks alone would pass the identity at every j
+            assert F.frobenius(a, j) == F.pow(a, F.p ** j)
 
 
 def test_frobenius_exponent_range():

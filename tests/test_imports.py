@@ -1,5 +1,6 @@
 """Every name a source module imports is referenced in that module, every
-private helper is used, and every decomposition step is tested."""
+private helper is used, every decomposition step is tested, and no module
+reads the environment nor harness a size guard."""
 
 import ast
 import re
@@ -71,3 +72,22 @@ def test_every_decomposition_step_is_named_in_tests():
                     if p.name != "test_imports.py")
     assert steps, "no DecompositionError step found in autos.py"
     assert not {s for s in steps if f'"{s}"' not in tests}
+
+
+def test_settings_and_guards_are_read_in_one_place():
+    """No module reads os.environ, so every input is an argument, and
+    harness names no MAX_* guard, so verify never compares a size itself:
+    the library raises GuardError and the harness reports the skip."""
+    for path in sorted(SRC.glob("*.py")):
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {a.name for a in node.names}
+        assert "environ" not in named, f"{path.name} reads os.environ"
+        if path.name == "harness.py":
+            guards = sorted(n for n in named if n.startswith("MAX_"))
+            assert not guards, f"harness.py names {guards}"
