@@ -26,7 +26,7 @@ FUN = "fun"
 # build refuses graphs over this many vertices, and branch-and-bound
 # domination any graph with a connected component over this many
 MAX_BUILD_VERTICES = 100_000
-MAX_SEARCH_VERTICES = 200
+MAX_SEARCH_VERTICES = 2046
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if (b >> i) & 1)
@@ -524,12 +524,17 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
     Each node holds generators of a group H of symmetries that keep its
     subproblem (uncovered elements, excluded candidates) fixed setwise.  It
     branches on the uncovered element with the fewest coverers not
-    excluded, trying them in index order: choosing c recurses with
-    Stab_H(c), and afterwards c's whole H-orbit is excluded.  A cover
-    meeting that orbit maps under H to one holding c, which the child
-    searched, so the search stays exact; with no generators it is a plain
-    DFS."""
-    gens = _merging(len(masks), gens)
+    excluded, trying them in index order, and after choosing c excludes
+    c's whole H-orbit: a cover meeting that orbit maps under H to one
+    holding c, which the child searched.  The child keeps the generators
+    that fix c.  They generate a subgroup of Stab_H(c), which fixes the
+    child's subproblem setwise, and the argument above holds under any
+    such group, so the search stays exact; it only prunes less than under
+    the whole stabilizer.  With no generators it is a plain DFS.
+
+    A node needs at least ceil(|uncovered| / top) more candidates, with top
+    the most uncovered elements one candidate not excluded covers, since
+    no excluded candidate is chosen below it; top = 0 is infeasible."""
     elem_cov = [0] * full.bit_length()
     for idx, mask in enumerate(masks):
         for e in _bit_list(mask):
@@ -543,22 +548,18 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
         best_sel.append(idx)
         uncov &= ~masks[idx]
     best = [len(best_sel), best_sel]
-    maxc = max(mask.bit_count() for mask in masks)
     chosen: list[int] = []
 
-    def dfs(uncovered: int, excluded: int, gens: list, tree):
-        # gens generate the parent's group, and tree is the orbit of the
-        # candidate just chosen; the stabilizer is built past the bound
+    def dfs(uncovered: int, excluded: int, gens: list):
         if not uncovered:
             if len(chosen) < best[0]:
                 best[0] = len(chosen)
                 best[1] = list(chosen)
             return
-        need = -(-uncovered.bit_count() // maxc)
-        if len(chosen) + need >= best[0]:
+        top = max(((m & uncovered).bit_count() for i, m in enumerate(masks)
+                   if not (excluded >> i) & 1), default=0)
+        if not top or len(chosen) - (-uncovered.bit_count() // top) >= best[0]:
             return
-        if gens and tree:
-            gens = _merging(len(masks), _schreier(gens, tree))
         pick, width = 0, None
         for e in _bit_list(uncovered):
             w = (elem_cov[e] & ~excluded).bit_count()
@@ -569,72 +570,26 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
         for c in _bit_list(pick & ~excluded):
             if (excluded >> c) & 1:
                 continue
-            tree = _orbit(gens, c)
             chosen.append(c)
-            dfs(uncovered & ~masks[c], excluded, gens, tree)
+            dfs(uncovered & ~masks[c], excluded, [s for s in gens if s[c] == c])
             chosen.pop()
-            for x in tree:
+            for x in _orbit(gens, c):
                 excluded |= 1 << x
 
-    dfs(full, 0, gens, None)
+    dfs(full, 0, gens)
     return best[0], best[1]
 
 
-def _orbit(gens: list, c: int) -> dict:
-    """The orbit of c under <gens> as a Schreier tree, in breadth-first
-    order: each point y but c maps to an (x, s) with s[x] = y, x before y."""
-    tree = {c: None}
-    queue = [c]
+def _orbit(gens: list, c: int) -> set:
+    """The orbit of c under <gens>."""
+    orbit, queue = {c}, [c]
     for x in queue:
         for s in gens:
             y = s[x]
-            if y not in tree:
-                tree[y] = (x, s)
+            if y not in orbit:
+                orbit.add(y)
                 queue.append(y)
-    return tree
-
-
-def _schreier(gens: list, tree: dict):
-    """Schreier's lemma: with u_x the tree's product sending the root c to
-    x, the u_{s(x)}^-1 . s . u_x over the orbit points x and generators s
-    generate the stabilizer of c."""
-    u, inv = {}, {}
-    for y, edge in tree.items():
-        u[y] = list(range(len(gens[0]))) if edge is None else [
-            edge[1][t] for t in u[edge[0]]]
-        v = inv[y] = [0] * len(u[y])
-        for t, z in enumerate(u[y]):
-            v[z] = t
-    for x, ux in u.items():
-        for s in gens:
-            w = inv[s[x]]
-            yield [w[s[t]] for t in ux]
-
-
-def _merging(n: int, gens) -> list:
-    """The generators that join two orbits of the ones kept before them,
-    at most n - 1 of n points.  They give the same orbits, and a subgroup."""
-    label = list(range(n))  # the least point of each point's orbit
-    kept = []
-    for s in gens:
-        if list(map(label.__getitem__, s)) == label:
-            continue
-        kept.append(s)
-        for x, y in enumerate(s):
-            a, b = label[x], label[y]
-            while label[a] != a:
-                a = label[a]
-            while label[b] != b:
-                b = label[b]
-            if a < b:
-                label[b] = a
-            elif b < a:
-                label[a] = b
-        flat: list[int] = []  # each parent is a lesser point
-        for x, a in enumerate(label):
-            flat.append(flat[a] if a < x else x)
-        label = flat
-    return kept
+    return orbit
 
 
 # ---------- export ----------

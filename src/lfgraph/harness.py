@@ -26,6 +26,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache, partial
 
 from .gf import field_from_order
@@ -386,6 +387,12 @@ def _jsonable(obj):
     return repr(obj)
 
 
+def _digits(n: int | None) -> str | None:
+    """n in decimal, whole: Decimal renders past str()'s default limit of
+    4300 digits, which formulas such as CARD-STAB's at (16,3) exceed."""
+    return None if n is None else str(Decimal(n))
+
+
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "q": report.q,
@@ -395,8 +402,8 @@ def report_to_dict(report: VerificationReport) -> dict:
             {
                 "id": c.id,
                 "paper_locus": c.locus,
-                "formula": None if c.formula is None else str(c.formula),
-                "oracle": None if c.oracle is None else str(c.oracle),
+                "formula": _digits(c.formula),
+                "oracle": _digits(c.oracle),
                 "verdict": c.verdict,
                 "witness": _jsonable(c.witness),
                 "ms": None,
@@ -421,9 +428,9 @@ def report_to_text(report: VerificationReport) -> str:
     for c in report.claims:
         bits = [f"  {c.id:<14} {c.verdict:<13}"]
         if c.formula is not None:
-            bits.append(f"formula={c.formula}")
+            bits.append(f"formula={_digits(c.formula)}")
         if c.oracle is not None:
-            bits.append(f"oracle={c.oracle}")
+            bits.append(f"oracle={_digits(c.oracle)}")
         if c.verdict == "skipped" and isinstance(c.witness, dict):
             bits.append(f"({c.witness.get('reason', '')})")
         elif c.verdict in ("mismatch", "property-fail") and c.witness is not None:
@@ -497,9 +504,9 @@ def _cmd_autos_count(args) -> int:
         print(f"# first-hit searches: {searches}", file=sys.stderr)
     parts = []
     if formula is not None:
-        parts.append(f"formula={formula}")
+        parts.append(f"formula={_digits(formula)}")
     if brute is not None:
-        parts.append(f"brute={brute}")
+        parts.append(f"brute={_digits(brute)}")
     print(" ".join(parts))
     if formula is not None and brute is not None and formula != brute:
         return 1

@@ -34,8 +34,8 @@ def test_graph_guards_raise_guard_error():
     with pytest.raises(graph.GuardError,
                        match="would have 80707212 vertices, over the 100000"):
         build(field_from_order(7), 9)
-    with pytest.raises(graph.GuardError, match="component of 248 vertices"):
-        domination_number(graph_for(5, 3), target="all")
+    with pytest.raises(graph.GuardError, match="component of 2660 vertices"):
+        domination_number(graph_for(11, 3), target="all")
     with pytest.raises(graph.GuardError,
                        match="exhaustive search is limited to 20 vertices"):
         domination_number(graph_for(4, 2), method="exhaustive")
@@ -289,9 +289,9 @@ def test_domination_guard_applies_per_component(monkeypatch):
     size, witness = domination_number(g, target="all", mode="standard")
     assert size == len(witness) == 24
     assert is_dominating(g, witness, target="all", mode="standard")
-    # (5,3) is one component of 248 vertices
-    with pytest.raises(ValueError, match="component of 248 vertices"):
-        domination_number(graph_for(5, 3), target="all")
+    # (11,3) is one component of 2660 vertices
+    with pytest.raises(ValueError, match="component of 2660 vertices"):
+        domination_number(graph_for(11, 3), target="all")
     # (5,2) has components of 8 vertices
     g = graph_for(5, 2)
     monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 8)
@@ -308,8 +308,8 @@ def test_domination_guard_decodes_no_component(monkeypatch):
         raise AssertionError("components() was called")
 
     monkeypatch.setattr(LfGraph, "components", listed)
-    with pytest.raises(ValueError, match="component of 248 vertices"):
-        domination_number(graph_for(5, 3), target="all")
+    with pytest.raises(ValueError, match="component of 2660 vertices"):
+        domination_number(graph_for(11, 3), target="all")
 
 
 def _interleaved_cover(rng):
@@ -448,7 +448,9 @@ def test_domination_refuses_a_bad_generator(monkeypatch):
             domination_number(g, target=target)
 
 
-@pytest.mark.parametrize("q,n,size", [(3, 3, 8), (2, 4, 6), (4, 3, 10)])
+@pytest.mark.parametrize("q,n,size", [(3, 3, 8), (4, 3, 10), (2, 4, 6),
+                                      (2, 5, 6), (2, 6, 6), (2, 7, 6),
+                                      (2, 8, 6)])
 def test_whole_graph_standard_domination_pinned(q, n, size):
     g = graph_for(q, n)
     got, witness = domination_number(g, target="all", mode="standard")
@@ -458,14 +460,12 @@ def test_whole_graph_standard_domination_pinned(q, n, size):
 
 @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
                                  (9, 2), (3, 3), (4, 3), (5, 3), (3, 4)])
-def test_whole_graph_standard_equals_total_domination(q, n, monkeypatch):
+def test_whole_graph_standard_equals_total_domination(q, n):
     """For q >= 3 every vertex has a false twin, so gamma = gamma_t and
     domination_number answers target "all" by the total search.  The
     oracle is the direct standard search: _min_cover on the vertex-level
     standard cover instance, where each vertex also covers itself, under
     the automorphisms of _symmetries."""
-    if (q, n) == (5, 3):  # one component of 248 vertices
-        monkeypatch.setattr(graph, "MAX_SEARCH_VERTICES", 248)
     g = graph_for(q, n)
     cover = [row | 1 << v for v, row in enumerate(g.adj)]
     direct, chosen = _min_cover(cover, g.num_vertices,
@@ -537,6 +537,45 @@ def test_whole_graph_standard_domination_q2_is_direct():
     assert size == 4 < domination_number(g, target="all", mode="total")[0] == 6
     assert is_dominating(g, witness, target="all", mode="standard")
     assert not is_dominating(g, witness, target="all", mode="total")
+
+
+def _q2_standard_instance(g, monkeypatch):
+    """The cover instance and generators domination_number hands _min_cover
+    for whole-graph standard domination."""
+    seen = []
+    monkeypatch.setattr(graph, "_min_cover",
+                        lambda cover, m, gens=(): seen.append((cover, m, gens))
+                        or _min_cover(cover, m, gens))
+    domination_number(g, target="all", mode="standard")
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _covers(cover, m, chosen):
+    acc = 0
+    for i in chosen:
+        acc |= cover[i]
+    return acc == (1 << m) - 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 5)])
+def test_child_groups_keep_the_search_exact(q, n, monkeypatch):
+    """q = 2 whole-graph standard domination is the instance where the
+    search branches past the greedy witness.  Each child keeps only the
+    generators that fix its pick, a subgroup of the pick's stabilizer, and
+    still finds the optimum of the search with no generators."""
+    cover, m, gens = _q2_standard_instance(graph_for(q, n), monkeypatch)
+    assert gens
+    size, chosen = _min_cover(cover, m, gens)
+    assert size == _min_cover(cover, m)[0] == len(chosen) == 6
+    assert _covers(cover, m, chosen)
+
+
+def test_child_groups_match_exhaustive_q2(monkeypatch):
+    cover, m, gens = _q2_standard_instance(graph_for(2, 3), monkeypatch)
+    size, chosen = _min_cover(cover, m, gens)
+    assert size == _min_cover_exhaustive(cover, m)[0] == len(chosen) == 4
+    assert _covers(cover, m, chosen)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])

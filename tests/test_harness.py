@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -110,21 +112,21 @@ def test_struct_gen_checks_intersection_once(monkeypatch):
     assert len(calls) == 1
 
 
-GUARD_248 = "a component of 248 vertices is over the exact-search guard 200"
+GUARD_2660 = "a component of 2660 vertices is over the exact-search guard 2046"
 
 
 def test_verify_skips_domination_the_guard_refuses():
-    """(5,3) is one component of 248 vertices: each domination claim is
+    """(11,3) is one component of 2660 vertices: each domination claim is
     skipped with the library guard's message and keeps its formula, and
     the report still holds all 14 claims."""
-    report = run_verify(5, 3)
+    report = run_verify(11, 3)
     assert [c.id for c in report.claims] == list(CLAIM_IDS)
     by = claims_by_id(report)
-    for cid, formula in [("DOM-SIDE", 6), ("DOM-WHOLE-STD", 12),
-                         ("DOM-WHOLE-TOT", 12)]:
+    for cid, formula in [("DOM-SIDE", 12), ("DOM-WHOLE-STD", 24),
+                         ("DOM-WHOLE-TOT", 24)]:
         c = by[cid]
         assert (c.verdict, c.formula, c.oracle) == ("skipped", formula, None)
-        assert c.witness == {"reason": GUARD_248}
+        assert c.witness == {"reason": GUARD_2660}
     assert report.passed()
 
 
@@ -385,6 +387,24 @@ def test_cli_autos_count_work_on_stderr(capsys):
     assert captured.err.startswith("# first-hit searches: ")
 
 
+def test_cli_renders_formulas_past_the_int_str_limit(capsys):
+    """CARD-STAB's formula at (16,3), (15!)^546, has over 6000 digits,
+    more than str() renders by default; every output holds it whole."""
+    want = math.factorial(15) ** 546
+    assert run_cli("verify", "--q", "16", "--n", "3", "--claims", "CARD-STAB",
+                   "--format", "json") == 0
+    got = json.loads(capsys.readouterr().out)["claims"][
+        CLAIM_IDS.index("CARD-STAB")]["formula"]
+    assert len(got) > 6000 and Decimal(got) == want
+    assert run_cli("verify", "--q", "16", "--n", "3", "--claims", "CARD-STAB",
+                   "--format", "text") == 0
+    assert f"formula={got} " in capsys.readouterr().out
+    assert run_cli("autos", "count", "--q", "16", "--n", "3",
+                   "--method", "formula") == 0
+    got = capsys.readouterr().out.strip().removeprefix("formula=")
+    assert len(got) > 6000 and Decimal(got) == want * math.factorial(273) * 2
+
+
 def test_cli_build_guard(capsys):
     assert run_cli("build", "--q", "7", "--n", "9") == 2
     assert run_cli("build", "--q", "6", "--n", "2") == 2
@@ -397,11 +417,11 @@ def test_cli_build_guard(capsys):
 
 def test_cli_verify_reports_a_refused_instance(capsys):
     """verify skips what a guard refuses instead of exiting 2."""
-    assert run_cli("verify", "--q", "5", "--n", "3", "--format", "json") == 0
+    assert run_cli("verify", "--q", "11", "--n", "3", "--format", "json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert [c["id"] for c in doc["claims"]] == list(CLAIM_IDS)
     assert doc["claims"][CLAIM_IDS.index("DOM-SIDE")]["witness"] == {
-        "reason": GUARD_248}
+        "reason": GUARD_2660}
 
 
 def test_cli_build_export(tmp_path, capsys):
