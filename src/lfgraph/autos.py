@@ -355,7 +355,8 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
             if pc < best:
                 i, best = j, pc
         v = rest.pop(i)
-        for c in _bit_list(cands[v]):
+        # most masks here hold one bit; best == 0 gives no candidate
+        for c in [cands[v].bit_length() - 1] if best == 1 else _bit_list(cands[v]):
             ncands = _narrow(adj, cands, rest, v, c)
             if ncands is not None:
                 image[v] = c

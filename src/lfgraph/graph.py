@@ -12,6 +12,7 @@ keeps set algebra exact and fast at the sizes this package targets.
 
 from __future__ import annotations
 
+import gc
 import json
 from binascii import b2a_base64
 from dataclasses import dataclass
@@ -131,10 +132,17 @@ class LfGraph:
         return all(row.bit_count() == want for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Every (vector, functional) edge, sorted."""
-        out = []
-        for v, fs in enumerate(_row_lists(self.adj[:self.nv])):
-            out += zip(repeat(v), fs)
+        """Every (vector, functional) edge, sorted.  The tuples share one id
+        list's ints, and gc is paused meanwhile: an int pair is in no cycle."""
+        ids, out, was = list(range(self.num_vertices)), [], gc.isenabled()
+        gc.disable()
+        try:
+            for v, fs in enumerate(_row_lists(self.adj[:self.nv], lambda r: [
+                    *map(ids.__getitem__, _bit_list(r))])):
+                out += zip(repeat(v), fs)
+        finally:
+            if was:
+                gc.enable()
         return out
 
     def components(self) -> list[list[int]]:
@@ -200,8 +208,9 @@ class LfGraph:
         """The class quotient: one bitset row per class of lines(), bit d
         of row c set when classes c and d are adjacent."""
         if self._line_adj is None:
-            self._line_adj = tuple(sum(map((1).__lshift__, ds))
-                                   for ds in self.line_neighbors())
+            # at q = 2 each class is one vertex, and lines() lists them by id
+            self._line_adj = tuple(self.adj) if self.q == 2 else tuple(
+                sum(map((1).__lshift__, ds)) for ds in self.line_neighbors())
         return self._line_adj
 
     def line_neighbors(self) -> tuple[frozenset[int], ...]:
@@ -669,13 +678,13 @@ def to_graph6(g: LfGraph) -> bytes:
 
 def to_edgelist_json(g: LfGraph) -> bytes:
     """Compact ASCII JSON: q, n, vertices, then the sorted [vec, fun] edges."""
-    vertices = []
-    for vid in range(g.num_vertices):
-        side, coords = g.coords_of(vid)
-        vertices.append({"id": vid, "side": side, "coords": list(coords)})
+    coords = list(map(list, product(range(g.q), repeat=g.n)))[1:]  # id order
+    vertices = [{"id": vid, "side": VEC if vid < g.nv else FUN,
+                 "coords": coords[vid % g.nv]} for vid in range(g.num_vertices)]
     doc = json.dumps({"q": g.q, "n": g.n, "vertices": vertices},
                      separators=(",", ":"))
-    rows = _row_lists(g.adj[:g.nv], lambda r: list(map(str, _bit_list(r))))
+    names = list(map(str, range(g.num_vertices)))
+    rows = _row_lists(g.adj[:g.nv], lambda r: [*map(names.__getitem__, _bit_list(r))])
     edges = ",".join(f"[{v}," + f"],[{v},".join(fs) + "]"
                      for v, fs in enumerate(rows) if fs)
     return b"".join([doc[:-1].encode(), b',"edges":[', edges.encode(), b"]}"])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -225,6 +226,14 @@ def test_line_neighborhoods_distinct():
     lines = g.lines()
     masks = {g.neighbor_set(line) for line in lines if line.side == VEC}
     assert len(masks) == len(lines) // 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_line_adjacency_at_q2_is_adj(n):
+    # every class is one vertex, listed in id order, so the quotient is adj
+    g = graph.build(field_from_order(2), n)
+    from_neighbors = tuple(sum(1 << d for d in ds) for ds in g.line_neighbors())
+    assert g.line_adjacency() == tuple(g.adj) == from_neighbors
 
 
 # ---------- domination ----------
@@ -759,6 +768,30 @@ def test_edgelist_json_of_an_edgeless_graph():
     g = LfGraph(field_from_order(2), 2, [0] * 6)
     assert json.loads(to_edgelist_json(g))["edges"] == []
     assert to_edgelist_json(g) == _edgelist_json_reference(g)
+    assert g.edges() == []
+
+
+def test_edges_restores_the_collector_state(monkeypatch):
+    g = graph_for(2, 3)
+    want = [(v, f) for v in range(g.nv) for f in _bit_list(g.adj[v])]
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert g.edges() == want and gc.isenabled()
+        gc.disable()
+        assert g.edges() == want and not gc.isenabled()
+
+        def broken(mask):
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(graph, "_bit_list", broken)
+        for state in (gc.enable, gc.disable):
+            state()
+            with pytest.raises(RuntimeError, match="decode failed"):
+                g.edges()
+            assert gc.isenabled() == (state is gc.enable)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("nverts", [0, 1, 62, 63, 64])
