@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 from .gf import factor_prime_power, field_from_order
-from .linalg import identity, random_invertible
-from .graph import (GuardError, LfGraph, _bit_list, _coords, _gather,
-                    _orbit, _row_lists, _semilinear, build)
+from .linalg import random_invertible
+from .graph import (GuardError, LfGraph, _bit_list, _coords, _gather, _matrix,
+                    _orbit, _row_lists, _semilinear, _side_swap, build)
 
 
 class VertexPerm:
@@ -148,12 +148,12 @@ def chi_p(g: LfGraph, P) -> VertexPerm:
 
 def pi_extend(g: LfGraph, j: int) -> VertexPerm:
     """Coordinatewise field automorphism a -> a^(p^j) on both sides."""
-    return VertexPerm(g, _semilinear(g, identity(g.n), j))
+    return VertexPerm(g, _semilinear(g, _matrix(g.n, {}), j))
 
 
 def sigma_swap(g: LfGraph) -> VertexPerm:
     """Exchange each vector with the functional of the same coordinates."""
-    return VertexPerm(g, [g.mirror(v) for v in range(g.num_vertices)])
+    return VertexPerm(g, _side_swap(g))
 
 
 def _class_escape(g: LfGraph, image) -> int | None:
@@ -592,8 +592,8 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:
     if g.n >= 3:
         if frob is None or phi is not None or delta is not None:
             raise ValueError("n >= 3 decompositions use swap/P/frob/tau only")
-        image, nv = _semilinear(g, P, frob), g.nv  # the sides stay: mirror by shifts
-        return [t + nv for t in image[:nv]] + [t - nv for t in image[nv:]] if swap else image
+        image = _semilinear(g, P, frob)
+        return _gather(_side_swap(g), image) if swap else image
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
     image = _gather(chi_p(g, P).image, _lift_classes(g, _phi_classes(g, phi)))

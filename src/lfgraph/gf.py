@@ -69,7 +69,10 @@ class Field:
                 modulus = BUILTIN_MODULI.get(q)
                 if modulus is None:
                     raise ValueError(f"no built-in modulus for q = {q}; supply one")
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            if any(type(c) is not int for c in modulus):
+                raise ValueError(f"modulus coefficients must be ints, not {modulus}")
+            modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1:
                 raise ValueError(f"modulus must have degree {k}")
             if modulus[-1] != 1:

@@ -111,10 +111,6 @@ class LfGraph:
     def is_vec(self, vid: int) -> bool:
         return vid < self.nv
 
-    def mirror(self, vid: int) -> int:
-        """The same coordinates on the other side."""
-        return vid - self.nv if vid >= self.nv else vid + self.nv
-
     def coords_of(self, vid: int) -> tuple[str, tuple]:
         if not 0 <= vid < self.num_vertices:
             raise ValueError(f"vertex id {vid} out of range")
@@ -230,10 +226,6 @@ class LfGraph:
             self._partners = [min(ds) - half for ds in self.line_neighbors()[:half]]
         return self._partners
 
-    def neighbor_set(self, line: Line) -> int:
-        """Common adjacency bitset of every member of the class."""
-        return self.adj[line.members[0]]
-
     def line_mask(self, line: Line) -> int:
         return sum(map((1).__lshift__, line.members))
 
@@ -342,6 +334,17 @@ def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     return _map_ids(g, P, frob) + funs
 
 
+def _matrix(n: int, cells) -> tuple:
+    """The n x n identity matrix with the {(row, col): entry} cells set."""
+    return tuple(tuple(cells.get((r, c), int(r == c)) for c in range(n))
+                 for r in range(n))
+
+
+def _side_swap(g: LfGraph) -> list[int]:
+    """Image list of sigma: each vertex to its coordinates on the other side."""
+    return list(range(g.nv, 2 * g.nv)) + list(range(g.nv))
+
+
 def _symmetries(g: LfGraph) -> list[list[int]]:
     """Image lists of automorphisms built from the paper's generators:
     chi_P for diag(w, 1, ..., 1), the n-cycle, the e1 <-> e2 transposition
@@ -351,19 +354,14 @@ def _symmetries(g: LfGraph) -> list[list[int]]:
     F, n, q = g.field, g.n, g.q
     w = next(a for a in F.units()
              if len({F.pow(a, e) for e in range(q - 1)}) == q - 1)
-
-    def matrix(cells):
-        return tuple(tuple(cells.get((r, c), int(r == c)) for c in range(n))
-                     for r in range(n))
-
     cycle = {(r, c): int(c == (r + 1) % n) for r in range(n) for c in range(n)}
     swap12 = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 1}
-    mats = [matrix({(0, 0): w}), matrix(cycle), matrix(swap12)] + [
-        matrix({(0, 1): F.pow(w, i)}) for i in range(F.k)]
+    mats = [_matrix(n, {(0, 0): w}), _matrix(n, cycle), _matrix(n, swap12)] + [
+        _matrix(n, {(0, 1): F.pow(w, i)}) for i in range(F.k)]
     gens = [_semilinear(g, P, 0) for P in mats]
     if F.k > 1:
-        gens.append(_semilinear(g, matrix({}), 1))
-    gens.append(list(range(g.nv, 2 * g.nv)) + list(range(g.nv)))
+        gens.append(_semilinear(g, _matrix(n, {}), 1))
+    gens.append(_side_swap(g))
     return gens
 
 
@@ -609,7 +607,7 @@ _G6 = bytes.maketrans(  # base64 letter k -> graph6 byte k + 63
 
 def graph6_bytes(n: int, edges) -> bytes:
     """Standard graph6 encoding of an n-vertex graph with the given edges."""
-    if not 0 <= n < (1 << 18):
+    if not 0 <= n <= 258_047:  # the 4-byte header; past it the 8-byte ~~ form
         raise ValueError(f"vertex count {n} out of graph6 range")
     rows = [0] * n
     for i, j in edges:
@@ -643,6 +641,8 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise ValueError("empty graph6 data")
+    if data[:2] == b"~~":
+        raise ValueError("the 8-byte graph6 header (n > 258047) is not supported")
     if data[0] == 126:
         if len(data) < 4:
             raise ValueError("truncated graph6 header")

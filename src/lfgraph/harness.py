@@ -30,8 +30,8 @@ from decimal import Decimal
 from functools import cache, partial
 
 from .gf import field_from_order
-from .graph import (VEC, GuardError, LfGraph, build, domination_number,
-                    export, is_dominating)
+from .graph import (VEC, GuardError, LfGraph, _bit_list, build,
+                    domination_number, export, is_dominating)
 from .autos import (DecompositionError, LineActionError, VertexPerm,
                     all_automorphisms, check_structure, compose,
                     count_automorphisms, count_class_stabilizers,
@@ -182,7 +182,7 @@ def _run_twin(g, sample, deep):
 
 
 def _run_conn(g, sample, deep):
-    comps = g.components()
+    comps = list(g.component_masks())
     if g.n >= 3:
         if len(comps) == 1:
             return None, None, "property-pass", None
@@ -190,22 +190,18 @@ def _run_conn(g, sample, deep):
     if len(comps) != g.q + 1:
         return None, None, "property-fail", {"components": len(comps),
                                              "expected": g.q + 1}
-    part = g.q - 1
+    part, vec_side = g.q - 1, (1 << g.nv) - 1
     for comp in comps:
-        vecs = [v for v in comp if g.is_vec(v)]
-        funs = [v for v in comp if not g.is_vec(v)]
-        fmask = sum(1 << v for v in funs)
-        vmask = sum(1 << v for v in vecs)
-        if len(vecs) != part or len(funs) != part:
+        vmask, fmask = comp & vec_side, comp & ~vec_side
+        members = _bit_list(comp)
+        if vmask.bit_count() != part or fmask.bit_count() != part:
             return None, None, "property-fail", {
-                "component": _labels(g, comp), "expected_part": part}
+                "component": _labels(g, members), "expected_part": part}
         # complete bipartite: every vector sees every functional of the
-        # component and nothing else
-        ok = (all(g.adj[v] == fmask for v in vecs)
-              and all(g.adj[f] == vmask for f in funs))
-        if not ok:
+        # component and nothing else; members lists the vectors first
+        if [g.adj[v] for v in members] != [fmask] * part + [vmask] * part:
             return None, None, "property-fail", {
-                "component": _labels(g, comp),
+                "component": _labels(g, members),
                 "reason": "component is not complete bipartite"}
     return None, None, "property-pass", None
 

@@ -1,5 +1,5 @@
-"""The matrices the library builds over GF(q): the identity, a vector's
-monic representative, and the seeded sampler of invertible matrices.
+"""Matrices and vectors over GF(q) outside the graph's sweeps: a vector's
+monic representative and the seeded sampler of invertible matrices.
 
 Vectors are tuples of field-element indices and matrices are tuples of row
 tuples; the field travels as the first argument of every function.  Nothing
@@ -9,10 +9,6 @@ here mutates its inputs, and everything is exact integer arithmetic.
 from __future__ import annotations
 
 from .gf import Field
-
-
-def identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def monic_rep(field: Field, v) -> tuple:

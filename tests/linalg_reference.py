@@ -35,6 +35,10 @@ def mat_shape(P) -> tuple[int, int]:
     return rows, cols
 
 
+def identity(n: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def transpose(P) -> tuple:
     mat_shape(P)
     return tuple(zip(*P))

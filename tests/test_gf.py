@@ -242,6 +242,9 @@ def test_modulus_validation():
         Field(2, 2, modulus=(1, 1))  # wrong degree
     with pytest.raises(ValueError):
         Field(2, 2, modulus=(1, 1, 2))  # reduces mod 2 to a non-monic poly
+    for modulus in ((1, 1.5, 1), (1, "1", 1)):  # no silent int() coercion
+        with pytest.raises(ValueError, match="modulus coefficients must be ints"):
+            Field(2, 2, modulus)
 
 
 def test_builtin_moduli_cover_needed_orders():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lfgraph.graph as graph
-from lfgraph.autos import VertexPerm, is_automorphism
+from lfgraph.autos import VertexPerm, is_automorphism, sigma_swap
 from lfgraph.gf import field_from_order
 from lfgraph.graph import (FUN, VEC, LfGraph, _bit_list, _min_cover,
                            _min_cover_exhaustive, _orbit, _symmetries, build,
@@ -224,7 +224,7 @@ def test_twins_are_scalar_classes(q, n):
 def test_line_neighborhoods_distinct():
     g = graph_for(3, 3)
     lines = g.lines()
-    masks = {g.neighbor_set(line) for line in lines if line.side == VEC}
+    masks = {g.adj[line.members[0]] for line in lines if line.side == VEC}
     assert len(masks) == len(lines) // 2
 
 
@@ -433,12 +433,14 @@ def test_min_cover_refuses_a_non_symmetry():
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
                                  (4, 3), (8, 3)])
 def test_symmetries_are_automorphisms(q, n):
-    """Every generator the search uses is an automorphism, and for n >= 3
-    they move any vertex to any other."""
+    """Every generator the search uses is an automorphism, the last is the
+    side swap sigma_swap builds, and for n >= 3 they move any vertex to any
+    other."""
     g = graph_for(q, n)
     gens = _symmetries(g)
     for image in gens:
         assert is_automorphism(g, VertexPerm(g, image))
+    assert gens[-1] == list(sigma_swap(g).image)
     if n >= 3:
         assert len(_orbit(gens, 0)) == g.num_vertices
 
@@ -674,6 +676,18 @@ def test_graph6_long_form():
     assert sorted(edges) == g.edges()
     theirs = nx.from_graph6_bytes(data.strip())
     assert set(theirs.edges()) == {tuple(e) for e in g.edges()}
+
+
+def test_graph6_refuses_the_8_byte_form():
+    """The 4-byte header ends at 258047 vertices; past it graph6 starts
+    with ~~, a form neither side supports.  Only the refusals run, since
+    encoding a graph that size takes gigabytes."""
+    with pytest.raises(ValueError, match="vertex count 258048 out of graph6 range"):
+        graph6_bytes(258_048, [])
+    n = 258_048
+    data = b"~~" + bytes(((n >> s) & 63) + 63 for s in range(30, -1, -6))
+    with pytest.raises(ValueError, match="8-byte graph6 header"):
+        parse_graph6(data)
 
 
 def test_parse_graph6_round_trip_and_prefix():

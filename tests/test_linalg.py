@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from lfgraph.gf import field_from_order
-from lfgraph.linalg import identity, monic_rep, random_invertible
+from lfgraph.linalg import monic_rep, random_invertible
 
-from linalg_reference import dot, mat_inv, mat_mul, mat_vec, transpose
+from linalg_reference import dot, identity, mat_inv, mat_mul, mat_vec, transpose
 from linalg_reference import random_invertible as reference_random_invertible
 from test_graph import kernel_basis, span_nonzero
 
