@@ -378,12 +378,27 @@ def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     at level j is in every G_i with i <= j, so v_i's orbit starts closed
     under every map found.  Each other candidate w costs one complete
     search pinning v_i -> w: a hit joins the maps and closes the orbit
-    again, a miss rules out w's orbit."""
-    pins, levels = dict(init), []
+    again, a miss rules out w's orbit.
+
+    After fixing v_i the chain also fixes every vertex u whose mask is now
+    {u}, until none is left: refinement that splits only single-vertex
+    cells.  It stays exact.  Every mask holds its vertex's orbit under
+    G_i, so a mask {u} means every map in G_i fixes u: fixing u as well
+    leaves G_i the same group and narrows the other masks only by facts
+    G_i keeps.  u's own level would have orbit {u}, a factor of 1, so it
+    gets none.  A map found at level j fixes every vertex fixed before
+    level j, so the orbit closing is unchanged."""
+    pins, levels, rest = dict(init), [], list(init)
     for v in init:
+        if v not in rest:  # fixed already, by force
+            continue
         levels.append((v, pins))
-        # fix v: a map fixing v keeps every vertex's adjacency to v
-        pins = _narrow(adj, pins, [u for u in pins if u != v], v, v)
+        rest.remove(v)
+        fix = [v]  # v, then each vertex left with only itself
+        for u in fix:  # a map fixing u keeps every vertex's adjacency to u
+            pins = _narrow(adj, pins, rest, u, u)
+            fix += [w for w in rest if pins[w] == 1 << w]
+            rest = [w for w in rest if pins[w] != 1 << w]
     found, order, searches = [], 1, 0
     for v, pins in reversed(levels):
         orbit, ruled_out = _orbit(found, v), set()

@@ -491,6 +491,8 @@ def _cmd_lines(args) -> int:
 
 def _cmd_autos_count(args) -> int:
     q, n = args.q, args.n
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
     formula = brute = None
     if args.method in ("formula", "both"):
         formula = formula_card_n2(q) if n == 2 else formula_card_general(q, n)

@@ -941,14 +941,18 @@ def test_count_reach_4_3():
 
 
 @pytest.mark.parametrize("q,n,order,searches,one_cycle", [
-    (3, 3, 11232 * 2 ** 26, 37, 105),
-    (2, 4, 40320, 40, 129),
-    (4, 3, 241920 * 6 ** 42, 111, 261)], ids=["3-3", "2-4", "4-3"])
+    (3, 3, 11232 * 2 ** 26, 9, 105),
+    (2, 4, 40320, 16, 129),
+    (4, 3, 241920 * 6 ** 42, 10, 261),
+    (2, 5, 19998720, 45, 157),
+    (3, 4, 24261120 * 2 ** 80, 42, 362)],
+    ids=["3-3", "2-4", "4-3", "2-5", "3-4"])
 def test_quotient_count_first_hit_searches(q, n, order, searches, one_cycle):
     """The quotient count's work counter, which no host's speed moves.
-    Closing each orbit under every map found, deepest level first, runs
-    fewer first-hit searches than adding one cycle per map found did
-    (one_cycle)."""
+    one_cycle is what an earlier pin chain needed: at (3,3), (2,4) and
+    (4,3) one that added one cycle per map found, at (2,5) and (3,4), 40
+    classes a side, one that fixed only the pinned vertices, not the
+    vertices left with only themselves as candidates."""
     assert _count_with_searches(graph_for(q, n), "quotient") == (order,
                                                                  searches)
     assert searches < one_cycle
@@ -979,10 +983,10 @@ def test_search_outputs_pinned():
     counts = [_count_by_orbits(g.adj, _uncoloured(g.adj))
               for g in (graph_for(5, 2), graph_for(3, 3))]
     counts.append(_count_with_searches(graph_for(2, 5), "quotient"))
-    assert [searches for _, searches in counts] == [101, 142, 157]
+    assert [searches for _, searches in counts] == [101, 142, 45]
     put(counts)
     assert digest.hexdigest() == (
-        "de134ff7fa44f54d51a0bc54e942f623c2d323807583e088f45c79a9bc6d88c3")
+        "4961fa4e139eacc6a3491ba500b868a536c30b6d3b4a878578f6d6f658070d0e")
 
 
 def _brute_component_isomorphisms(g):

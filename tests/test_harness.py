@@ -371,6 +371,12 @@ def test_cli_autos_count(capsys):
     assert run_cli("autos", "count", "--q", "3", "--n", "2",
                    "--method", "formula") == 0
     assert capsys.readouterr().out.strip() == "formula=98304"
+    for method in ("both", "formula", "brute"):
+        assert run_cli("autos", "count", "--q", "3", "--n", "1",
+                       "--method", method) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension must be >= 2, got 1\n"
 
 
 def test_cli_autos_count_work_on_stderr(capsys):
@@ -379,7 +385,7 @@ def test_cli_autos_count_work_on_stderr(capsys):
                    "--method", "brute") == 0
     captured = capsys.readouterr()
     assert captured.out == "brute=336\n"
-    assert captured.err == "# first-hit searches: 12\n"
+    assert captured.err == "# first-hit searches: 7\n"
     assert run_cli("autos", "count", "--q", "4", "--n", "3",
                    "--method", "both") == 1
     captured = capsys.readouterr()
