@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 
 from .gf import factor_prime_power, field_from_order
 from .linalg import random_invertible
-from .graph import (GuardError, LfGraph, _bit_list, _coords, _gather, _matrix,
-                    _orbit, _row_lists, _semilinear, _side_swap, build)
+from .graph import (GuardError, LfGraph, _bit_list, _build_guard, _coords, _gather,
+                    _matrix, _orbit, _row_lists, _semilinear, _side_swap, build)
 
 
 class VertexPerm:
@@ -259,9 +259,8 @@ def delta_for(g: LfGraph, rho: VertexPerm) -> VertexPerm:
 
 # ---------- structure checks ----------
 
-@dataclass
-class StructureVerdict:
-    side_behavior: str          # "preserved" | "swapped" | "mixed"
+class StructureVerdict(namedtuple("StructureVerdict", "side_behavior")):
+    __slots__ = ()  # side_behavior: "preserved", "swapped" or "mixed"
 
     def ok(self) -> bool:
         """True for every verdict check_structure returns, as it raises
@@ -509,30 +508,30 @@ def count_component_isomorphisms(g: LfGraph) -> int:
 def formula_card_n2(q: int) -> int:
     """(q+1)! * (2 ((q-1)!)^2)^(q+1)"""
     factor_prime_power(q)
+    _build_guard(q, 2)
     return math.factorial(q + 1) * (2 * math.factorial(q - 1) ** 2) ** (q + 1)
 
 
 def formula_card_general(q: int, n: int) -> int:
     """2 * M! * ((q-1)!)^(2M) with M = (q^n - 1)/(q - 1), for n >= 3."""
     factor_prime_power(q)
+    m = _build_guard(q, n) // (q - 1)
     if n < 3:
         raise ValueError("the general count applies to n >= 3")
-    m = (q ** n - 1) // (q - 1)
     return 2 * math.factorial(m) * math.factorial(q - 1) ** (2 * m)
 
 
 def formula_twin_stabilizer(q: int, n: int) -> int:
     """((q-1)!)^(2M): automorphisms fixing every class setwise."""
     factor_prime_power(q)
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    m = (q ** n - 1) // (q - 1)
+    m = _build_guard(q, n) // (q - 1)
     return math.factorial(q - 1) ** (2 * m)
 
 
 def formula_component_isos(q: int) -> int:
     """2 ((q-1)!)^2: isomorphisms between two n = 2 components."""
     factor_prime_power(q)
+    _build_guard(q, 2)
     return 2 * math.factorial(q - 1) ** 2
 
 
@@ -586,19 +585,18 @@ class DecompositionError(Exception):
         self.witness = witness
 
 
-@dataclass
 class Decomposition:
     """Generator factorization of one automorphism.
 
     n >= 3: sigma^swap . chi_P . pi_frob . tau     (delta, phi unused)
     n  = 2: delta . chi_P . phi_bar(phi) . tau     (swap, frob unused)
     """
-    swap: bool
-    delta: VertexPerm | None
-    P: tuple
-    frob: int | None
-    phi: tuple | None
-    tau: VertexPerm
+    __slots__ = ("swap", "delta", "P", "frob", "phi", "tau")
+
+    def __init__(self, swap: bool, delta: VertexPerm | None, P: tuple,
+                 frob: int | None, phi: tuple | None, tau: VertexPerm):
+        self.swap, self.delta, self.P = swap, delta, P
+        self.frob, self.phi, self.tau = frob, phi, tau
 
 
 def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:

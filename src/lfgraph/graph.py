@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 import json
 from binascii import b2a_base64
-from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 
@@ -63,12 +62,20 @@ def _row_lists(rows, decode=_bit_list):
         yield ys
 
 
-@dataclass(frozen=True)
 class Line:
-    """A scalar class: all nonzero multiples of one monic representative."""
-    side: str
-    rep: tuple
-    members: tuple  # vertex ids, ascending
+    """A scalar class: all nonzero multiples of one monic representative,
+    members its vertex ids, ascending.  Equal and hashed by value."""
+    __slots__ = ("side", "rep", "members")
+
+    def __init__(self, side: str, rep: tuple, members: tuple):
+        self.side, self.rep, self.members = side, rep, members
+
+    def __eq__(self, other):
+        return isinstance(other, Line) and (self.side, self.rep, self.members) == (
+            other.side, other.rep, other.members)
+
+    def __hash__(self):
+        return hash((self.side, self.rep, self.members))
 
 
 class LfGraph:
@@ -237,14 +244,21 @@ class LfGraph:
         return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def build(field: Field, n: int) -> LfGraph:
-    """Construct the graph for GF(q)^n, up to MAX_BUILD_VERTICES vertices."""
+def _build_guard(q: int, n: int) -> int:
+    """q^n - 1, the vertices a side, once n and 2(q^n - 1) pass build's
+    checks; the closed forms call it before computing any factorial."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    nv = field.q ** n - 1
+    nv = q ** n - 1
     if 2 * nv > MAX_BUILD_VERTICES:
         raise GuardError(f"graph would have {2 * nv} vertices, over the "
                          f"{MAX_BUILD_VERTICES} guard")
+    return nv
+
+
+def build(field: Field, n: int) -> LfGraph:
+    """Construct the graph for GF(q)^n, up to MAX_BUILD_VERTICES vertices."""
+    nv = _build_guard(field.q, n)
     g = LfGraph(field, n, [0] * (2 * nv))
     adj = g.adj
     lines = g.lines()

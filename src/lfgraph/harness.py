@@ -25,7 +25,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from functools import cache, partial
 
@@ -52,22 +52,11 @@ SAMPLE_COUNT = 100
 EXHAUSTIVE_GROUP = 500
 
 
-@dataclass
-class ClaimResult:
-    id: str
-    locus: str
-    formula: int | None
-    oracle: int | None
-    verdict: str
-    witness: object
+ClaimResult = namedtuple("ClaimResult", "id locus formula oracle verdict witness")
 
 
-@dataclass
-class VerificationReport:
-    q: int
-    n: int
-    seed: int
-    claims: list[ClaimResult]
+class VerificationReport(namedtuple("VerificationReport", "q n seed claims")):
+    __slots__ = ()  # claims: a list of ClaimResult
 
     def passed(self) -> bool:
         return all(c.verdict not in ("mismatch", "property-fail")
@@ -491,8 +480,6 @@ def _cmd_lines(args) -> int:
 
 def _cmd_autos_count(args) -> int:
     q, n = args.q, args.n
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     formula = brute = None
     if args.method in ("formula", "both"):
         formula = formula_card_n2(q) if n == 2 else formula_card_general(q, n)

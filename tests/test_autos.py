@@ -1,10 +1,11 @@
 import json
+import math
 import random
 from itertools import permutations
 
 import pytest
 
-from lfgraph import Field, build, field_from_order
+from lfgraph import Field, GuardError, build, field_from_order
 from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            DecompositionError, LineActionError,
                            StructureVerdict, VertexPerm, all_automorphisms,
@@ -294,6 +295,20 @@ def test_vertex_actions_match_tuple_reference(q, n):
                  for t in range(g.num_vertices)]
         d = Decomposition(True, None, P, j, None, identity_perm(g))
         assert list(compose(g, d).image) == [other[chi[t]] for t in pi]
+
+
+def test_decomposition_fields_by_position():
+    """A Decomposition takes swap, delta, P, frob, phi and tau by position,
+    names each as an attribute, and is a slotted record, not a tuple."""
+    g = graph_for(3, 2)
+    perm = random_automorphism(g, random.Random(7))
+    d = decompose(g, perm)
+    fields = (d.swap, d.delta, d.P, d.frob, d.phi, d.tau)
+    again = Decomposition(*fields)
+    assert (again.swap, again.delta, again.P, again.frob, again.phi,
+            again.tau) == fields
+    assert compose(g, again) == perm
+    assert not isinstance(d, tuple) and not hasattr(d, "__dict__")
 
 
 def test_chi_p_identity_and_example():
@@ -801,6 +816,27 @@ def test_counts_2_3_disagree_with_closed_form():
 def test_count_4_2_quotient_matches_formula():
     g = graph_for(4, 2)
     assert count_automorphisms(g, method="quotient") == formula_card_n2(4)
+
+
+def test_formulas_refuse_what_build_refuses(monkeypatch):
+    """Each closed form raises build's GuardError, before any factorial,
+    where build refuses the graph, and computes at the largest admitted
+    size: (2,15) has 65534 vertices, (2,16) 131070; (223,2) has 99456."""
+    assert formula_card_general(2, 15) == 2 * math.factorial(32767)
+    assert formula_twin_stabilizer(2, 15) == 1
+    assert formula_component_isos(223) == 2 * math.factorial(222) ** 2
+    assert formula_card_n2(223) % formula_component_isos(223) == 0
+
+    def factorial(_):
+        raise AssertionError("factorial ran past the build guard")
+    monkeypatch.setattr(math, "factorial", factorial)
+    for formula, args, vertices in (
+            (formula_card_general, (2, 16), 131070),
+            (formula_twin_stabilizer, (2, 17), 262142),
+            (formula_card_n2, (227,), 103056),
+            (formula_component_isos, (227,), 103056)):
+        with pytest.raises(GuardError, match=f"would have {vertices} vertices"):
+            formula(*args)
 
 
 def test_enumeration_guards():

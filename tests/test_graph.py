@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lfgraph.graph as graph
 from lfgraph.autos import VertexPerm, is_automorphism, sigma_swap
 from lfgraph.gf import field_from_order
-from lfgraph.graph import (FUN, VEC, LfGraph, _bit_list, _min_cover,
+from lfgraph.graph import (FUN, VEC, LfGraph, Line, _bit_list, _min_cover,
                            _min_cover_exhaustive, _orbit, _symmetries, build,
                            domination_number, export, graph6_bytes,
                            is_dominating, parse_edgelist_json, parse_graph6,
@@ -40,6 +40,23 @@ def test_graph_guards_raise_guard_error():
     with pytest.raises(graph.GuardError,
                        match="exhaustive search is limited to 20 vertices"):
         domination_number(graph_for(4, 2), method="exhaustive")
+
+
+def test_line_compares_and_hashes_by_value():
+    """Lines are equal, and hash equal, exactly when side, rep and members
+    are, so two builds' lines are interchangeable as set members; a Line
+    is a slotted record, not a tuple."""
+    a, b = build(field_from_order(3), 2).lines(), build(field_from_order(3), 2).lines()
+    assert a == b and a[0] is not b[0] and set(a) == set(b)
+    assert len(set(a)) == len(a)
+    line = a[0]
+    assert hash(line) == hash(Line(line.side, line.rep, line.members))
+    for other in (Line(FUN, line.rep, line.members),
+                  Line(line.side, (1, 1), line.members),
+                  Line(line.side, line.rep, line.members[1:]),
+                  (line.side, line.rep, line.members)):
+        assert line != other
+    assert not isinstance(line, tuple) and not hasattr(line, "__dict__")
 
 
 def test_smallest_instance_exact():

@@ -325,6 +325,19 @@ def test_budget_marks_skipped():
                for c in report.claims)
 
 
+def test_report_passed_only_without_a_failed_claim():
+    """passed() is False exactly when some claim mismatches or fails a
+    property; a match, a skip and a property pass all keep it True."""
+    def report(*verdicts):
+        return harness.VerificationReport(2, 2, 0, [
+            harness.ClaimResult(f"C{i}", "", None, None, v, None)
+            for i, v in enumerate(verdicts)])
+    assert report().passed()
+    assert report("match", "skipped", "property-pass").passed()
+    for bad in ("mismatch", "property-fail"):
+        assert not report("match", bad, "skipped").passed()
+
+
 def test_json_rendering():
     report = run_verify(2, 2, seed=5)
     doc = json.loads(report_to_json(report))
@@ -409,6 +422,22 @@ def test_cli_renders_formulas_past_the_int_str_limit(capsys):
                    "--method", "formula") == 0
     got = capsys.readouterr().out.strip().removeprefix("formula=")
     assert len(got) > 6000 and Decimal(got) == want * math.factorial(273) * 2
+
+
+def test_cli_autos_count_formula_guard(capsys):
+    """The closed form stops at build's guard: (2,16) exits 2 with build's
+    message; (2,15), the largest q = 2 graph build admits, prints its
+    count."""
+    assert run_cli("autos", "count", "--q", "2", "--n", "16",
+                   "--method", "formula") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: graph would have 131070 vertices, "
+                            "over the 100000 guard\n")
+    assert run_cli("autos", "count", "--q", "2", "--n", "15",
+                   "--method", "formula") == 0
+    got = capsys.readouterr().out.strip().removeprefix("formula=")
+    assert got.isdigit() and len(got) > 100_000
 
 
 def test_cli_build_guard(capsys):

@@ -1,9 +1,13 @@
 """Every name a source module imports is referenced in that module, every
-private helper is used, every decomposition step is tested, and no module
-reads the environment nor harness a size guard."""
+private helper is used, every decomposition step is tested, no module
+reads the environment nor harness a size guard, and importing the package
+loads neither dataclasses nor inspect."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +95,17 @@ def test_settings_and_guards_are_read_in_one_place():
         if path.name == "harness.py":
             guards = sorted(n for n in named if n.startswith("MAX_"))
             assert not guards, f"harness.py names {guards}"
+
+
+def test_import_loads_no_dataclasses_nor_inspect():
+    """A cold interpreter that imports every module never loads dataclasses,
+    which brings inspect, ast, dis and tokenize into each process start."""
+    code = ("import sys, lfgraph.autos, lfgraph.gf, lfgraph.graph, "
+            "lfgraph.harness, lfgraph.linalg; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "[]\n"
