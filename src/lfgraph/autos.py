@@ -53,9 +53,12 @@ class VertexPerm:
         if len(image) != n:
             raise ValueError(f"image has length {len(image)}, expected {n}")
         # n distinct ids >= 0 summing to n(n-1)/2 are exactly 0..n-1; an id
-        # like 0.0 (== 0) makes the sum a float
+        # like 0.0 (== 0) makes the sum a float, and the sum lets a bool
+        # through only in the place of 0 or 1
         if (type(total) is not int or total != n * (n - 1) // 2
-                or len(set(image)) != n or min(image) < 0):
+                or len(set(image)) != n or min(image) < 0
+                or type(image[image.index(0)]) is bool
+                or type(image[image.index(1)]) is bool):
             raise ValueError("image is not a permutation of the vertex ids")
         self.g = g
         self.image = image
@@ -74,7 +77,9 @@ class VertexPerm:
         return all(v == t for v, t in enumerate(self.image))
 
     def __eq__(self, other):
-        return isinstance(other, VertexPerm) and self.image == other.image
+        return (isinstance(other, VertexPerm) and self.image == other.image
+                and (self.g is other.g or (self.g.field, self.g.n)
+                     == (other.g.field, other.g.n)))
 
     def __hash__(self):
         return hash(self.image)
@@ -170,10 +175,10 @@ def tau_from_table(g: LfGraph, table: dict[int, int]) -> VertexPerm:
     Each listed entry must stay inside its class, and the result must be a
     bijection.
     """
-    image = list(range(g.num_vertices))
-    for src, dst in table.items():
-        if not 0 <= src < g.num_vertices or not 0 <= dst < g.num_vertices:
-            raise ValueError(f"vertex id out of range in entry {src} -> {dst}")
+    image = list(range(nv := g.num_vertices))
+    for src, dst in table.items():  # ids are ints, never bools or floats
+        if not (type(src) is type(dst) is int and 0 <= src < nv and 0 <= dst < nv):
+            raise ValueError(f"vertex id out of range in entry {src!r} -> {dst!r}")
         image[src] = dst
     v = _class_escape(g, image)
     if v is not None:
@@ -777,20 +782,19 @@ def perm_from_json(text, g: LfGraph | None = None) -> VertexPerm:
     return VertexPerm(g, _ids(doc["image"], nv, nv, "'image' in permutation"))
 
 
-def _tau_tables(g: LfGraph, tau: VertexPerm) -> dict[str, list[int]]:
-    tables = {}
-    for line in g.lines():
-        if any(tau.image[m] != m for m in line.members):
-            key = f"{line.side}:{','.join(map(str, line.rep))}"
-            tables[key] = [tau.image[m] for m in line.members]
-    return tables
+def _tau_keys(g: LfGraph) -> dict:
+    """Each class of lines() under its key in a document's tau tables."""
+    return {f"{line.side}:{','.join(map(str, line.rep))}": line
+            for line in g.lines()}
 
 
 def decomposition_to_json(g: LfGraph, d: Decomposition) -> str:
     doc = {**_header(g), "swap": d.swap, "P": [list(row) for row in d.P],
            "frob": d.frob, "phi": None if d.phi is None else list(d.phi),
            "delta": None if d.delta is None else list(d.delta.image),
-           "tau": _tau_tables(g, d.tau)}
+           "tau": {key: [d.tau.image[m] for m in line.members]
+                   for key, line in _tau_keys(g).items()
+                   if any(d.tau.image[m] != m for m in line.members)}}
     return json.dumps(doc, separators=(",", ":"))
 
 
@@ -810,8 +814,7 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
     P = tuple(_ids(row, g.n, g.q, "'P' row in decomposition") for row in doc["P"])
     if not isinstance(doc["tau"], dict):
         raise ValueError("bad 'tau' in decomposition document")
-    by_key = {f"{line.side}:{','.join(map(str, line.rep))}": line
-              for line in g.lines()}
+    by_key = _tau_keys(g)
     table: dict[int, int] = {}
     for key, images in doc["tau"].items():
         line = by_key.get(key)
@@ -819,8 +822,7 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
             raise ValueError(f"bad tau table for {key!r}")
         images = _ids(images, len(line.members), g.num_vertices,
                       f"tau table for {key!r} in decomposition")
-        for src, dst in zip(line.members, images):
-            table[src] = dst
+        table.update(zip(line.members, images))
     tau = tau_from_table(g, table)
     nv = g.num_vertices
     delta = (None if doc["delta"] is None

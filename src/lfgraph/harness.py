@@ -13,9 +13,10 @@ The size guards live in gf, graph and autos only: a claim whose oracle
 one refuses with GuardError is skipped with the guard's message as its
 reason and keeps its formula, so a report names the limit that stopped it.
 
-Reports are deterministic: randomized checks draw from a per-claim
-generator seeded with "<seed>:<claim id>", and the JSON rendering carries
-no timings (the "ms" field is always null; wall-clock notes go to stderr).
+Reports are deterministic: every sweep checks one automorphism set per
+graph, sampled, when the group is too large to enumerate, from a generator
+seeded with "<seed>:automorphisms"; and the JSON rendering carries no
+timings (the "ms" field is always null; wall-clock notes go to stderr).
 """
 
 from __future__ import annotations
@@ -88,23 +89,17 @@ def _guarded(formula: int, run):
         return _skip(str(e), formula)
 
 
-def _enumerated(g: LfGraph) -> list[VertexPerm] | None:
-    """Every automorphism, when the group is small enough to sweep whole.
-    The vertex count sits under all_automorphisms' guard, so a graph over
-    it is refused before any search, and None sends the sweep to samples."""
+def _automorphisms(g: LfGraph, seed) -> tuple[list[VertexPerm], str]:
+    """The whole group when it has at most EXHAUSTIVE_GROUP members, else
+    SAMPLE_COUNT draws seeded "<seed>:automorphisms"; a graph over
+    all_automorphisms' vertex guard is sampled without a search."""
     try:
         if count_automorphisms(g, method="vertex") <= EXHAUSTIVE_GROUP:
-            return [VertexPerm(g, im) for im in all_automorphisms(g)]
+            perms = [VertexPerm(g, im) for im in all_automorphisms(g)]
+            return perms, f"all {len(perms)}"
     except GuardError:
         pass
-    return None
-
-
-def _sample_autos(g: LfGraph, rng, group) -> tuple[list[VertexPerm], str]:
-    """group(), run_verify's one _enumerated(g), else SAMPLE_COUNT draws."""
-    perms = group()
-    if perms is not None:
-        return perms, f"all {len(perms)}"
+    rng = random.Random(f"{seed}:automorphisms")
     perms = [random_automorphism(g, rng) for _ in range(SAMPLE_COUNT)]
     return perms, f"sampled {SAMPLE_COUNT}"
 
@@ -328,17 +323,22 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
     in seconds; claims that have not started when it runs out are skipped,
     never dropped.
     """
-    if seed is None:
-        seed = DEFAULT_SEED
-    if claims is None:
-        selected = set(CLAIM_IDS)
-    else:
-        selected = set(claims)
-        unknown = selected - set(CLAIM_IDS)
-        if unknown:
-            raise ValueError(f"unknown claim ids: {sorted(unknown)}")
+    seed = DEFAULT_SEED if seed is None else seed
+    selected = set(CLAIM_IDS if claims is None else claims)
+    if unknown := selected - set(CLAIM_IDS):
+        raise ValueError(f"unknown claim ids: {sorted(unknown)}")
     g = build(field_from_order(q), n)
-    group = cache(partial(_enumerated, g))  # one enumeration for every sweep
+
+    @cache  # one automorphism set for every sweep, built on first use
+    def autos():
+        nonlocal t0  # the asking claim's start: its time leaves the build out
+        began = time.monotonic()
+        perms, how = _automorphisms(g, seed)
+        t0 += (took := time.monotonic() - began)
+        print(f"# automorphisms q={q} n={n}: {how} [{took:.2f}s]",
+              file=sys.stderr)
+        return perms, how
+
     start = time.monotonic()
     results = []
     for cid, locus, runner in REGISTRY:
@@ -350,9 +350,8 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
             results.append(ClaimResult(cid, locus, None, None, "skipped",
                                        {"reason": "budget exhausted"}))
             continue
-        sample = partial(_sample_autos, g, random.Random(f"{seed}:{cid}"), group)
         t0 = time.monotonic()
-        formula, oracle, verdict, witness = runner(g, sample, deep)
+        formula, oracle, verdict, witness = runner(g, autos, deep)
         print(f"# {cid} q={q} n={n}: {verdict} "
               f"[{time.monotonic() - t0:.2f}s]", file=sys.stderr)
         results.append(ClaimResult(cid, locus, formula, oracle, verdict,
@@ -403,9 +402,8 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def reports_to_json(reports) -> str:
-    if len(reports) == 1:
-        return report_to_json(reports[0])
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    docs = [report_to_dict(r) for r in reports]
+    return json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n"
 
 
 def report_to_text(report: VerificationReport) -> str:
@@ -531,10 +529,9 @@ def _cmd_verify(args) -> int:
         return 2
     instances = [(args.q, args.n)] if args.q is not None else list(DEFAULT_MATRIX)
     claims = _parse_claims(args.claims)
-    reports = []
-    for q, n in instances:
-        reports.append(run_verify(q, n, claims=claims, seed=args.seed,
-                                  budget=args.budget, deep=args.deep))
+    reports = [run_verify(q, n, claims=claims, seed=args.seed,
+                          budget=args.budget, deep=args.deep)
+               for q, n in instances]
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
     else:

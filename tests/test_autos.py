@@ -59,6 +59,31 @@ def test_perm_validation():
             VertexPerm(g, bad)
 
 
+def test_perm_ids_are_ints():
+    """A bool compares equal to 0 or 1 yet is no vertex id: an image of
+    them would serialize as JSON true/false, which perm_from_json refuses."""
+    g = graph_for(2, 2)
+    with pytest.raises(ValueError):
+        VertexPerm(g, (True, False, 2, 3, 4, 5))
+    for entry in ({0.0: 0}, {0: 0.0}, {True: 1}):
+        with pytest.raises(ValueError, match="out of range"):
+            tau_from_table(g, entry)
+
+
+def test_perm_equality_names_its_graph():
+    """(2,4) and (4,2) both have 30 vertices, so their identities have equal
+    images; they are still different permutations.  A permutation read
+    back onto a graph built afresh over an equal field stays equal."""
+    a = identity_perm(build(field_from_order(2), 4))
+    b = identity_perm(build(field_from_order(4), 2))
+    assert a.image == b.image
+    assert a != b
+    g = graph_for(3, 2)
+    perm = random_automorphism(g, rng())
+    back = perm_from_json(perm_to_json(perm))
+    assert back.g is not g and back == perm and hash(back) == hash(perm)
+
+
 def test_compose_and_inverse():
     g = graph_for(3, 2)
     r = rng()

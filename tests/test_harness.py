@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,13 +176,13 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
     STRUCT-N2 with line_action's broken edge, and DECOMP with decompose's
     step and witness.  Swapping vertex 0 with the first member of class 1
     breaks the edge from vertex 0 to the functional with class 1's rep."""
-    def swapped(g, rng, group):
+    def swapped(g, seed):
         img = list(range(g.num_vertices))
         b = g.lines()[1].members[0]
         img[0], img[b] = b, 0
         return [VertexPerm(g, img)], "patched"
 
-    monkeypatch.setattr(harness, "_sample_autos", swapped)
+    monkeypatch.setattr(harness, "_automorphisms", swapped)
     head = {"method": "patched", "index": 0}
     for q, n, cid, edge in [(2, 3, "STRUCT-GEN", [0, 8]),
                             (3, 2, "STRUCT-GEN", [0, 10]),
@@ -212,6 +213,73 @@ def test_verify_enumerates_each_group_once(monkeypatch):
     for q, n in harness.DEFAULT_MATRIX:
         run_verify(q, n, deep=True)
     assert calls == [(2, 2), (2, 3)]
+
+
+def test_verify_draws_one_sample_set_per_graph(monkeypatch, capsys):
+    """STRUCT-GEN, STRUCT-N2 and DECOMP sweep one set of SAMPLE_COUNT
+    draws per run_verify call, built on first use and announced once on
+    stderr; a run without a sweep draws nothing."""
+    draws = []
+    draw = harness.random_automorphism
+
+    def counted(g, rng):
+        draws.append((g.q, g.n))
+        return draw(g, rng)
+
+    monkeypatch.setattr(harness, "random_automorphism", counted)
+    for q, n in [(3, 2), (3, 3)]:
+        draws.clear()
+        capsys.readouterr()
+        run_verify(q, n)
+        assert draws == [(q, n)] * harness.SAMPLE_COUNT
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("# automorphisms")]
+        assert len(notes) == 1
+        assert notes[0].startswith(f"# automorphisms q={q} n={n}: sampled 100 [")
+    draws.clear()
+    run_verify(3, 2, claims=["REG"])
+    assert draws == []
+    assert "# automorphisms" not in capsys.readouterr().err
+
+
+def test_claim_time_leaves_the_set_build_out(monkeypatch, capsys):
+    """The set's build time goes on its own stderr line, not on the line of
+    the claim that first asked for it."""
+    now = [0.0]
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def slow(g, seed):
+        now[0] += 5.0
+        return [], "all 0"
+
+    monkeypatch.setattr(harness, "_automorphisms", slow)
+    run_verify(2, 2, claims=["DECOMP", "STRUCT-GEN"])
+    notes = capsys.readouterr().err.splitlines()
+    assert notes == ["# automorphisms q=2 n=2: all 0 [5.00s]",
+                     "# DECOMP q=2 n=2: property-pass [0.00s]",
+                     "# STRUCT-GEN q=2 n=2: property-pass [0.00s]"]
+
+
+def test_sweeps_share_their_automorphisms(monkeypatch):
+    """A sweep run alone checks the same automorphisms as any other: at
+    (3,2) DECOMP sees the images STRUCT-N2 sees, in the same order."""
+    seen = {}
+
+    def recording(cid, check):
+        def wrapped(g, perm):
+            seen.setdefault(cid, []).append(perm.image)
+            return check(g, perm)
+        return wrapped
+
+    monkeypatch.setattr(harness, "_decomp_fields",
+                        recording("DECOMP", harness._decomp_fields))
+    monkeypatch.setattr(harness, "_class_action",
+                        recording("STRUCT-N2", harness._class_action))
+    for cid in ("DECOMP", "STRUCT-N2"):
+        assert claims_by_id(run_verify(3, 2, claims=[cid]))[cid].verdict == (
+            "property-pass")
+    assert len(seen["DECOMP"]) == harness.SAMPLE_COUNT
+    assert seen["DECOMP"] == seen["STRUCT-N2"]
 
 
 def test_sweeps_sample_past_the_enumeration_guard(monkeypatch):
