@@ -336,13 +336,16 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
     into the graph given as bitset rows, where init[v] is the mask of
     vertices v may map to.  With every vertex in init these are
     automorphisms; the masks colour the search, so only colour-respecting
-    maps are found.  Return the first complete map as an image tuple (None
-    if there is none), or, given a list collect, append every map to it.
-    Plain forward-checking backtracking; no structural assumptions."""
+    maps are found.  Every vertex outside init maps to itself, so a vertex
+    already fixed need not be passed: the masks in init must then exclude
+    it and agree with its adjacency.  Return the first complete map as an
+    image tuple (None if there is none), or, given a list collect, append
+    every map to it.  Plain forward-checking backtracking; no structural
+    assumptions."""
     cands0 = [0] * len(adj)
     for v, mask in init.items():
         cands0[v] = mask
-    image = [0] * len(adj)
+    image = list(range(len(adj)))
 
     def rec(cands: list[int], rest: list[int]):
         if not rest:
@@ -391,12 +394,23 @@ def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     leaves G_i the same group and narrows the other masks only by facts
     G_i keeps.  u's own level would have orbit {u}, a factor of 1, so it
     gets none.  A map found at level j fixes every vertex fixed before
-    level j, so the orbit closing is unchanged."""
+    level j, so the orbit closing is unchanged.
+
+    Each first-hit search starts from the chain's settled state: it is
+    passed only the masks of the vertices still free at its level, v_i
+    among them, and keeps every fixed vertex fixed.  That is the same
+    search.  The chain ran _narrow(u -> u) for every fixed u over a rest
+    that still held every free vertex, so each free mask already agrees
+    with u's adjacency and no longer holds u; pairs of two fixed vertices
+    map by the identity; the search still checks every pair of free
+    vertices.  Re-running a fixed vertex's step cannot change any mask, so
+    the branching order, the first hits, every map found and the search
+    count stay the same."""
     pins, levels, rest = dict(init), [], list(init)
     for v in init:
         if v not in rest:  # fixed already, by force
             continue
-        levels.append((v, pins))
+        levels.append((v, {u: pins[u] for u in rest}))
         rest.remove(v)
         fix = [v]  # v, then each vertex left with only itself
         for u in fix:  # a map fixing u keeps every vertex's adjacency to u
@@ -687,7 +701,8 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     Pinv = []
     for i, col in enumerate(zip(*P)):
         u = _coords(g, img[g.nv + q ** (n - 1 - i) - 1])
-        Pinv.append([mul[inv[dot(u, col)]][a] for a in u])
+        scale = mul[inv[dot(u, col)]]
+        Pinv.append([scale[a] for a in u])
 
     # chi_P^-1 . rho' fixes e1 and e_axis, so it keeps the functional classes
     # meeting both and the line of the two classes: the image of e1 + a*e_axis

@@ -15,7 +15,8 @@ reason and keeps its formula, so a report names the limit that stopped it.
 
 Reports are deterministic: every sweep checks one automorphism set per
 graph, sampled, when the group is too large to enumerate, from a generator
-seeded with "<seed>:automorphisms"; and the JSON rendering carries no
+seeded with "<seed>:automorphisms", and each check is swept once per
+run_verify call, whichever claims read it; and the JSON rendering carries no
 timings (the "ms" field is always null; wall-clock notes go to stderr).
 """
 
@@ -131,7 +132,7 @@ def _class_action(g: LfGraph, perm: VertexPerm):
 
 # ---------- claim runners ----------
 
-def _run_reg(g, sample, deep):
+def _run_reg(g, sweep, deep):
     """Degrees only: num_vertices is 2(q^n - 1) by its definition."""
     want = g.q ** (g.n - 1) - 1
     for v in range(g.num_vertices):
@@ -142,13 +143,13 @@ def _run_reg(g, sample, deep):
     return None, None, "property-pass", None
 
 
-def _run_sigma_card(g, sample, deep):
+def _run_sigma_card(g, sweep, deep):
     """Vector side only: lines() mirrors each vector class to the other."""
     formula = (g.q ** g.n - 1) // (g.q - 1)
     return _compare(formula, sum(1 for line in g.lines() if line.side == VEC))
 
 
-def _run_twin(g, sample, deep):
+def _run_twin(g, sweep, deep):
     """Twin classes against lines(), then each vertex's monic rep against
     its line_index() class: build gives a class of lines() one row, so
     only the second test is independent of lines()."""
@@ -165,7 +166,7 @@ def _run_twin(g, sample, deep):
     return None, None, "property-pass", None
 
 
-def _run_conn(g, sample, deep):
+def _run_conn(g, sweep, deep):
     comps = list(g.component_masks())
     if g.n >= 3:
         if len(comps) == 1:
@@ -190,7 +191,7 @@ def _run_conn(g, sample, deep):
     return None, None, "property-pass", None
 
 
-def _run_dom_side(g, sample, deep):
+def _run_dom_side(g, sweep, deep):
     formula = g.q + 1
 
     def run():
@@ -207,7 +208,7 @@ def _run_dom_side(g, sample, deep):
     return _guarded(formula, run)
 
 
-def _run_dom_whole(g, sample, deep, mode):
+def _run_dom_whole(g, sweep, deep, mode):
     formula = 2 * g.q + 2
 
     def run():
@@ -216,7 +217,7 @@ def _run_dom_whole(g, sample, deep, mode):
     return _guarded(formula, run)
 
 
-def _run_comp_iso(g, sample, deep):
+def _run_comp_iso(g, sweep, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_component_isos(g.q)
@@ -224,23 +225,24 @@ def _run_comp_iso(g, sample, deep):
         formula, count_component_isomorphisms(g)))
 
 
-def _run_struct_gen(g, sample, deep):
+def _run_struct_gen(g, sweep, deep):
     """The intersection identity once per graph, then the class action of
     every sampled automorphism."""
     holds, witness = _intersection_holds(g)
     if not holds:
         return None, None, "property-fail", {"witness": witness}
-    return _sweep(g, sample, _class_action)
+    return sweep(_class_action)
 
 
-def _run_struct_n2(g, sample, deep):
-    """At n = 2 a well-defined class action keeps each component whole."""
+def _run_struct_n2(g, sweep, deep):
+    """At n = 2 a well-defined class action keeps each component whole;
+    STRUCT-GEN's sweep checks it, so a full run sweeps once for both."""
     if g.n != 2:
         return _skip("applies to n = 2 only")
-    return _sweep(g, sample, _class_action)
+    return sweep(_class_action)
 
 
-def _run_card_n2(g, sample, deep):
+def _run_card_n2(g, sweep, deep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_card_n2(g.q)
@@ -248,7 +250,7 @@ def _run_card_n2(g, sample, deep):
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_gen(g, sample, deep):
+def _run_card_gen(g, sweep, deep):
     if g.n < 3:
         return _skip("applies to n >= 3 only")
     formula = formula_card_general(g.q, g.n)
@@ -259,7 +261,7 @@ def _run_card_gen(g, sample, deep):
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_stab(g, sample, deep):
+def _run_card_stab(g, sweep, deep):
     formula = formula_twin_stabilizer(g.q, g.n)
     return _guarded(formula,
                     lambda: _compare(formula, count_class_stabilizers(g)))
@@ -273,8 +275,8 @@ def _decomp_fields(g, perm):
     return None if compose(g, d) == perm else {"step": "recompose"}
 
 
-def _run_decomp(g, sample, deep):
-    return _sweep(g, sample, _decomp_fields)
+def _run_decomp(g, sweep, deep):
+    return sweep(_decomp_fields)
 
 
 # (id, the statement the claim checks, its runner); ids and statements are
@@ -339,6 +341,10 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
               file=sys.stderr)
         return perms, how
 
+    @cache  # one sweep per check: STRUCT-N2 reads STRUCT-GEN's result
+    def sweep(check):
+        return _sweep(g, autos, check)
+
     start = time.monotonic()
     results = []
     for cid, locus, runner in REGISTRY:
@@ -351,7 +357,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
                                        {"reason": "budget exhausted"}))
             continue
         t0 = time.monotonic()
-        formula, oracle, verdict, witness = runner(g, autos, deep)
+        formula, oracle, verdict, witness = runner(g, sweep, deep)
         print(f"# {cid} q={q} n={n}: {verdict} "
               f"[{time.monotonic() - t0:.2f}s]", file=sys.stderr)
         results.append(ClaimResult(cid, locus, formula, oracle, verdict,

@@ -21,7 +21,7 @@ from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
                            random_twin_permutation, sigma_swap,
                            tau_from_table, _decompose_general, _decompose_n2,
                            _automorphism_search, _count_by_orbits,
-                           _count_with_searches,
+                           _count_with_searches, _narrow,
                            _intersection_holds, _lift, _lift_classes,
                            _uncoloured)
 from lfgraph.graph import LfGraph, _bit_list, _map_ids, _semilinear
@@ -1048,6 +1048,75 @@ def test_search_outputs_pinned():
     put(counts)
     assert digest.hexdigest() == (
         "4961fa4e139eacc6a3491ba500b868a536c30b6d3b4a878578f6d6f658070d0e")
+
+
+@pytest.mark.parametrize("q,n,method,narrows,whole_pins", [
+    (3, 3, "quotient", 210, 236),
+    (2, 4, "quotient", 303, 356),
+    (3, 2, "vertex", 127, 212),
+    (5, 2, "vertex", 1153, 2755)],
+    ids=["3-3-quotient", "2-4-quotient", "3-2-vertex", "5-2-vertex"])
+def test_count_narrows_from_the_settled_state(monkeypatch, q, n, method,
+                                              narrows, whole_pins):
+    """The counting search's _narrow calls, which no host's speed moves.
+    whole_pins is what first-hit searches handed every pin took: one step
+    per vertex the pin chain had already fixed.  (5,2), 48 vertices, is
+    counted past the vertex guard."""
+    import lfgraph.autos as autos
+    calls = [0]
+    narrow = autos._narrow
+
+    def counted(*args):
+        calls[0] += 1
+        return narrow(*args)
+
+    monkeypatch.setattr(autos, "_narrow", counted)
+    g = graph_for(q, n)
+    if method == "vertex":
+        _count_by_orbits(g.adj, _uncoloured(g.adj))
+    else:
+        _count_with_searches(g, method)
+    assert calls[0] == narrows
+    assert narrows < whole_pins
+
+
+def test_search_keeps_vertices_outside_init_fixed():
+    """Vertices outside init map to themselves: one component of (3,2)
+    searched alone gives automorphisms of the whole graph, and at (2,3) the
+    free masks left after fixing vertex 0 give its stabilizer, 336 / 14."""
+    g = graph_for(3, 2)
+    comp = next(g.component_masks())
+    members = set(_bit_list(comp))
+    hit = _automorphism_search(g.adj, dict.fromkeys(members, comp))
+    assert all(hit[v] == v for v in range(g.num_vertices) if v not in members)
+    assert is_automorphism(g, VertexPerm(g, hit))
+    g = graph_for(2, 3)
+    rest = list(range(1, g.num_vertices))
+    free = _narrow(g.adj, _uncoloured(g.adj), rest, 0, 0)
+    maps = []
+    _automorphism_search(g.adj, {u: free[u] for u in rest}, maps)
+    assert len(maps) == 336 // 14
+    assert all(m[0] == 0 and is_automorphism(g, VertexPerm(g, m)) for m in maps)
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (5, 2), (2, 4)])
+def test_vertex_count_matches_quotient_past_the_guard(monkeypatch, q, n):
+    """The vertex-level count equals the quotient count, with the vertex
+    guard raised past (4,2)'s and (2,4)'s 30 vertices and (5,2)'s 48."""
+    import lfgraph.autos as autos
+    monkeypatch.setattr(autos, "MAX_ENUM_VERTICES", 48)
+    g = graph_for(q, n)
+    assert count_automorphisms(g, "vertex") == count_automorphisms(g)
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (3, 3)])
+def test_class_stabilizers_past_the_guard(monkeypatch, q, n):
+    """The CARD-STAB values verify skips at (4,2) and (3,3) match the
+    closed form once the vertex guard admits them."""
+    import lfgraph.autos as autos
+    monkeypatch.setattr(autos, "MAX_ENUM_VERTICES", 52)
+    g = graph_for(q, n)
+    assert count_class_stabilizers(g) == formula_twin_stabilizer(q, n)
 
 
 def _brute_component_isomorphisms(g):

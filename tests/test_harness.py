@@ -282,6 +282,25 @@ def test_sweeps_share_their_automorphisms(monkeypatch):
     assert seen["DECOMP"] == seen["STRUCT-N2"]
 
 
+def test_each_check_is_swept_once(monkeypatch):
+    """STRUCT-GEN and STRUCT-N2 run the same check on the same set, so a
+    full run_verify at (3,2) sweeps it once: SAMPLE_COUNT calls, not twice
+    that.  Both claims still report the sweep."""
+    calls = []
+    check = harness._class_action
+
+    def counted(g, perm):
+        calls.append(perm)
+        return check(g, perm)
+
+    monkeypatch.setattr(harness, "_class_action", counted)
+    by = claims_by_id(run_verify(3, 2))
+    assert len(calls) == harness.SAMPLE_COUNT
+    for cid in ("STRUCT-GEN", "STRUCT-N2"):
+        assert by[cid].verdict == "property-pass"
+        assert by[cid].witness == {"method": "sampled 100"}
+
+
 def test_sweeps_sample_past_the_enumeration_guard(monkeypatch):
     """verify reads no guard itself: with the library's enumeration guard
     below (2,3)'s 14 vertices, both sweeps sample instead of enumerating."""
