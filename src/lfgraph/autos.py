@@ -35,7 +35,8 @@ from itertools import chain, islice, repeat
 from .gf import factor_prime_power, field_from_order
 from .linalg import random_invertible
 from .graph import (GuardError, LfGraph, _bit_list, _build_guard, _coords, _gather,
-                    _matrix, _orbit, _row_lists, _semilinear, _side_swap, build)
+                    _inverse, _matrix, _orbit, _row_lists, _semilinear,
+                    _side_swap, build)
 
 
 class VertexPerm:
@@ -68,10 +69,7 @@ class VertexPerm:
         return VertexPerm(self.g, map(self.image.__getitem__, other.image))
 
     def inverse(self) -> "VertexPerm":
-        inv = [0] * len(self.image)
-        for v, t in enumerate(self.image):
-            inv[t] = v
-        return VertexPerm(self.g, inv)
+        return VertexPerm(self.g, _inverse(self.image))
 
     def is_identity(self) -> bool:
         return all(v == t for v, t in enumerate(self.image))
@@ -314,11 +312,11 @@ MAX_ENUM_VERTICES = 20
 MAX_QUOTIENT_CLASSES = 40
 
 
-def _narrow(adj: list[int], cands, rest, v: int, c: int):
-    """A copy of the candidate masks cands (a list or a dict) with v mapped
-    to c: each u in rest keeps the candidates other than c whose adjacency
-    to c matches u's to v.  None when some mask empties.  With c = v and
-    every mask holding its own vertex, no mask empties."""
+def _narrow(adj: list[int], cands: list[int], rest, v: int, c: int):
+    """A copy of the candidate masks cands with v mapped to c: each u in
+    rest keeps the candidates other than c whose adjacency to c matches
+    u's to v.  None when some mask empties.  With c = v and every mask
+    holding its own vertex, no mask empties."""
     out = cands.copy()
     out[v] = 1 << c
     av, ac, notc = adj[v], adj[c], ~(1 << c)
@@ -330,21 +328,20 @@ def _narrow(adj: list[int], cands, rest, v: int, c: int):
     return out
 
 
-def _automorphism_search(adj: list[int], init: dict[int, int],
+def _automorphism_search(adj: list[int], cands: list[int], free,
                          collect: list | None = None):
-    """Search the adjacency-preserving injections of the vertices in init
-    into the graph given as bitset rows, where init[v] is the mask of
-    vertices v may map to.  With every vertex in init these are
-    automorphisms; the masks colour the search, so only colour-respecting
-    maps are found.  Every vertex outside init maps to itself, so a vertex
-    already fixed need not be passed: the masks in init must then exclude
-    it and agree with its adjacency.  Return the first complete map as an
-    image tuple (None if there is none), or, given a list collect, append
-    every map to it.  Plain forward-checking backtracking; no structural
-    assumptions."""
-    cands0 = [0] * len(adj)
-    for v, mask in init.items():
-        cands0[v] = mask
+    """Search the adjacency-preserving injections of the vertices in free
+    into the graph given as bitset rows.  (cands, free) is the search
+    state: cands[v] is the mask of vertices v may map to, free lists the
+    vertices still to map in ascending order, and every other vertex maps
+    to itself.  With every vertex free these maps are automorphisms; the
+    masks colour the search, so only colour-respecting maps are found.
+    With some vertices fixed they are the automorphisms fixing them, when
+    the free masks already agree with each fixed vertex's adjacency and
+    exclude it, as _narrow leaves them.  Return the first complete map as
+    an image tuple (None if there is none), or, given a list collect,
+    append every map to it.  Plain forward-checking backtracking; no
+    structural assumptions."""
     image = list(range(len(adj)))
 
     def rec(cands: list[int], rest: list[int]):
@@ -372,20 +369,20 @@ def _automorphism_search(adj: list[int], init: dict[int, int],
                     return hit
         rest.insert(i, v)
 
-    return rec(cands0, sorted(init))
+    return rec(cands, list(free))  # rec pops from its list; a hit skips the insert
 
 
-def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
+def _count_by_orbits(adj: list[int], cands: list[int], free) -> tuple[int, int]:
     """The order of the group G of maps _automorphism_search finds from
-    init (each mask inside init's domain and holding its own vertex), and
-    the first-hit searches run.  Orbit-stabilizer: |G| is the product of
-    |v_i^(G_i)| over the vertices v_i of init, G_i fixing v_0 .. v_(i-1)
-    (Seress, Permutation Group Algorithms, ch. 4).  Levels are settled
-    deepest first (McKay, Practical graph isomorphism, 1981): a map found
-    at level j is in every G_i with i <= j, so v_i's orbit starts closed
-    under every map found.  Each other candidate w costs one complete
-    search pinning v_i -> w: a hit joins the maps and closes the orbit
-    again, a miss rules out w's orbit.
+    the state (cands, free), each free vertex's mask holding its own
+    vertex, and the first-hit searches run.  Orbit-stabilizer: |G| is
+    the product of |v_i^(G_i)| over the free vertices v_i, G_i fixing
+    v_0 .. v_(i-1) (Seress, Permutation Group Algorithms, ch. 4).  Levels
+    are settled deepest first (McKay, Practical graph isomorphism, 1981):
+    a map found at level j is in every G_i with i <= j, so v_i's orbit
+    starts closed under every map found.  Each other candidate w costs
+    one complete search pinning v_i -> w from level i's state: a hit
+    joins the maps and closes the orbit again, a miss rules out w's orbit.
 
     After fixing v_i the chain also fixes every vertex u whose mask is now
     {u}, until none is left: refinement that splits only single-vertex
@@ -394,37 +391,25 @@ def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     leaves G_i the same group and narrows the other masks only by facts
     G_i keeps.  u's own level would have orbit {u}, a factor of 1, so it
     gets none.  A map found at level j fixes every vertex fixed before
-    level j, so the orbit closing is unchanged.
-
-    Each first-hit search starts from the chain's settled state: it is
-    passed only the masks of the vertices still free at its level, v_i
-    among them, and keeps every fixed vertex fixed.  That is the same
-    search.  The chain ran _narrow(u -> u) for every fixed u over a rest
-    that still held every free vertex, so each free mask already agrees
-    with u's adjacency and no longer holds u; pairs of two fixed vertices
-    map by the identity; the search still checks every pair of free
-    vertices.  Re-running a fixed vertex's step cannot change any mask, so
-    the branching order, the first hits, every map found and the search
-    count stay the same."""
-    pins, levels, rest = dict(init), [], list(init)
-    for v in init:
-        if v not in rest:  # fixed already, by force
-            continue
-        levels.append((v, {u: pins[u] for u in rest}))
-        rest.remove(v)
+    level j, so the orbit closing is unchanged."""
+    pins, levels, rest = list(cands), [], list(free)
+    while rest:  # v_i is the first vertex the chain has not fixed
+        v = rest[0]
+        levels.append((v, pins, rest))
+        rest = rest[1:]
         fix = [v]  # v, then each vertex left with only itself
         for u in fix:  # a map fixing u keeps every vertex's adjacency to u
             pins = _narrow(adj, pins, rest, u, u)
             fix += [w for w in rest if pins[w] == 1 << w]
             rest = [w for w in rest if pins[w] != 1 << w]
     found, order, searches = [], 1, 0
-    for v, pins in reversed(levels):
+    for v, pins, rest in reversed(levels):
         orbit, ruled_out = _orbit(found, v), set()
         for w in _bit_list(pins[v]):
             if w in orbit or w in ruled_out:
                 continue
             pins[v] = 1 << w
-            hit = _automorphism_search(adj, pins)
+            hit = _automorphism_search(adj, pins, rest)
             searches += 1
             if hit is None:
                 ruled_out.update(_orbit(found, w))
@@ -435,10 +420,10 @@ def _count_by_orbits(adj: list[int], init: dict[int, int]) -> tuple[int, int]:
     return order, searches
 
 
-def _uncoloured(adj: list[int]) -> dict[int, int]:
+def _uncoloured(adj: list[int]) -> list[int]:
     """Every vertex may map to every vertex.  The graph and its class
     quotient are regular, so a degree colouring would be one colour."""
-    return dict.fromkeys(range(len(adj)), (1 << len(adj)) - 1)
+    return [(1 << len(adj)) - 1] * len(adj)
 
 
 def _check_enum_size(g: LfGraph) -> None:
@@ -458,7 +443,7 @@ def all_automorphisms(g: LfGraph) -> tuple:
     """Every automorphism as an image tuple, via direct vertex search."""
     _check_enum_size(g)
     out: list = []
-    _automorphism_search(g.adj, _uncoloured(g.adj), out)
+    _automorphism_search(g.adj, _uncoloured(g.adj), range(len(g.adj)), out)
     return tuple(out)
 
 
@@ -490,10 +475,10 @@ def _count_with_searches(g: LfGraph, method: str) -> tuple[int, int]:
     """count_automorphisms, and the number of first-hit searches it ran."""
     if method == "vertex":
         _check_enum_size(g)
-        return _count_by_orbits(g.adj, _uncoloured(g.adj))
+        return _count_by_orbits(g.adj, _uncoloured(g.adj), range(len(g.adj)))
     if method == "quotient":
         qadj = quotient_adjacency(g)
-        base, searches = _count_by_orbits(qadj, _uncoloured(qadj))
+        base, searches = _count_by_orbits(qadj, _uncoloured(qadj), range(len(qadj)))
         m = len(qadj) // 2
         return base * math.factorial(g.q - 1) ** (2 * m), searches
     raise ValueError(f"unknown method {method!r}")
@@ -504,8 +489,8 @@ def count_class_stabilizers(g: LfGraph) -> int:
     orbit-stabilizer with each vertex coloured by its own class."""
     _check_enum_size(g)
     masks = [g.line_mask(line) for line in g.lines()]
-    return _count_by_orbits(
-        g.adj, {v: masks[c] for v, c in enumerate(g.line_index())})[0]
+    return _count_by_orbits(g.adj, _gather(masks, g.line_index()),
+                            range(g.num_vertices))[0]
 
 
 def count_component_isomorphisms(g: LfGraph) -> int:
@@ -517,24 +502,26 @@ def count_component_isomorphisms(g: LfGraph) -> int:
         raise ValueError("component isomorphisms are counted for n = 2 only")
     _check_class_count(g)
     src, dst = islice(g.component_masks(), 2)
-    if _automorphism_search(g.adj, dict.fromkeys(_bit_list(src), dst)) is None:
+    n, members = g.num_vertices, _bit_list(src)
+    if _automorphism_search(g.adj, [dst] * n, members) is None:
         return 0
-    return _count_by_orbits(g.adj, dict.fromkeys(_bit_list(src), src))[0]
+    return _count_by_orbits(g.adj, [src] * n, members)[0]
 
 
 # ---------- closed-form counts ----------
 
 def formula_card_n2(q: int) -> int:
     """(q+1)! * (2 ((q-1)!)^2)^(q+1)"""
-    factor_prime_power(q)
     _build_guard(q, 2)
+    factor_prime_power(q)
     return math.factorial(q + 1) * (2 * math.factorial(q - 1) ** 2) ** (q + 1)
 
 
 def formula_card_general(q: int, n: int) -> int:
     """2 * M! * ((q-1)!)^(2M) with M = (q^n - 1)/(q - 1), for n >= 3."""
+    nv = _build_guard(q, n)
     factor_prime_power(q)
-    m = _build_guard(q, n) // (q - 1)
+    m = nv // (q - 1)
     if n < 3:
         raise ValueError("the general count applies to n >= 3")
     return 2 * math.factorial(m) * math.factorial(q - 1) ** (2 * m)
@@ -542,15 +529,16 @@ def formula_card_general(q: int, n: int) -> int:
 
 def formula_twin_stabilizer(q: int, n: int) -> int:
     """((q-1)!)^(2M): automorphisms fixing every class setwise."""
+    nv = _build_guard(q, n)
     factor_prime_power(q)
-    m = _build_guard(q, n) // (q - 1)
+    m = nv // (q - 1)
     return math.factorial(q - 1) ** (2 * m)
 
 
 def formula_component_isos(q: int) -> int:
     """2 ((q-1)!)^2: isomorphisms between two n = 2 components."""
-    factor_prime_power(q)
     _build_guard(q, 2)
+    factor_prime_power(q)
     return 2 * math.factorial(q - 1) ** 2
 
 
@@ -664,10 +652,7 @@ def _basis_change(g: LfGraph, rho_p):
 
 def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     """tau = chain(gen)^-1 . rho, which must fix every twin class."""
-    inv = [0] * g.num_vertices
-    for v, t in enumerate(_chain(g, *gen)):
-        inv[t] = v
-    tau = _gather(inv, rho.image)
+    tau = _gather(_inverse(_chain(g, *gen)), rho.image)
     v = _class_escape(g, tau)
     if v is not None:
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})

@@ -50,6 +50,9 @@ class Field:
     A reducible modulus raises ValueError, an order over MAX_ORDER GuardError."""
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        # p^k >= max(p, 2^k): refused before is_prime and before p ** k
+        if p > MAX_ORDER or k > MAX_ORDER:
+            raise GuardError(f"field order p^k exceeds supported maximum {MAX_ORDER}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
@@ -230,5 +233,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def field_from_order(q: int, modulus=None) -> Field:
+    if q > MAX_ORDER:  # before factor_prime_power divides up to sqrt(q)
+        raise GuardError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     p, k = factor_prime_power(q)
     return Field(p, k, modulus)

@@ -45,6 +45,15 @@ def _gather(seq, idx) -> tuple:  # seq[i] for i in idx in C; len(idx) > 1
     return itemgetter(*idx)(seq)
 
 
+def _inverse(image, start: int = 0) -> list[int]:
+    """The list inv with inv[image[i]] = start + i, for image a permutation
+    of range(len(image)): image's inverse when start is 0."""
+    inv = [0] * len(image)
+    for v, t in enumerate(image, start):
+        inv[t] = v
+    return inv
+
+
 def _coords(g: LfGraph, vid: int) -> list[int]:
     """The coordinates of vertex vid, either side, with no range check."""
     r, q = vid % g.nv + 1, g.q
@@ -246,9 +255,12 @@ class LfGraph:
 
 def _build_guard(q: int, n: int) -> int:
     """q^n - 1, the vertices a side, once n and 2(q^n - 1) pass build's
-    checks; the closed forms call it before computing any factorial."""
+    checks; the closed forms call it before anything else."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
+    if (q.bit_length() - 1) * n > 4096:  # q^n >= 2^4096: never computed
+        raise GuardError("graph would have over 2^4096 vertices, over the "
+                         f"{MAX_BUILD_VERTICES} guard")
     nv = q ** n - 1
     if 2 * nv > MAX_BUILD_VERTICES:
         raise GuardError(f"graph would have {2 * nv} vertices, over the "
@@ -342,10 +354,7 @@ def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     pre = _map_ids(g, [[back[c] for c in col] for col in zip(*P)], back)
     if -1 in pre:
         raise ValueError("matrix is singular")
-    funs = [0] * g.nv
-    for w, u in enumerate(pre, g.nv):
-        funs[u] = w
-    return _map_ids(g, P, frob) + funs
+    return _map_ids(g, P, frob) + _inverse(pre, g.nv)
 
 
 def _matrix(n: int, cells) -> tuple:

@@ -864,6 +864,35 @@ def test_formulas_refuse_what_build_refuses(monkeypatch):
             formula(*args)
 
 
+def test_guards_refuse_before_computing(monkeypatch):
+    """Sizes whose q^n has more digits than an int may print: build and
+    the closed forms refuse them from q and n alone.  A permutation
+    document or a closed form naming a prime order near 10^18 is refused
+    before any trial division."""
+    for make in (lambda: build(field_from_order(3), 10**5),
+                 lambda: formula_card_general(3, 10**5),
+                 lambda: formula_twin_stabilizer(2, 10**5)):
+        with pytest.raises(GuardError, match="over the 100000 guard"):
+            make()
+    import lfgraph.autos as autos
+    import lfgraph.gf as gf
+
+    def refuse(_):
+        raise AssertionError("trial division ran past the order guard")
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    monkeypatch.setattr(gf, "factor_prime_power", refuse)
+    monkeypatch.setattr(autos, "factor_prime_power", refuse)
+    big = 10**18 + 3
+    for make in (lambda: formula_card_n2(big), lambda: formula_component_isos(big),
+                 lambda: formula_card_general(big, 3),
+                 lambda: formula_twin_stabilizer(big, 2)):
+        with pytest.raises(GuardError, match="over the 100000 guard"):
+            make()
+    doc = json.dumps({"q": big, "n": 2, "image": []})
+    with pytest.raises(GuardError, match="exceeds supported maximum 256"):
+        perm_from_json(doc)
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         all_automorphisms(graph_for(4, 2))  # 30 vertices
@@ -967,10 +996,10 @@ def test_first_hit_honours_pins():
             pins = _uncoloured(g.adj)
             for v in r.sample(range(g.num_vertices), 3):
                 pins[v] = 1 << target[v]
-            hit = _automorphism_search(g.adj, pins)
+            hit = _automorphism_search(g.adj, pins, range(g.num_vertices))
             assert is_automorphism(g, VertexPerm(g, hit))
             assert all(hit[v] == (m.bit_length() - 1)
-                       for v, m in pins.items() if m.bit_count() == 1)
+                       for v, m in enumerate(pins) if m.bit_count() == 1)
 
 
 def test_first_hit_unmeetable_pin():
@@ -984,15 +1013,16 @@ def test_first_hit_unmeetable_pin():
                if not (g.adj[v] >> w) & 1)
     pins = _uncoloured(g.adj)
     pins[v], pins[u] = 1 << v, 1 << far
-    assert _automorphism_search(g.adj, pins) is None
+    every = range(g.num_vertices)
+    assert _automorphism_search(g.adj, pins, every) is None
     a, b = g.lines()[0].members[:2]
     c = g.lines()[1].members[0]
     pins = _uncoloured(g.adj)
     pins[a], pins[b] = 1 << a, 1 << c
-    assert _automorphism_search(g.adj, pins) is None
+    assert _automorphism_search(g.adj, pins, every) is None
     pins = _uncoloured(g.adj)
     pins[5] = 0
-    assert _automorphism_search(g.adj, pins) is None
+    assert _automorphism_search(g.adj, pins, every) is None
 
 
 def test_count_reach_4_3():
@@ -1040,8 +1070,8 @@ def test_search_outputs_pinned():
             pins = _uncoloured(g.adj)
             for v in r.sample(range(g.num_vertices), pinned):
                 pins[v] = 1 << target[v]
-            put(_automorphism_search(g.adj, pins))
-    counts = [_count_by_orbits(g.adj, _uncoloured(g.adj))
+            put(_automorphism_search(g.adj, pins, range(g.num_vertices)))
+    counts = [_count_by_orbits(g.adj, _uncoloured(g.adj), range(g.num_vertices))
               for g in (graph_for(5, 2), graph_for(3, 3))]
     counts.append(_count_with_searches(graph_for(2, 5), "quotient"))
     assert [searches for _, searches in counts] == [101, 142, 45]
@@ -1073,7 +1103,7 @@ def test_count_narrows_from_the_settled_state(monkeypatch, q, n, method,
     monkeypatch.setattr(autos, "_narrow", counted)
     g = graph_for(q, n)
     if method == "vertex":
-        _count_by_orbits(g.adj, _uncoloured(g.adj))
+        _count_by_orbits(g.adj, _uncoloured(g.adj), range(g.num_vertices))
     else:
         _count_with_searches(g, method)
     assert calls[0] == narrows
@@ -1081,22 +1111,39 @@ def test_count_narrows_from_the_settled_state(monkeypatch, q, n, method,
 
 
 def test_search_keeps_vertices_outside_init_fixed():
-    """Vertices outside init map to themselves: one component of (3,2)
+    """Vertices outside free map to themselves: one component of (3,2)
     searched alone gives automorphisms of the whole graph, and at (2,3) the
     free masks left after fixing vertex 0 give its stabilizer, 336 / 14."""
     g = graph_for(3, 2)
     comp = next(g.component_masks())
-    members = set(_bit_list(comp))
-    hit = _automorphism_search(g.adj, dict.fromkeys(members, comp))
+    members = _bit_list(comp)
+    hit = _automorphism_search(g.adj, [comp] * g.num_vertices, members)
     assert all(hit[v] == v for v in range(g.num_vertices) if v not in members)
     assert is_automorphism(g, VertexPerm(g, hit))
     g = graph_for(2, 3)
     rest = list(range(1, g.num_vertices))
-    free = _narrow(g.adj, _uncoloured(g.adj), rest, 0, 0)
+    cands = _narrow(g.adj, _uncoloured(g.adj), rest, 0, 0)
     maps = []
-    _automorphism_search(g.adj, {u: free[u] for u in rest}, maps)
+    _automorphism_search(g.adj, cands, rest, maps)
     assert len(maps) == 336 // 14
     assert all(m[0] == 0 and is_automorphism(g, VertexPerm(g, m)) for m in maps)
+
+
+def test_kernel_leaves_its_inputs_alone():
+    """The counting search writes only the level states it owns, and the
+    first-hit search only its own free list: each caller's masks and free
+    list come back unchanged, and a range gives what a list gives."""
+    g = graph_for(3, 2)
+    masks = [g.line_mask(g.lines()[c]) for c in g.line_index()]
+    free = list(range(g.num_vertices))
+    saved = masks.copy(), free.copy()
+    first = _automorphism_search(g.adj, masks, free)
+    count = _count_by_orbits(g.adj, masks, free)
+    assert (masks, free) == saved
+    assert count[0] == 256
+    every = range(g.num_vertices)
+    assert first == _automorphism_search(g.adj, masks, every)
+    assert count == _count_by_orbits(g.adj, masks, every)
 
 
 @pytest.mark.parametrize("q,n", [(4, 2), (5, 2), (2, 4)])

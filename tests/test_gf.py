@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from lfgraph import GuardError, graph
+from lfgraph import GuardError, gf, graph
 from lfgraph.gf import (Field, factor_prime_power, field_automorphisms,
                         field_from_order, is_prime)
 
@@ -231,6 +231,21 @@ def test_field_order_guard_raises_guard_error():
     guards, and graph exports the same GuardError class."""
     assert graph.GuardError is GuardError
     for make in (lambda: field_from_order(257), lambda: Field(2, 9)):
+        with pytest.raises(GuardError, match="exceeds supported maximum 256"):
+            make()
+
+
+def test_field_guards_refuse_before_computing(monkeypatch):
+    """An order over the maximum is refused from p and k, or from q, alone:
+    no p ** k at k = 10^5, and no trial division of a prime near 10^18."""
+    with pytest.raises(GuardError, match="exceeds supported maximum 256"):
+        Field(3, 10**5)
+
+    def refuse(_):
+        raise AssertionError("trial division ran past the order guard")
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    monkeypatch.setattr(gf, "factor_prime_power", refuse)
+    for make in (lambda: Field(10**18 + 3), lambda: field_from_order(10**18 + 3)):
         with pytest.raises(GuardError, match="exceeds supported maximum 256"):
             make()
 
