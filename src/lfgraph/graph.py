@@ -396,6 +396,8 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     standard: every target vertex is in dset or has a neighbor in dset.
     total:    every target vertex has a neighbor in dset.
     """
+    if mode not in ("standard", "total"):
+        raise ValueError(f"unknown mode {mode!r}")
     dmask = 0
     for v in dset:
         dmask |= 1 << v
@@ -669,13 +671,14 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
     if data[0] == 126:
         if len(data) < 4:
             raise ValueError("truncated graph6 header")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-    else:
-        n = data[0] - 63
-        body = data[1:]
-    if n < 0:
-        raise ValueError("bad graph6 header")
+        head, body = data[1:4], data[4:]
+    else:  # here the one header byte is not 126, so at most 125
+        head, body = data[:1], data[1:]
+    n = 0
+    for byte in head:
+        if not 63 <= byte <= 126:
+            raise ValueError("bad graph6 header")
+        n = n << 6 | (byte - 63)
     need = n * (n - 1) // 2
     bits = []
     for byte in body:

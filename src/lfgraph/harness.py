@@ -132,7 +132,7 @@ def _class_action(g: LfGraph, perm: VertexPerm):
 
 # ---------- claim runners ----------
 
-def _run_reg(g, sweep, deep):
+def _run_reg(g, sweep):
     """Degrees only: num_vertices is 2(q^n - 1) by its definition."""
     want = g.q ** (g.n - 1) - 1
     for v in range(g.num_vertices):
@@ -143,13 +143,13 @@ def _run_reg(g, sweep, deep):
     return None, None, "property-pass", None
 
 
-def _run_sigma_card(g, sweep, deep):
+def _run_sigma_card(g, sweep):
     """Vector side only: lines() mirrors each vector class to the other."""
     formula = (g.q ** g.n - 1) // (g.q - 1)
     return _compare(formula, sum(1 for line in g.lines() if line.side == VEC))
 
 
-def _run_twin(g, sweep, deep):
+def _run_twin(g, sweep):
     """Twin classes against lines(), then each vertex's monic rep against
     its line_index() class: build gives a class of lines() one row, so
     only the second test is independent of lines()."""
@@ -166,7 +166,7 @@ def _run_twin(g, sweep, deep):
     return None, None, "property-pass", None
 
 
-def _run_conn(g, sweep, deep):
+def _run_conn(g, sweep):
     comps = list(g.component_masks())
     if g.n >= 3:
         if len(comps) == 1:
@@ -191,7 +191,7 @@ def _run_conn(g, sweep, deep):
     return None, None, "property-pass", None
 
 
-def _run_dom_side(g, sweep, deep):
+def _run_dom_side(g, sweep):
     formula = g.q + 1
 
     def run():
@@ -208,7 +208,7 @@ def _run_dom_side(g, sweep, deep):
     return _guarded(formula, run)
 
 
-def _run_dom_whole(g, sweep, deep, mode):
+def _run_dom_whole(g, sweep, mode):
     formula = 2 * g.q + 2
 
     def run():
@@ -217,7 +217,7 @@ def _run_dom_whole(g, sweep, deep, mode):
     return _guarded(formula, run)
 
 
-def _run_comp_iso(g, sweep, deep):
+def _run_comp_iso(g, sweep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_component_isos(g.q)
@@ -225,7 +225,7 @@ def _run_comp_iso(g, sweep, deep):
         formula, count_component_isomorphisms(g)))
 
 
-def _run_struct_gen(g, sweep, deep):
+def _run_struct_gen(g, sweep):
     """The intersection identity once per graph, then the class action of
     every sampled automorphism."""
     holds, witness = _intersection_holds(g)
@@ -234,7 +234,7 @@ def _run_struct_gen(g, sweep, deep):
     return sweep(_class_action)
 
 
-def _run_struct_n2(g, sweep, deep):
+def _run_struct_n2(g, sweep):
     """At n = 2 a well-defined class action keeps each component whole;
     STRUCT-GEN's sweep checks it, so a full run sweeps once for both."""
     if g.n != 2:
@@ -242,7 +242,7 @@ def _run_struct_n2(g, sweep, deep):
     return sweep(_class_action)
 
 
-def _run_card_n2(g, sweep, deep):
+def _run_card_n2(g, sweep):
     if g.n != 2:
         return _skip("applies to n = 2 only")
     formula = formula_card_n2(g.q)
@@ -250,18 +250,15 @@ def _run_card_n2(g, sweep, deep):
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_gen(g, sweep, deep):
+def _run_card_gen(g, sweep):
     if g.n < 3:
         return _skip("applies to n >= 3 only")
     formula = formula_card_general(g.q, g.n)
-    if not deep and (g.q, g.n) != (2, 3):
-        return _skip("brute oracle beyond (2, 3) is opt-in; rerun with --deep",
-                     formula)
     return _guarded(formula, lambda: _compare(
         formula, count_automorphisms(g, method="quotient")))
 
 
-def _run_card_stab(g, sweep, deep):
+def _run_card_stab(g, sweep):
     formula = formula_twin_stabilizer(g.q, g.n)
     return _guarded(formula,
                     lambda: _compare(formula, count_class_stabilizers(g)))
@@ -275,7 +272,7 @@ def _decomp_fields(g, perm):
     return None if compose(g, d) == perm else {"step": "recompose"}
 
 
-def _run_decomp(g, sweep, deep):
+def _run_decomp(g, sweep):
     return sweep(_decomp_fields)
 
 
@@ -322,13 +319,15 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
 
     claims: optional iterable of claim ids; everything else is reported as
     skipped.  seed: DEFAULT_SEED when None.  budget: soft wall-clock limit
-    in seconds; claims that have not started when it runs out are skipped,
-    never dropped.
+    in seconds, >= 0; claims that have not started when it runs out are
+    skipped, never dropped.  deep: accepted and ignored; selects nothing.
     """
     seed = DEFAULT_SEED if seed is None else seed
     selected = set(CLAIM_IDS if claims is None else claims)
     if unknown := selected - set(CLAIM_IDS):
         raise ValueError(f"unknown claim ids: {sorted(unknown)}")
+    if budget is not None and not budget >= 0:  # NaN compares false
+        raise ValueError(f"budget must be a number >= 0, got {budget}")
     g = build(field_from_order(q), n)
 
     @cache  # one automorphism set for every sweep, built on first use
@@ -357,7 +356,7 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
                                        {"reason": "budget exhausted"}))
             continue
         t0 = time.monotonic()
-        formula, oracle, verdict, witness = runner(g, sweep, deep)
+        formula, oracle, verdict, witness = runner(g, sweep)
         print(f"# {cid} q={q} n={n}: {verdict} "
               f"[{time.monotonic() - t0:.2f}s]", file=sys.stderr)
         results.append(ClaimResult(cid, locus, formula, oracle, verdict,
@@ -461,7 +460,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = build(field_from_order(args.q), args.n)
-    ok = {cid: run(g, None, False)[2] in ("match", "property-pass")
+    ok = {cid: run(g, None)[2] in ("match", "property-pass")
           for cid, _, run in REGISTRY
           if cid in ("REG", "SIGMA-CARD", "TWIN", "CONN")}
     # a passing CONN proved the count
@@ -536,7 +535,7 @@ def _cmd_verify(args) -> int:
     instances = [(args.q, args.n)] if args.q is not None else list(DEFAULT_MATRIX)
     claims = _parse_claims(args.claims)
     reports = [run_verify(q, n, claims=claims, seed=args.seed,
-                          budget=args.budget, deep=args.deep)
+                          budget=args.budget)
                for q, n in instances]
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
@@ -599,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="soft wall-clock limit in seconds per instance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--deep", action="store_true",
-                   help="run expensive oracles beyond the default sizes")
+                   help="accepted and ignored: selects nothing")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -267,6 +267,15 @@ def test_is_dominating_basics():
     assert is_dominating(g, list(range(6)), target="all", mode="total")
 
 
+def test_is_dominating_refuses_an_unknown_mode():
+    """The same refusal as domination_number, never a silent total rule."""
+    g = graph_for(2, 2)
+    for check in (lambda: is_dominating(g, [3, 4, 5], mode="bogus"),
+                  lambda: domination_number(g, mode="bogus")):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            check()
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_one_sided_domination_number(q, n):
     g = graph_for(q, n)
@@ -704,6 +713,19 @@ def test_graph6_refuses_the_8_byte_form():
     n = 258_048
     data = b"~~" + bytes(((n >> s) & 63) + 63 for s in range(30, -1, -6))
     with pytest.raises(ValueError, match="8-byte graph6 header"):
+        parse_graph6(data)
+
+
+@pytest.mark.parametrize("data", [b"\x7f" + b"?" * 400,
+                                  bytes([200]) + b"?" * 400,
+                                  b"~\x7f??", b"~?\x7f?" + b"?" * 10,
+                                  b"~??>" + b"?" * 10],
+                         ids=["127", "200", "long-127-first", "long-127-second",
+                              "long-62-third"])
+def test_parse_graph6_refuses_bad_header_bytes(data):
+    """A one-byte header lies in 63..125 and each byte after ~ in
+    63..126; anything else is refused before the body is read."""
+    with pytest.raises(ValueError, match="bad graph6 header"):
         parse_graph6(data)
 
 

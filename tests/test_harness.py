@@ -151,24 +151,24 @@ def test_cli_verify_skips_comp_iso_over_the_class_guard(capsys):
     assert c["witness"] == {"reason": "42 classes per side is over the 40 guard"}
 
 
-def test_card_gen_opt_in_gate_runs_before_the_guard():
-    """(3,4) has 40 classes a side: without --deep the opt-in gate skips
-    CARD-GEN, with it the quotient search counts 2|PGL(4,3)| (2!)^80 and
-    misses the paper's formula.  (2,6), 63 classes a side, is refused by
-    the quotient search's guard even with --deep."""
+def test_card_gen_runs_its_oracle_up_to_the_class_guard():
+    """CARD-GEN compares the closed form with the quotient count at every
+    n >= 3 size the class guard admits: (3,4), 40 classes a side, counts
+    2|PGL(4,3)| (2!)^80 and misses the paper's formula.  (2,6), 63 classes
+    a side, is skipped with the guard's own message and keeps its formula."""
     c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"]))["CARD-GEN"]
-    assert (c.verdict, c.formula) == ("skipped", formula_card_general(3, 4))
-    assert c.witness == {
-        "reason": "brute oracle beyond (2, 3) is opt-in; rerun with --deep"}
-    c = claims_by_id(run_verify(3, 4, claims=["CARD-GEN"],
-                                deep=True))["CARD-GEN"]
     pgl = 80 * 78 * 72 * 54 // 2
     assert (c.verdict, c.formula, c.oracle) == (
         "mismatch", formula_card_general(3, 4), 2 * pgl * 2 ** 80)
-    c = claims_by_id(run_verify(2, 6, claims=["CARD-GEN"],
-                                deep=True))["CARD-GEN"]
+    c = claims_by_id(run_verify(2, 6, claims=["CARD-GEN"]))["CARD-GEN"]
     assert (c.verdict, c.formula) == ("skipped", formula_card_general(2, 6))
     assert c.witness == {"reason": "63 classes per side is over the 40 guard"}
+
+
+@pytest.mark.parametrize("q,n", DEFAULT_MATRIX)
+def test_deep_selects_nothing(q, n):
+    """deep is accepted and ignored: the report is the same with it."""
+    assert run_verify(q, n) == run_verify(q, n, deep=True)
 
 
 def test_sweep_failures_name_the_broken_edge(monkeypatch):
@@ -200,8 +200,8 @@ def test_sweep_failures_name_the_broken_edge(monkeypatch):
 
 def test_verify_enumerates_each_group_once(monkeypatch):
     """STRUCT-GEN, STRUCT-N2 and DECOMP sweep one enumeration per
-    run_verify call: under --deep on the default matrix, (2,2) and (2,3)
-    enumerate once each, and the sampled instances never."""
+    run_verify call: on the default matrix, (2,2) and (2,3) enumerate
+    once each, and the sampled instances never."""
     calls = []
     enumerate_all = harness.all_automorphisms
 
@@ -211,7 +211,7 @@ def test_verify_enumerates_each_group_once(monkeypatch):
 
     monkeypatch.setattr(harness, "all_automorphisms", counted)
     for q, n in harness.DEFAULT_MATRIX:
-        run_verify(q, n, deep=True)
+        run_verify(q, n)
     assert calls == [(2, 2), (2, 3)]
 
 
@@ -327,7 +327,7 @@ def _toggled(q, n, *edges):
 def test_reg_fails_on_a_cut_edge(q, n, f, degree):
     """f is vertex 0's first neighbour."""
     g = _toggled(q, n, (0, f))
-    assert harness._run_reg(g, None, False) == (None, None, "property-fail", {
+    assert harness._run_reg(g, None) == (None, None, "property-fail", {
         "vertex": ["vec", [0] * (n - 1) + [1]], "degree": degree,
         "expected": q ** (n - 1) - 1})
 
@@ -339,7 +339,7 @@ def test_twin_fails_on_a_cut_edge(q, n, f):
     n >= 3 every class is one vertex and no cut edge makes twins, so
     (2,3) is not a case."""
     g = _toggled(q, n, (0, f))
-    assert harness._run_twin(g, None, False) == (None, None, "property-fail", {
+    assert harness._run_twin(g, None) == (None, None, "property-fail", {
         "reason": "twin classes differ from scalar classes"})
 
 
@@ -356,7 +356,7 @@ def test_twin_fails_on_exchanged_class_entries(q, n, x, y, witness):
     lof = list(g.line_index())
     lof[x], lof[y] = lof[y], lof[x]
     g._line_of = tuple(lof)
-    assert harness._run_twin(g, None, False) == (
+    assert harness._run_twin(g, None) == (
         None, None, "property-fail", witness)
 
 
@@ -378,13 +378,13 @@ def test_twin_reads_each_vertex_once(q, n):
             return super().__getitem__(i)
 
     g.coords_of, g.adj = counted, Rows(g.adj)
-    assert harness._run_twin(g, None, False)[2] == "property-pass"
+    assert harness._run_twin(g, None)[2] == "property-pass"
     assert max(calls.values()) <= g.num_vertices, calls
 
 
 def test_conn_failures():
     def conn(g):
-        return harness._run_conn(g, None, False)[2:]
+        return harness._run_conn(g, None)[2:]
 
     fail = "property-fail"
     # n >= 3: vertex 0 of (2,3) loses its three edges and stands alone
@@ -410,6 +410,19 @@ def test_budget_marks_skipped():
     assert all(c.verdict == "skipped" for c in report.claims)
     assert all(c.witness == {"reason": "budget exhausted"}
                for c in report.claims)
+
+
+@pytest.mark.parametrize("budget", [-1.0, math.nan])
+def test_budget_refuses_negative_and_nan(budget, capsys):
+    """A negative budget would skip every claim and a NaN one never runs
+    out; both are refused, and the command line exits 2.  inf is allowed."""
+    with pytest.raises(ValueError, match="budget"):
+        run_verify(2, 2, budget=budget)
+    assert run_cli("verify", "--q", "2", "--n", "2",
+                   "--budget", str(budget)) == 2
+    assert "budget" in capsys.readouterr().err
+    assert run_verify(2, 2, claims=["REG"], budget=math.inf).claims[
+        CLAIM_IDS.index("REG")].verdict == "property-pass"
 
 
 def test_report_passed_only_without_a_failed_claim():
@@ -690,18 +703,18 @@ def test_cli_byte_identical_runs():
     assert a.stdout  # non-empty report
 
 
-@pytest.mark.parametrize("args,digest", [
-    (["verify", "--format", "json"],
-     "5b21c4760e1f445c491c5841963cd8aa34989c52034270afe292ef60d4dd6d6f"),
-    (["verify", "--deep", "--format", "json", "--seed", "1729"],
-     "ba30d3338c8c244559518a4dabf109cace43002614ca01870ebb6139cabdabcc"),
+@pytest.mark.parametrize("args", [
+    ["verify", "--format", "json"],
+    ["verify", "--deep", "--format", "json", "--seed", "1729"],
 ], ids=["default", "deep"])
-def test_cli_verify_report_bytes_pinned(args, digest, capsys):
-    """The default-matrix reports, byte for byte.  A change that alters a
-    report on purpose updates its digest here."""
+def test_cli_verify_report_bytes_pinned(args, capsys):
+    """The default-matrix report, byte for byte, with or without the
+    ignored --deep.  A change that alters the report on purpose updates
+    its digest here."""
     assert main(args) == 1
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ba30d3338c8c244559518a4dabf109cace43002614ca01870ebb6139cabdabcc")
 
 
 def test_default_seed_constant():

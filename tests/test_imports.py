@@ -80,11 +80,14 @@ def test_every_decomposition_step_is_named_in_tests():
 
 def test_settings_and_guards_are_read_in_one_place():
     """No module reads os.environ, so every input is an argument, and
-    harness names no MAX_* guard, so verify never compares a size itself:
-    the library raises GuardError and the harness reports the skip."""
+    harness names no MAX_* guard and compares nothing with a tuple of
+    integer literals such as a (q, n) size, so verify never compares a
+    size itself: the library raises GuardError and the harness reports
+    the skip."""
     for path in sorted(SRC.glob("*.py")):
         named = set()
-        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+        tree = ast.parse(path.read_text(), path.name)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -95,6 +98,16 @@ def test_settings_and_guards_are_read_in_one_place():
         if path.name == "harness.py":
             guards = sorted(n for n in named if n.startswith("MAX_"))
             assert not guards, f"harness.py names {guards}"
+            sizes = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Compare)
+                     and any(map(_is_int_tuple, ast.walk(node)))]
+            assert not sizes, f"harness.py compares sizes at lines {sizes}"
+
+
+def _is_int_tuple(node):
+    """A tuple of integer literals, such as the (2, 3) of a size test."""
+    return isinstance(node, ast.Tuple) and bool(node.elts) and all(
+        isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)
 
 
 def test_import_loads_no_dataclasses_nor_inspect():
