@@ -205,7 +205,8 @@ def _phi_classes(g: LfGraph, phi) -> list[int]:
         raise ValueError("phi_bar is defined for n = 2 only")
     q = g.q
     phi = tuple(phi)
-    if len(phi) != q or phi[0] != 0 or sorted(phi) != list(range(q)):
+    if (len(phi) != q or any(type(x) is not int for x in phi)  # no bools
+            or phi[0] != 0 or sorted(phi) != list(range(q))):
         raise ValueError("phi must be a permutation of the field fixing 0")
     # lines() lists (0, 1), then (1, s) in field order: class 1 + s a side
     fun = [0] + [1 + t for t in phi]

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import gc
 import json
-from binascii import b2a_base64
-from itertools import chain, combinations, product, repeat
+from binascii import a2b_base64, b2a_base64
+from itertools import combinations, product, repeat
+from math import isqrt
 from operator import itemgetter
 
 from .gf import Field, GuardError
@@ -399,9 +400,11 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     dmask = 0
-    for v in dset:
+    for v in dset:  # ids are ints, never bools or floats
+        if type(v) is not int or not 0 <= v < g.num_vertices:
+            raise ValueError(f"{v!r} is not a vertex id")
         dmask |= 1 << v
-    for v in _covered_ids(g.nv, target):
+    for v in _cover_ids(g.nv, target)[0]:
         hit = g.adj[v] & dmask
         if mode == "standard":
             hit |= dmask & (1 << v)
@@ -410,24 +413,18 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     return True
 
 
-def _covered_ids(side: int, target: str) -> range:
-    """The target ids of two sides of side ids, vectors first: one run."""
+def _cover_ids(side: int, target: str) -> tuple[range, range]:
+    """The ids target covers and the ids its dominators come from, on two
+    sides of side ids, vectors first: one-sided domination draws from the
+    opposite side."""
+    vec, fun, both = range(side), range(side, 2 * side), range(2 * side)
     if target == VEC:
-        return range(side)
+        return vec, fun
     if target == FUN:
-        return range(side, 2 * side)
+        return fun, vec
     if target == "all":
-        return range(2 * side)
+        return both, both
     raise ValueError(f"unknown target {target!r}")
-
-
-def _candidate_ids(side: int, target: str) -> range:
-    # one-sided domination draws dominators from the opposite side
-    if target == VEC:
-        return range(side, 2 * side)
-    if target == FUN:
-        return range(side)
-    return range(2 * side)
 
 
 def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
@@ -445,12 +442,12 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     "all" and q >= 3 it runs the total search, equal by the lemma below,
     so its witness is a total dominating set.
     """
-    if target not in (VEC, FUN, "all"):
-        raise ValueError(f"unknown target {target!r}")
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("branch", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
+    side = g.nv if method == "exhaustive" else len(g.lines()) // 2
+    covered, cands = _cover_ids(side, target)
     if method == "branch" and g.num_vertices > MAX_SEARCH_VERTICES:
         # the search runs block by block, and a block never spans components
         for comp in g.component_masks():
@@ -474,10 +471,8 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     # class, to a minimum cover unless a class covers itself: after the
     # lemma such self-bits (standard, "all") remain only at q = 2, where
     # each class is one vertex.
-    rows, side = ((g.adj, g.nv) if method == "exhaustive"
-                  else (g.line_adjacency(), len(g.lines()) // 2))
+    rows = g.adj if method == "exhaustive" else g.line_adjacency()
     # element i of the cover instance is id covered.start + i
-    covered, cands = _covered_ids(side, target), _candidate_ids(side, target)
     lo, full = covered.start, (1 << len(covered)) - 1
     cover_masks = []
     for c in cands:
@@ -491,12 +486,12 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
     # the side swap moves a one-sided target's candidates off their side,
     # so it is dropped there; _min_cover checks every other class map
     # against the masks, which hold every class edge, and refuses a bad one
-    lines, lof = g.lines(), g.line_index()
-    cmaps = ([lof[s[line.members[0]]] for line in lines] for s in _symmetries(g))
+    lof, firsts = g.line_index(), g.line_firsts()
+    cmaps = (_gather(lof, _gather(s, firsts)) for s in _symmetries(g))
     gens = [([m[c] - cands.start for c in cands], [m[v] - lo for v in covered])
             for m in cmaps if all(m[c] in cands for c in cands)]
     size, chosen = _min_cover(cover_masks, len(covered), gens)
-    return size, tuple(lines[cands[i]].members[0] for i in chosen)
+    return size, tuple(firsts[cands[i]] for i in chosen)
 
 
 def _min_cover_exhaustive(cover: list[int], m: int) -> tuple[int, tuple]:
@@ -626,8 +621,9 @@ def _orbit(gens: list, c: int) -> set:
 
 # ---------- export ----------
 
-_G6 = bytes.maketrans(  # base64 letter k -> graph6 byte k + 63
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_BYTES = bytes(range(63, 127))  # base64 letter k <-> graph6 byte k + 63
+_G6, _G6_B64 = bytes.maketrans(_B64, _G6_BYTES), bytes.maketrans(_G6_BYTES, _B64)
 
 
 def graph6_bytes(n: int, edges) -> bytes:
@@ -647,20 +643,19 @@ def _graph6_rows(rows) -> bytes:
     n = len(rows)
     head = bytes([n + 63] if n <= 62 else
                  [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    # the upper triangle by columns j, bits i < j ascending; base64 writes 24
-    # bits as four 6-bit letters, high first; 23 zeros flush the padded tail
-    body, bits = bytearray(), ""
-    for col in chain((format(r & ((1 << j) - 1), f"0{j}b")[::-1]
-                      for j, r in enumerate(rows) if j), ["0" * 23]):
-        bits += col
-        cut = len(bits) - len(bits) % 24
-        body += b2a_base64(int(bits[:cut] or "0", 2).to_bytes(cut // 8, "big"), newline=False)
-        bits = bits[cut:]
+    # the upper triangle as one integer, columns j, bits i < j ascending, high
+    # first, zero-filled to whole 24-bit groups, which base64 writes as 4 letters
+    bits = "".join(format(r & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j, r in enumerate(rows) if j)
+    bits += "0" * (-len(bits) % 24)
+    body = b2a_base64(int(bits or "0", 2).to_bytes(len(bits) // 8, "big"), newline=False)
     return head + body[:(n * (n - 1) // 2 + 5) // 6].translate(_G6)
 
 
 def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
-    """Decode graph6 bytes back to (vertex count, edge set)."""
+    """Decode graph6 bytes back to (vertex count, edge set), accepting only
+    what graph6_bytes writes: the one-byte header below 63 vertices, the
+    bytes the triangle needs and no more, and zero padding bits."""
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
@@ -668,33 +663,32 @@ def parse_graph6(data: bytes) -> tuple[int, set[tuple[int, int]]]:
         raise ValueError("empty graph6 data")
     if data[:2] == b"~~":
         raise ValueError("the 8-byte graph6 header (n > 258047) is not supported")
-    if data[0] == 126:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 header")
-        head, body = data[1:4], data[4:]
-    else:  # here the one header byte is not 126, so at most 125
-        head, body = data[:1], data[1:]
+    long_form = data[0] == 126  # so a one-byte header is at most 125
+    head, body = (data[1:4], data[4:]) if long_form else (data[:1], data[1:])
+    if long_form and len(head) < 3:
+        raise ValueError("truncated graph6 header")
     n = 0
     for byte in head:
         if not 63 <= byte <= 126:
             raise ValueError("bad graph6 header")
         n = n << 6 | (byte - 63)
+    if long_form and n < 63:
+        raise ValueError(f"graph6 writes {n} vertices in a one-byte header")
+    bad = body.translate(None, _G6_BYTES)
+    if bad:
+        raise ValueError(f"bad graph6 byte {bad[0]}")
     need = n * (n - 1) // 2
-    bits = []
-    for byte in body:
-        v = byte - 63
-        if not 0 <= v < 64:
-            raise ValueError(f"bad graph6 byte {byte}")
-        bits.extend((v >> s) & 1 for s in range(5, -1, -1))
-    if len(bits) < need:
-        raise ValueError("graph6 body too short")
+    if len(body) != (need + 5) // 6:
+        raise ValueError(f"graph6 body of {len(body)} bytes, expected {(need + 5) // 6}")
+    # the integer _graph6_rows writes, zero letters to whole base64 groups
+    raw = a2b_base64(body.translate(_G6_B64) + b"A" * (-len(body) % 4))
+    tri, pad = int.from_bytes(raw, "big"), 8 * len(raw) - need
+    if tri & ((1 << pad) - 1):
+        raise ValueError("graph6 padding bits are not zero")
     edges = set()
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.add((i, j))
-            k += 1
+    for k in map((need - 1).__sub__, _bit_list(tri >> pad)):  # triangle bit k
+        j = (1 + isqrt(8 * k + 1)) // 2  # its column
+        edges.add((k - j * (j - 1) // 2, j))
     return n, edges
 
 

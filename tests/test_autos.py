@@ -471,6 +471,15 @@ def test_phi_bar_validation():
         phi_bar(g3, [0, 1, 1])  # not a permutation
 
 
+@pytest.mark.parametrize("phi", [(0.0, 1, 2), (0, 1.0, 2), (False, True, 2),
+                                 (0, True, 2), (0, "a", 1)])
+def test_phi_bar_refuses_entries_that_are_not_ints(phi):
+    """A float or bool equal to a field element is refused, never used as
+    an index or read as 0 or 1."""
+    with pytest.raises(ValueError, match="phi must be a permutation"):
+        phi_bar(graph_for(3, 2), phi)
+
+
 def test_phi_bar_identity_and_example():
     g = graph_for(3, 2)
     assert phi_bar(g, [0, 1, 2]).is_identity()

@@ -276,6 +276,18 @@ def test_is_dominating_refuses_an_unknown_mode():
             check()
 
 
+@pytest.mark.parametrize("extra", [10**9, 12, -1, 1.0, True, "3"])
+def test_is_dominating_refuses_what_is_not_a_vertex_id(extra):
+    """An id past the graph, a negative id, a float or a bool is refused,
+    never dropped or read as a vertex."""
+    g = graph_for(2, 2)
+    assert is_dominating(g, [3, 4, 5])
+    with pytest.raises(ValueError, match="is not a vertex id"):
+        is_dominating(g, [3, 4, 5, extra])
+    with pytest.raises(ValueError, match="is not a vertex id"):
+        is_dominating(g, [extra], target="all", mode="total")
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_one_sided_domination_number(q, n):
     g = graph_for(q, n)
@@ -345,6 +357,20 @@ def test_domination_guard_decodes_no_component(monkeypatch):
     monkeypatch.setattr(LfGraph, "components", listed)
     with pytest.raises(ValueError, match="component of 2660 vertices"):
         domination_number(graph_for(11, 3), target="all")
+
+
+def test_domination_guards_refuse_before_the_quotient_is_read(monkeypatch):
+    """Every argument check and guard runs before line_adjacency()."""
+    def read(self):
+        raise AssertionError("line_adjacency() was read")
+
+    monkeypatch.setattr(LfGraph, "line_adjacency", read)
+    for g, method in [(graph_for(11, 3), "branch"), (graph_for(3, 3), "exhaustive")]:
+        for target in (VEC, FUN, "all"):
+            with pytest.raises(graph.GuardError):
+                domination_number(g, target=target, method=method)
+        with pytest.raises(ValueError, match="unknown target 'nope'"):
+            domination_number(g, target="nope", method=method)
 
 
 def _interleaved_cover(rng):
@@ -517,8 +543,7 @@ def _vertex_cover(g, target, mode):
     """_min_cover on the vertex-level cover instance of target and mode,
     under the automorphisms of _symmetries that keep its candidates; the
     chosen candidates as vertex ids."""
-    covered = graph._covered_ids(g.nv, target)
-    cands = graph._candidate_ids(g.nv, target)
+    covered, cands = graph._cover_ids(g.nv, target)
     lo, full = covered.start, (1 << len(covered)) - 1
     cover = [(g.adj[c] >> lo) & full
              | (1 << (c - lo) if mode == "standard" and c in covered else 0)
@@ -749,6 +774,53 @@ def test_graph6_random_round_trip(nverts, data):
     assert sorted(dec_edges) == sorted(edges)
     assert enc.strip() == nx.to_graph6_bytes(_nx_from_edges(nverts, edges),
                                              header=False).strip()
+
+
+@pytest.mark.parametrize("data,match", [
+    (b"A_????", "body of 5 bytes, expected 1"), (b"A~", "padding bits"),
+    (b"A", "body of 0 bytes, expected 1"), (b"D]w?", "body of 3 bytes"),
+    (b"~??B?", "3 vertices in a one-byte header"),
+    (b"~??}" + b"?" * 10, "62 vertices in a one-byte header"),
+    (b"C]\x80}", "bad graph6 byte 128"), (b"C!\x80", "bad graph6 byte 33")])
+def test_parse_graph6_refuses_what_the_writer_cannot_produce(data, match):
+    """Bytes past the triangle, a set padding bit and the 4-byte header
+    below 63 vertices are refused; the first bad byte is named."""
+    with pytest.raises(ValueError, match=match):
+        parse_graph6(data)
+
+
+@pytest.mark.parametrize("nverts", [0, 1, 2, 3, 61, 62, 63, 64])
+def test_parse_graph6_reads_networkx_at_header_and_padding(nverts):
+    rng = random.Random(nverts)
+    for density in (0.0, 0.5, 1.0):
+        edges = {p for p in itertools.combinations(range(nverts), 2)
+                 if rng.random() < density}
+        data = nx.to_graph6_bytes(_nx_from_edges(nverts, edges))
+        assert parse_graph6(data) == (nverts, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70), st.data())
+def test_parse_graph6_accepts_exactly_the_writers_image(nverts, data):
+    """The reader returns what the writer was given, and refuses the
+    writer's output with a byte appended, a padding bit set, or, below 63
+    vertices, the header in its 4-byte form."""
+    pairs = list(itertools.combinations(range(nverts), 2))
+    mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = {p for k, p in enumerate(pairs) if mask >> k & 1}
+    enc = graph6_bytes(nverts, edges)
+    assert parse_graph6(enc) == (nverts, edges)
+    head = 1 if nverts < 63 else 4
+    body = enc[head:]
+    bad = [enc + bytes([data.draw(st.integers(63, 126))])]
+    if -len(pairs) % 6:  # the last letter's low bits are padding
+        bit = data.draw(st.integers(0, -len(pairs) % 6 - 1))
+        bad.append(enc[:-1] + bytes([(enc[-1] - 63 | 1 << bit) + 63]))
+    if nverts < 63:
+        bad.append(b"~??" + enc[:1] + body)
+    for mutant in bad:
+        with pytest.raises(ValueError):
+            parse_graph6(mutant)
 
 
 def test_edgelist_json_round_trip():
