@@ -23,6 +23,11 @@ the map is well defined and sends every quotient edge to an edge, and
 scans vertex rows only to name a broken edge.  The one structural fact no
 class map shows, the neighbourhood intersection identity, is a graph fact
 that _intersection_holds checks once per graph.
+
+A permutation is checked once, where outside data enters: the public
+VertexPerm(g, image) runs only in tau_from_table, perm_from_json and
+decomposition_from_json.  Every other permutation autos builds from maps
+it has proved bijective, unchecked, through VertexPerm._of, which says why.
 """
 
 from __future__ import annotations
@@ -64,20 +69,35 @@ class VertexPerm:
         self.g = g
         self.image = image
 
+    @classmethod
+    def _of(cls, g: LfGraph, image) -> "VertexPerm":
+        """The permutation with this image, unchecked: its caller proved it
+        a permutation of g's ids.  A _semilinear image is one, as
+        _semilinear refuses a non-square or singular P, a bad j and entries
+        that are no field elements; so are range(nv) and sigma; so is _lift
+        of member lists holding each class's members once (shuffled by
+        random_twin_permutation and the n = 2 sampler, or _lift_classes of
+        a class permutation: _phi_classes checks phi, _delta_impl swaps
+        disjoint pairs); so is a search result; and so is a gather or
+        inverse of permutations of g, as _image_on refuses another graph's."""
+        perm = cls.__new__(cls)
+        perm.g, perm.image = g, tuple(image)
+        return perm
+
     def compose(self, other: "VertexPerm") -> "VertexPerm":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        return VertexPerm(self.g, map(self.image.__getitem__, other.image))
+        other_image = _image_on(self.g, other, "other")
+        return VertexPerm._of(self.g, _gather(self.image, other_image))
 
     def inverse(self) -> "VertexPerm":
-        return VertexPerm(self.g, _inverse(self.image))
+        return VertexPerm._of(self.g, _inverse(self.image))
 
     def is_identity(self) -> bool:
         return all(v == t for v, t in enumerate(self.image))
 
     def __eq__(self, other):
         return (isinstance(other, VertexPerm) and self.image == other.image
-                and (self.g is other.g or (self.g.field, self.g.n)
-                     == (other.g.field, other.g.n)))
+                and _same_graph(self.g, other.g))
 
     def __hash__(self):
         return hash(self.image)
@@ -86,8 +106,20 @@ class VertexPerm:
         return f"VertexPerm({list(self.image)})"
 
 
+def _same_graph(g: LfGraph, h: LfGraph) -> bool:
+    """g and h are one graph: the same object, or equal field and n."""
+    return g is h or (g.field, g.n) == (h.field, h.n)
+
+
+def _image_on(g: LfGraph, perm: VertexPerm, what: str = "perm") -> tuple:
+    """perm's image; a perm of another graph raises ValueError."""
+    if not _same_graph(g, perm.g):
+        raise ValueError(f"{what} is a permutation of another graph")
+    return perm.image
+
+
 def identity_perm(g: LfGraph) -> VertexPerm:
-    return VertexPerm(g, range(g.num_vertices))
+    return VertexPerm._of(g, range(g.num_vertices))
 
 
 # ---------- class action and adjacency preservation ----------
@@ -111,8 +143,9 @@ def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
     a bijection; every edge has a vector end, so it sends the finite edge
     set into, hence onto, itself.  Only a failing perm is scanned row by
     row, to name its first broken edge: every edge has one vector endpoint
-    x, so only the vector rows are read."""
-    lof, img = g.line_index(), perm.image
+    x, so only the vector rows are read.  A perm of another graph raises
+    ValueError."""
+    lof, img = g.line_index(), _image_on(g, perm)
     cls = _gather(lof, img)
     lmap = list(_gather(cls, g.line_firsts()))
     half, nbrs = len(lmap) // 2, g.line_neighbors()
@@ -146,17 +179,17 @@ def is_automorphism(g: LfGraph, perm: VertexPerm) -> bool:
 
 def chi_p(g: LfGraph, P) -> VertexPerm:
     """v -> P v on vectors, f_u -> f_{(P^-1)^T u} on functionals."""
-    return VertexPerm(g, _semilinear(g, P, 0))
+    return VertexPerm._of(g, _semilinear(g, P, 0))
 
 
 def pi_extend(g: LfGraph, j: int) -> VertexPerm:
     """Coordinatewise field automorphism a -> a^(p^j) on both sides."""
-    return VertexPerm(g, _semilinear(g, _matrix(g.n, {}), j))
+    return VertexPerm._of(g, _semilinear(g, _matrix(g.n, {}), j))
 
 
 def sigma_swap(g: LfGraph) -> VertexPerm:
     """Exchange each vector with the functional of the same coordinates."""
-    return VertexPerm(g, _side_swap(g))
+    return VertexPerm._of(g, _side_swap(g))
 
 
 def _class_escape(g: LfGraph, image) -> int | None:
@@ -222,7 +255,7 @@ def phi_bar(g: LfGraph, phi) -> VertexPerm:
     Both keep the first coordinate, which orders the members of every
     class they move, so phi_bar is the member-order lift of _phi_classes.
     """
-    return VertexPerm(g, _lift_classes(g, _phi_classes(g, phi)))
+    return VertexPerm._of(g, _lift_classes(g, _phi_classes(g, phi)))
 
 
 def _delta_impl(g: LfGraph, lmap) -> VertexPerm:
@@ -243,7 +276,7 @@ def _delta_impl(g: LfGraph, lmap) -> VertexPerm:
     # delta(V) = rho(V) needs no check: an automorphism moves each component
     # whole onto one component with one side decision (STRUCT-N2), so rho(V)
     # meets each component in the part crossed records, where swaps sends V
-    return VertexPerm(g, _lift_classes(g, swaps))
+    return VertexPerm._of(g, _lift_classes(g, swaps))
 
 
 def delta_for(g: LfGraph, rho: VertexPerm) -> VertexPerm:
@@ -450,7 +483,7 @@ def all_automorphisms(g: LfGraph) -> tuple:
 
 def iter_automorphisms(g: LfGraph):
     for img in all_automorphisms(g):
-        yield VertexPerm(g, img)
+        yield VertexPerm._of(g, img)
 
 
 def quotient_adjacency(g: LfGraph) -> list[int]:
@@ -550,7 +583,7 @@ def random_twin_permutation(g: LfGraph, rng) -> VertexPerm:
     dst = [list(line.members) for line in g.lines()]
     for members in dst:
         rng.shuffle(members)
-    return VertexPerm(g, _lift(g, dst))
+    return VertexPerm._of(g, _lift(g, dst))
 
 
 def random_automorphism(g: LfGraph, rng) -> VertexPerm:
@@ -581,7 +614,7 @@ def random_automorphism(g: LfGraph, rng) -> VertexPerm:
         rng.shuffle(vec_dst)
         rng.shuffle(fun_dst)
         dst[i], dst[half + partner[i]] = vec_dst, fun_dst
-    return VertexPerm(g, _lift(g, dst))
+    return VertexPerm._of(g, _lift(g, dst))
 
 
 # ---------- decomposition ----------
@@ -618,13 +651,14 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:
     if phi is None or frob is not None or swap:
         raise ValueError("n = 2 decompositions use delta/P/phi/tau only")
     image = _gather(chi_p(g, P).image, _lift_classes(g, _phi_classes(g, phi)))
-    return image if delta is None else _gather(delta.image, image)
+    return image if delta is None else _gather(_image_on(g, delta, "delta"), image)
 
 
 def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
-    """Multiply a decomposition back into a single vertex permutation."""
+    """Multiply a decomposition back into a single vertex permutation.
+    A tau or delta of another graph raises ValueError."""
     gen = _chain(g, d.swap, d.delta, d.P, d.frob, d.phi)
-    return VertexPerm(g, _gather(gen, d.tau.image))
+    return VertexPerm._of(g, _gather(gen, _image_on(g, d.tau, "tau")))
 
 
 def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
@@ -657,7 +691,7 @@ def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
     v = _class_escape(g, tau)
     if v is not None:
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
-    return VertexPerm(g, tau)
+    return VertexPerm._of(g, tau)
 
 
 def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:

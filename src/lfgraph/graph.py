@@ -345,12 +345,15 @@ def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     The functional map is the inverse of w -> (P^T w)^(p^(k-j)), swept with
     P^T's entries and the digits raised to p^(k-j), both read off the
     field's Frobenius table, so P is never inverted; a singular P^T sends
-    some nonzero w to zero, id -1."""
+    some nonzero w to zero, id -1.  Entries and j must be ints, no bools:
+    the tables would read -1 as q - 1 and True as 1."""
     F = g.field
-    if not 0 <= j < F.k:
-        raise ValueError(f"Frobenius exponent {j} out of range [0, {F.k})")
+    if type(j) is not int or not 0 <= j < F.k:
+        raise ValueError(f"Frobenius exponent {j!r} out of range [0, {F.k})")
     if len(P) != g.n or any(len(row) != g.n for row in P):
         raise ValueError(f"P must be {g.n}x{g.n}")
+    if any(type(a) is not int or not 0 <= a < g.q for row in P for a in row):
+        raise ValueError(f"P's entries must be field elements, ints in [0, {g.q})")
     frob, back = F._frob[j], F._frob[-j % F.k]
     pre = _map_ids(g, [[back[c] for c in col] for col in zip(*P)], back)
     if -1 in pre:

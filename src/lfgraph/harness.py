@@ -35,12 +35,12 @@ from .gf import field_from_order
 from .graph import (VEC, GuardError, LfGraph, _bit_list, build,
                     domination_number, export, is_dominating)
 from .autos import (DecompositionError, LineActionError, VertexPerm,
-                    all_automorphisms, check_structure, compose,
-                    count_automorphisms, count_class_stabilizers,
-                    count_component_isomorphisms, decompose,
-                    decomposition_to_json, formula_card_general,
+                    check_structure, compose, count_automorphisms,
+                    count_class_stabilizers, count_component_isomorphisms,
+                    decompose, decomposition_to_json, formula_card_general,
                     formula_card_n2, formula_component_isos,
-                    formula_twin_stabilizer, line_action, perm_from_json,
+                    formula_twin_stabilizer, iter_automorphisms,
+                    line_action, perm_from_json,
                     random_automorphism, _count_with_searches,
                     _intersection_holds)
 from .linalg import monic_rep
@@ -96,7 +96,7 @@ def _automorphisms(g: LfGraph, seed) -> tuple[list[VertexPerm], str]:
     all_automorphisms' vertex guard is sampled without a search."""
     try:
         if count_automorphisms(g, method="vertex") <= EXHAUSTIVE_GROUP:
-            perms = [VertexPerm(g, im) for im in all_automorphisms(g)]
+            perms = list(iter_automorphisms(g))
             return perms, f"all {len(perms)}"
     except GuardError:
         pass

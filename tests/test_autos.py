@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from lfgraph import Field, GuardError, build, field_from_order
-from lfgraph.autos import (MAX_QUOTIENT_CLASSES, Decomposition,
-                           DecompositionError, LineActionError,
+from lfgraph.autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
+                           Decomposition, DecompositionError, LineActionError,
                            StructureVerdict, VertexPerm, all_automorphisms,
                            automorphism_defect, check_structure, chi_p, compose,
                            count_automorphisms, count_class_stabilizers,
@@ -82,6 +82,61 @@ def test_perm_equality_names_its_graph():
     perm = random_automorphism(g, rng())
     back = perm_from_json(perm_to_json(perm))
     assert back.g is not g and back == perm and hash(back) == hash(perm)
+
+
+def test_perm_of_another_graph_is_refused():
+    """A permutation of (2,4) has as many ids as one of (4,2), yet every
+    reader of a perm on (4,2) refuses it, instead of reading it as a map
+    of (4,2)'s vertices: compose for tau and delta, VertexPerm.compose for
+    other, and line_action with everything built on it.  A perm read back
+    onto a graph built afresh over an equal field is one of g's own."""
+    g, h = graph_for(4, 2), graph_for(2, 4)
+    own, alien = random_automorphism(g, rng()), identity_perm(h)
+    d = decompose(g, own)
+    calls = [
+        (lambda: compose(g, Decomposition(False, None, d.P, None, d.phi, alien)),
+         "tau"),
+        (lambda: compose(g, Decomposition(False, alien, d.P, None, d.phi, d.tau)),
+         "delta"),
+        (lambda: own.compose(alien), "other"),
+        (lambda: alien.compose(own), "other"),
+    ] + [(lambda f=f: f(g, alien), "perm")
+         for f in (line_action, check_structure, decompose,
+                   automorphism_defect, is_automorphism, delta_for)]
+    for call, what in calls:
+        with pytest.raises(ValueError, match=f"^{what} is a permutation of "
+                                             "another graph$"):
+            call()
+    back = perm_from_json(perm_to_json(own))
+    assert back.g is not g
+    assert compose(g, decompose(g, back)) == own
+    assert line_action(g, back) == line_action(g, own)
+    assert own.compose(back.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2),
+                                 (2, 3), (3, 3), (4, 3)])
+def test_unchecked_builds_pass_the_public_check(q, n):
+    """Every permutation autos builds without the public check
+    (VertexPerm._of) passes it: VertexPerm(g, p.image) == p, so p.image
+    is a tuple holding each of g's vertex ids once."""
+    g, r = graph_for(q, n), rng()
+    F = g.field
+    built = [identity_perm(g), sigma_swap(g)]
+    built += [pi_extend(g, j) for j in range(F.k)]
+    for _ in range(5):
+        built += [chi_p(g, random_invertible(F, n, r)),
+                  random_twin_permutation(g, r)]
+        rho, other = random_automorphism(g, r), random_automorphism(g, r)
+        d = decompose(g, rho)
+        built += [rho, d.tau, compose(g, d), rho.compose(other), rho.inverse()]
+        if n == 2:
+            phi = [0] + r.sample(range(1, q), q - 1)
+            built += [d.delta, delta_for(g, rho), phi_bar(g, phi)]
+    if g.num_vertices <= MAX_ENUM_VERTICES:
+        built += list(iter_automorphisms(g))
+    for p in built:
+        assert VertexPerm(g, p.image) == p
 
 
 def test_compose_and_inverse():
@@ -380,6 +435,31 @@ def test_singular_p_is_refused(q, n, P):
     d = decomposition_from_json(json.dumps(dict(doc, P=P)), g)
     with pytest.raises(ValueError, match="singular"):
         compose(g, d)
+
+
+def test_entries_and_exponent_must_be_field_elements():
+    """At q = 4, -1 is no code of GF(4) (the tables would read it as 3),
+    True is no element (read as 1) and 1.0 none either: chi_p, pi_extend
+    and compose of a hand-built decomposition refuse them with ValueError
+    before any sweep, as they do an entry of q or more."""
+    for q, n in [(4, 2), (4, 3), (3, 3)]:
+        g = graph_for(q, n)
+        for bad in (-1, True, 1.0, q, None):
+            P = ((bad,) + identity(n)[0][1:],) + identity(n)[1:]
+            with pytest.raises(ValueError, match="field elements"):
+                chi_p(g, P)
+            frob, phi = (None, tuple(range(q))) if n == 2 else (0, None)
+            d = Decomposition(False, None, P, frob, phi, identity_perm(g))
+            with pytest.raises(ValueError, match="field elements"):
+                compose(g, d)
+        for j in (True, 1.0, -1, g.field.k, "1"):
+            with pytest.raises(ValueError, match="Frobenius exponent"):
+                pi_extend(g, j)
+        if n >= 3:
+            d = Decomposition(False, None, identity(n), True, None,
+                              identity_perm(g))
+            with pytest.raises(ValueError, match="Frobenius exponent"):
+                compose(g, d)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])
@@ -1300,15 +1380,17 @@ def test_round_trip_work(monkeypatch):
     images and the chains sweep P^T.  At n = 2 it also builds delta and
     chi_P once per chain, and lifts phi_bar's class map as a plain list:
     five permutations from the same sweeps, and no linalg call either, as
-    phi is read off the field tables.  A second line_action on one graph
-    decodes no quotient row."""
+    phi is read off the field tables.  Each is built unchecked
+    (VertexPerm._of), as autos proved it a permutation; none runs the
+    public check.  A second line_action on one graph decodes no quotient
+    row."""
     import inspect
     import sys
     import lfgraph.autos as autos
     import lfgraph.linalg as linalg
     cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 5)]
     perms = [random_automorphism(g, rng()) for g, _ in cases]
-    calls = {"VertexPerm": 0, "_map_ids": 0}
+    calls = {"VertexPerm": 0, "_of": 0, "_map_ids": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1322,6 +1404,11 @@ def test_round_trip_work(monkeypatch):
         def __init__(self, *args):
             calls["VertexPerm"] += 1
             super().__init__(*args)
+
+        @classmethod
+        def _of(cls, *args):
+            calls["_of"] += 1
+            return super()._of(*args)
 
     import lfgraph.graph as graph
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
@@ -1340,7 +1427,7 @@ def test_round_trip_work(monkeypatch):
     for (g, built), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image
-        assert calls == {"VertexPerm": built, "_map_ids": 4,
+        assert calls == {"VertexPerm": 0, "_of": built, "_map_ids": 4,
                          **dict.fromkeys(helpers.values(), 0)}
     # a fresh graph, so the first line_action decodes the quotient rows
     g = build(field_from_order(2), 3)

@@ -202,14 +202,15 @@ def test_verify_enumerates_each_group_once(monkeypatch):
     """STRUCT-GEN, STRUCT-N2 and DECOMP sweep one enumeration per
     run_verify call: on the default matrix, (2,2) and (2,3) enumerate
     once each, and the sampled instances never."""
+    import lfgraph.autos as autos
     calls = []
-    enumerate_all = harness.all_automorphisms
+    enumerate_all = autos.all_automorphisms
 
     def counted(g):
         calls.append((g.q, g.n))
         return enumerate_all(g)
 
-    monkeypatch.setattr(harness, "all_automorphisms", counted)
+    monkeypatch.setattr(autos, "all_automorphisms", counted)
     for q, n in harness.DEFAULT_MATRIX:
         run_verify(q, n)
     assert calls == [(2, 2), (2, 3)]

@@ -1,6 +1,7 @@
 """Every name a source module imports is referenced in that module, every
 private helper is used, every decomposition step is tested, no module
-reads the environment nor harness a size guard, and importing the package
+reads the environment nor harness a size guard, only the readers of
+outside data run the public permutation check, and importing the package
 loads neither dataclasses nor inspect."""
 
 import ast
@@ -108,6 +109,45 @@ def _is_int_tuple(node):
     """A tuple of integer literals, such as the (2, 3) of a size test."""
     return isinstance(node, ast.Tuple) and bool(node.elts) and all(
         isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)
+
+
+def _calls_by_function(tree):
+    """(name of the innermost enclosing function or None, call node) for
+    each call in tree."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield owner, child
+            yield from visit(child, owner)
+    yield from visit(tree, None)
+
+
+def test_permutations_are_checked_where_outside_data_enters():
+    """The public check VertexPerm(g, image) runs only in the readers of
+    outside data: tau_from_table, perm_from_json and decomposition_from_json.
+    Every other permutation autos builds it has proved one, and builds
+    through VertexPerm._of unchecked; harness builds none itself.  So a new
+    internal builder cannot quietly pay the check again."""
+    readers = {"tau_from_table", "perm_from_json", "decomposition_from_json"}
+    checked = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        for owner, call in _calls_by_function(tree):
+            fn = call.func
+            public = isinstance(fn, ast.Name) and fn.id == "VertexPerm"
+            unchecked = (isinstance(fn, ast.Attribute) and fn.attr == "_of"
+                         and isinstance(fn.value, ast.Name)
+                         and fn.value.id == "VertexPerm")
+            where = f"{path.name}:{call.lineno} in {owner}"
+            if path.name == "harness.py":
+                assert not (public or unchecked), f"{where} builds a perm"
+            if public:
+                assert owner in readers, f"{where} runs the public check"
+                checked.add(owner)
+    assert checked == readers
 
 
 def test_import_loads_no_dataclasses_nor_inspect():
