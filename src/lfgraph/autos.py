@@ -40,8 +40,8 @@ from itertools import chain, islice, repeat
 from .gf import factor_prime_power, field_from_order
 from .linalg import random_invertible
 from .graph import (GuardError, LfGraph, _bit_list, _build_guard, _coords, _gather,
-                    _inverse, _matrix, _orbit, _row_lists, _semilinear,
-                    _side_swap, build)
+                    _ids_below, _inverse, _matrix, _orbit, _row_lists,
+                    _semilinear, _side_swap, build)
 
 
 class VertexPerm:
@@ -52,19 +52,12 @@ class VertexPerm:
     def __init__(self, g: LfGraph, image):
         try:
             image = tuple(image)
-            total = sum(image)
         except TypeError:
             raise ValueError("image is not a sequence of vertex ids") from None
         n = g.num_vertices
         if len(image) != n:
             raise ValueError(f"image has length {len(image)}, expected {n}")
-        # n distinct ids >= 0 summing to n(n-1)/2 are exactly 0..n-1; an id
-        # like 0.0 (== 0) makes the sum a float, and the sum lets a bool
-        # through only in the place of 0 or 1
-        if (type(total) is not int or total != n * (n - 1) // 2
-                or len(set(image)) != n or min(image) < 0
-                or type(image[image.index(0)]) is bool
-                or type(image[image.index(1)]) is bool):
+        if not _ids_below(image, n) or len(set(image)) != n:
             raise ValueError("image is not a permutation of the vertex ids")
         self.g = g
         self.image = image
@@ -207,8 +200,8 @@ def tau_from_table(g: LfGraph, table: dict[int, int]) -> VertexPerm:
     bijection.
     """
     image = list(range(nv := g.num_vertices))
-    for src, dst in table.items():  # ids are ints, never bools or floats
-        if not (type(src) is type(dst) is int and 0 <= src < nv and 0 <= dst < nv):
+    for src, dst in table.items():
+        if not _ids_below((src, dst), nv):
             raise ValueError(f"vertex id out of range in entry {src!r} -> {dst!r}")
         image[src] = dst
     v = _class_escape(g, image)
@@ -238,8 +231,8 @@ def _phi_classes(g: LfGraph, phi) -> list[int]:
         raise ValueError("phi_bar is defined for n = 2 only")
     q = g.q
     phi = tuple(phi)
-    if (len(phi) != q or any(type(x) is not int for x in phi)  # no bools
-            or phi[0] != 0 or sorted(phi) != list(range(q))):
+    if (len(phi) != q or not _ids_below(phi, q) or phi[0] != 0
+            or len(set(phi)) != q):
         raise ValueError("phi must be a permutation of the field fixing 0")
     # lines() lists (0, 1), then (1, s) in field order: class 1 + s a side
     fun = [0] + [1 + t for t in phi]
@@ -806,7 +799,7 @@ def _read_doc(text, what: str, keys, g: LfGraph | None):
 def _ids(value, length, bound, what) -> tuple:
     """value, a list of length ints in [0, bound), as a tuple; no bools."""
     if (not isinstance(value, list) or len(value) != length
-            or any(type(x) is not int or not 0 <= x < bound for x in value)):
+            or not _ids_below(value, bound)):
         raise ValueError(f"bad {what} document")
     return tuple(value)
 
@@ -840,7 +833,7 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
     if type(doc["swap"]) is not bool:
         raise ValueError("bad 'swap' in decomposition document")
     frob = doc["frob"]
-    if frob is not None and (type(frob) is not int or not 0 <= frob < g.field.k):
+    if frob is not None and not _ids_below((frob,), g.field.k):
         raise ValueError("bad 'frob' in decomposition document")
     phi = (None if doc["phi"] is None
            else _ids(doc["phi"], g.q, g.q, "'phi' in decomposition"))

@@ -50,6 +50,8 @@ class Field:
     A reducible modulus raises ValueError, an order over MAX_ORDER GuardError."""
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        if type(p) is not int or type(k) is not int:  # no bools or floats
+            raise ValueError(f"p and k must be ints, got {p!r} and {k!r}")
         # p^k >= max(p, 2^k): refused before is_prime and before p ** k
         if p > MAX_ORDER or k > MAX_ORDER:
             raise GuardError(f"field order p^k exceeds supported maximum {MAX_ORDER}")
@@ -233,6 +235,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def field_from_order(q: int, modulus=None) -> Field:
+    if type(q) is not int:
+        raise ValueError(f"field order must be an int, got {q!r}")
     if q > MAX_ORDER:  # before factor_prime_power divides up to sqrt(q)
         raise GuardError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     p, k = factor_prime_power(q)

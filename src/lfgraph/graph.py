@@ -15,9 +15,9 @@ from __future__ import annotations
 import gc
 import json
 from binascii import a2b_base64, b2a_base64
-from itertools import combinations, product, repeat
+from itertools import chain, product, repeat
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .gf import Field, GuardError
 
@@ -40,6 +40,12 @@ def _bit_list(mask: int) -> list[int]:
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [8 * i + b for i, byte in enumerate(data) if byte
             for b in _BYTE_BITS[byte]]
+
+
+def _ids_below(values, bound: int) -> bool:
+    """Is every value an int in [0, bound)?  Never a bool, float or str:
+    an id list or a field table would read True as 1 and 2.0 as 2."""
+    return all(type(x) is int and 0 <= x < bound for x in values)
 
 
 def _gather(seq, idx) -> tuple:  # seq[i] for i in idx in C; len(idx) > 1
@@ -115,8 +121,8 @@ class LfGraph:
             raise ValueError(f"{len(coords)} coordinates, expected {self.n}")
         r = 0
         for c in coords:
-            if not 0 <= c < q:
-                raise ValueError(f"coordinate {c} is outside [0, {q})")
+            if not _ids_below((c,), q):
+                raise ValueError(f"coordinate {c!r} is outside [0, {q})")
             r = r * q + c
         if r == 0:
             raise ValueError("the zero vector is not a vertex")
@@ -129,15 +135,15 @@ class LfGraph:
         return vid < self.nv
 
     def coords_of(self, vid: int) -> tuple[str, tuple]:
-        if not 0 <= vid < self.num_vertices:
-            raise ValueError(f"vertex id {vid} out of range")
+        if not _ids_below((vid,), self.num_vertices):
+            raise ValueError(f"vertex id {vid!r} out of range")
         return (VEC if vid < self.nv else FUN), tuple(_coords(self, vid))
 
     # ---------- basic invariants ----------
 
     def degree(self, vid: int) -> int:
-        if not 0 <= vid < self.num_vertices:
-            raise ValueError(f"vertex id {vid} out of range")
+        if not _ids_below((vid,), self.num_vertices):
+            raise ValueError(f"vertex id {vid!r} out of range")
         return self.adj[vid].bit_count()
 
     def check_regular(self) -> bool:
@@ -190,8 +196,12 @@ class LfGraph:
             # monic reps in lex order: leading 1 followed by m free digits
             reps = [(0,) * (self.n - 1 - m) + (1,) + tail
                     for m in range(self.n) for tail in product(range(q), repeat=m)]
+            # a member's id is its base-q value - 1; its digits come from the
+            # field tables, so vec_id's checks are skipped
+            place = [q ** e for e in range(self.n - 1, -1, -1)]
             vec_lines = [Line(VEC, rep, tuple(sorted(
-                self.vec_id([F._mul[r][c] for c in rep]) for r in F.units()))) for rep in reps]
+                sum(map(mul, map(F._mul[r].__getitem__, rep), place)) - 1
+                for r in F.units()))) for rep in reps]
             self._lines = vec_lines + [
                 Line(FUN, ln.rep, tuple(t + self.nv for t in ln.members)) for ln in vec_lines]
         return self._lines
@@ -257,6 +267,8 @@ class LfGraph:
 def _build_guard(q: int, n: int) -> int:
     """q^n - 1, the vertices a side, once n and 2(q^n - 1) pass build's
     checks; the closed forms call it before anything else."""
+    if type(q) is not int or type(n) is not int:
+        raise ValueError(f"q and n must be ints, got {q!r} and {n!r}")
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if (q.bit_length() - 1) * n > 4096:  # q^n >= 2^4096: never computed
@@ -345,14 +357,14 @@ def _semilinear(g: LfGraph, P, j: int) -> list[int]:
     The functional map is the inverse of w -> (P^T w)^(p^(k-j)), swept with
     P^T's entries and the digits raised to p^(k-j), both read off the
     field's Frobenius table, so P is never inverted; a singular P^T sends
-    some nonzero w to zero, id -1.  Entries and j must be ints, no bools:
+    some nonzero w to zero, id -1.  Entries and j must be ints in range:
     the tables would read -1 as q - 1 and True as 1."""
     F = g.field
-    if type(j) is not int or not 0 <= j < F.k:
+    if not _ids_below((j,), F.k):
         raise ValueError(f"Frobenius exponent {j!r} out of range [0, {F.k})")
     if len(P) != g.n or any(len(row) != g.n for row in P):
         raise ValueError(f"P must be {g.n}x{g.n}")
-    if any(type(a) is not int or not 0 <= a < g.q for row in P for a in row):
+    if not _ids_below(chain.from_iterable(P), g.q):
         raise ValueError(f"P's entries must be field elements, ints in [0, {g.q})")
     frob, back = F._frob[j], F._frob[-j % F.k]
     pre = _map_ids(g, [[back[c] for c in col] for col in zip(*P)], back)
@@ -403,8 +415,8 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     dmask = 0
-    for v in dset:  # ids are ints, never bools or floats
-        if type(v) is not int or not 0 <= v < g.num_vertices:
+    for v in dset:
+        if not _ids_below((v,), g.num_vertices):
             raise ValueError(f"{v!r} is not a vertex id")
         dmask |= 1 << v
     for v in _cover_ids(g.nv, target)[0]:
@@ -430,62 +442,46 @@ def _cover_ids(side: int, target: str) -> tuple[range, range]:
     raise ValueError(f"unknown target {target!r}")
 
 
-def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
-                      method: str = "branch") -> tuple[int, tuple]:
-    """Exact minimum size and one minimum witness set.
+def domination_number(g: LfGraph, target: str = VEC,
+                      mode: str = "standard") -> tuple[int, tuple]:
+    """Exact minimum size and one minimum witness set, by orbital branch and
+    bound on the class quotient; no component over MAX_SEARCH_VERTICES.
 
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
-    method: "branch" (orbital branch and bound on each independent block
-            of the cover instance on the scalar classes, under the class
-            maps of the automorphisms _symmetries names; no component over
-            MAX_SEARCH_VERTICES vertices) or "exhaustive" (subset sweep on
-            the vertices, only for graphs of at most 20 vertices).
-    "branch" returns the first member of each chosen class.  With target
+    The witness holds the first member of each chosen class.  With target
     "all" and q >= 3 it runs the total search, equal by the lemma below,
     so its witness is a total dominating set.
     """
     if mode not in ("standard", "total"):
         raise ValueError(f"unknown mode {mode!r}")
-    if method not in ("branch", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
-    side = g.nv if method == "exhaustive" else len(g.lines()) // 2
-    covered, cands = _cover_ids(side, target)
-    if method == "branch" and g.num_vertices > MAX_SEARCH_VERTICES:
+    covered, cands = _cover_ids(len(g.lines()) // 2, target)
+    if g.num_vertices > MAX_SEARCH_VERTICES:
         # the search runs block by block, and a block never spans components
         for comp in g.component_masks():
             size = comp.bit_count()
             if size > MAX_SEARCH_VERTICES:
                 raise GuardError(f"a component of {size} vertices is over "
                                  f"the exact-search guard {MAX_SEARCH_VERTICES}")
-    if method == "exhaustive" and g.num_vertices > 20:
-        raise GuardError("exhaustive search is limited to 20 vertices")
     # Lemma: if no vertex is isolated and each has a false twin (same
     # neighbourhood, not adjacent), gamma = gamma_t.  Proof: let D be a
     # minimum dominating set with the fewest members x with no neighbour
     # in D.  x's twin x' has N(x') = N(x) outside D, so x' is in D.  Trading
     # x' for a neighbour y of x keeps D dominating (y covers x', x covers
     # N(x')) with one such member fewer.  So D is total, and gamma = gamma_t.
-    # At q >= 3 each class holds q - 1 >= 2 twins; "exhaustive" stays direct.
-    if target == "all" and method == "branch" and g.q > 2:
+    # At q >= 3 each class holds q - 1 >= 2 twins.
+    if target == "all" and g.q > 2:
         mode = "total"
-    # "branch" runs on the class quotient.  Twins cover, and are covered
+    # The search runs on the class quotient.  Twins cover, and are covered
     # by, the same vertices, so a minimum class cover lifts, one member a
     # class, to a minimum cover unless a class covers itself: after the
     # lemma such self-bits (standard, "all") remain only at q = 2, where
     # each class is one vertex.
-    rows = g.adj if method == "exhaustive" else g.line_adjacency()
-    # element i of the cover instance is id covered.start + i
-    lo, full = covered.start, (1 << len(covered)) - 1
-    cover_masks = []
-    for c in cands:
-        mask = (rows[c] >> lo) & full
-        if mode == "standard" and c in covered:
-            mask |= 1 << (c - lo)
-        cover_masks.append(mask)
-    if method == "exhaustive":
-        size, chosen = _min_cover_exhaustive(cover_masks, len(covered))
-        return size, tuple(cands[i] for i in chosen)
+    # element i of the cover instance is class covered.start + i
+    rows, lo, full = g.line_adjacency(), covered.start, (1 << len(covered)) - 1
+    cover_masks = [(rows[c] >> lo) & full
+                   | (1 << (c - lo) if mode == "standard" and c in covered else 0)
+                   for c in cands]
     # the side swap moves a one-sided target's candidates off their side,
     # so it is dropped there; _min_cover checks every other class map
     # against the masks, which hold every class edge, and refuses a bad one
@@ -495,19 +491,6 @@ def domination_number(g: LfGraph, target: str = VEC, mode: str = "standard",
             for m in cmaps if all(m[c] in cands for c in cands)]
     size, chosen = _min_cover(cover_masks, len(covered), gens)
     return size, tuple(firsts[cands[i]] for i in chosen)
-
-
-def _min_cover_exhaustive(cover: list[int], m: int) -> tuple[int, tuple]:
-    full = (1 << m) - 1
-    idxs = range(len(cover))
-    for k in range(len(cover) + 1):
-        for combo in combinations(idxs, k):
-            acc = 0
-            for i in combo:
-                acc |= cover[i]
-            if acc == full:
-                return k, combo
-    raise ValueError("instance is infeasible")
 
 
 def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:

@@ -402,10 +402,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
 def reports_to_json(reports) -> str:
     docs = [report_to_dict(r) for r in reports]
     return json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n"

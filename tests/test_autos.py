@@ -953,6 +953,25 @@ def test_formulas_refuse_what_build_refuses(monkeypatch):
             formula(*args)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Field(2.0), lambda: Field(2, 1.5), lambda: Field(2, True),
+    lambda: Field(True), lambda: field_from_order(4.0),
+    lambda: field_from_order(1e300), lambda: build(field_from_order(3), 2.0),
+    lambda: build(field_from_order(3), 1e300), lambda: formula_card_n2(4.0),
+    lambda: formula_card_general(2, 3.0), lambda: formula_twin_stabilizer(2.0, 3),
+    lambda: formula_component_isos(3.0)], ids=[
+    "Field-p-float", "Field-k-float", "Field-k-bool", "Field-p-bool",
+    "order-float", "order-huge-float", "build-n-float", "build-n-huge-float",
+    "card_n2-float", "card_general-float", "twin_stabilizer-float",
+    "component_isos-float"])
+def test_sizes_must_be_ints(make):
+    """Field's p and k, a field order q, and the q and n of build and the
+    closed forms are ints, never floats or bools: each is refused with a
+    ValueError, before any guard compares its size."""
+    with pytest.raises(ValueError, match="must be (an int|ints)"):
+        make()
+
+
 def test_guards_refuse_before_computing(monkeypatch):
     """Sizes whose q^n has more digits than an int may print: build and
     the closed forms refuse them from q and n alone.  A permutation

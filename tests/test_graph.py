@@ -11,10 +11,10 @@ import lfgraph.graph as graph
 from lfgraph.autos import VertexPerm, is_automorphism, sigma_swap
 from lfgraph.gf import field_from_order
 from lfgraph.graph import (FUN, VEC, LfGraph, Line, _bit_list, _min_cover,
-                           _min_cover_exhaustive, _orbit, _symmetries, build,
-                           domination_number, export, graph6_bytes,
-                           is_dominating, parse_edgelist_json, parse_graph6,
-                           to_edgelist_json, to_graph6)
+                           _orbit, _symmetries, build, domination_number,
+                           export, graph6_bytes, is_dominating,
+                           parse_edgelist_json, parse_graph6, to_edgelist_json,
+                           to_graph6)
 from lfgraph.linalg import monic_rep
 
 from conftest import graph_for
@@ -37,9 +37,6 @@ def test_graph_guards_raise_guard_error():
         build(field_from_order(7), 9)
     with pytest.raises(graph.GuardError, match="component of 2660 vertices"):
         domination_number(graph_for(11, 3), target="all")
-    with pytest.raises(graph.GuardError,
-                       match="exhaustive search is limited to 20 vertices"):
-        domination_number(graph_for(4, 2), method="exhaustive")
 
 
 def test_line_compares_and_hashes_by_value():
@@ -81,6 +78,19 @@ def test_vertex_indexing_round_trip():
         g.vec_id((0, 0, 0))
     with pytest.raises(ValueError):
         g.coords_of(g.num_vertices)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+def test_id_readers_refuse_what_is_not_an_int(bad):
+    """vec_id, fun_id, coords_of and degree read ints in range only: a
+    float, str or None raises ValueError, never a TypeError or a float id,
+    and a bool is never read as 0 or 1."""
+    g = graph_for(3, 2)
+    for read in (lambda: g.vec_id((1, bad)), lambda: g.vec_id((bad, 0)),
+                 lambda: g.fun_id((bad, 2)), lambda: g.coords_of(bad),
+                 lambda: g.degree(bad)):
+        with pytest.raises(ValueError):
+            read()
 
 
 @pytest.mark.parametrize("q,n,coords", [
@@ -365,12 +375,27 @@ def test_domination_guards_refuse_before_the_quotient_is_read(monkeypatch):
         raise AssertionError("line_adjacency() was read")
 
     monkeypatch.setattr(LfGraph, "line_adjacency", read)
-    for g, method in [(graph_for(11, 3), "branch"), (graph_for(3, 3), "exhaustive")]:
-        for target in (VEC, FUN, "all"):
-            with pytest.raises(graph.GuardError):
-                domination_number(g, target=target, method=method)
-        with pytest.raises(ValueError, match="unknown target 'nope'"):
-            domination_number(g, target="nope", method=method)
+    g = graph_for(11, 3)
+    for target in (VEC, FUN, "all"):
+        with pytest.raises(graph.GuardError):
+            domination_number(g, target=target)
+    with pytest.raises(ValueError, match="unknown target 'nope'"):
+        domination_number(g, target="nope")
+
+
+def _min_cover_exhaustive(cover, m):
+    """The subset sweep: the first of the smallest index sets, in
+    combinations order, whose masks cover all m elements.  The tests'
+    oracle for _min_cover, exponential in the candidates."""
+    full = (1 << m) - 1
+    for k in range(len(cover) + 1):
+        for combo in itertools.combinations(range(len(cover)), k):
+            acc = 0
+            for i in combo:
+                acc |= cover[i]
+            if acc == full:
+                return k, combo
+    raise ValueError("instance is infeasible")
 
 
 def _interleaved_cover(rng):
@@ -539,18 +564,34 @@ def test_whole_graph_standard_equals_total_domination(q, n):
     assert is_dominating(g, witness, target="all", mode="total")
 
 
-def _vertex_cover(g, target, mode):
-    """_min_cover on the vertex-level cover instance of target and mode,
-    under the automorphisms of _symmetries that keep its candidates; the
-    chosen candidates as vertex ids."""
+def _vertex_instance(g, target, mode):
+    """The vertex-level cover instance of target and mode, with no lemma
+    applied: the candidates' masks, the covered ids and the candidate ids."""
     covered, cands = graph._cover_ids(g.nv, target)
     lo, full = covered.start, (1 << len(covered)) - 1
     cover = [(g.adj[c] >> lo) & full
              | (1 << (c - lo) if mode == "standard" and c in covered else 0)
              for c in cands]
+    return cover, covered, cands
+
+
+def _vertex_cover(g, target, mode):
+    """_min_cover on the vertex-level cover instance of target and mode,
+    under the automorphisms of _symmetries that keep its candidates; the
+    chosen candidates as vertex ids."""
+    cover, covered, cands = _vertex_instance(g, target, mode)
+    lo = covered.start
     gens = [([s[c] - cands.start for c in cands], [s[v] - lo for v in covered])
             for s in _symmetries(g) if all(s[c] in cands for c in cands)]
     size, chosen = _min_cover(cover, len(covered), gens)
+    return size, [cands[i] for i in chosen]
+
+
+def _vertex_sweep(g, target, mode):
+    """The subset sweep on the vertex-level cover instance; the chosen
+    candidates as vertex ids."""
+    cover, covered, cands = _vertex_instance(g, target, mode)
+    size, chosen = _min_cover_exhaustive(cover, len(covered))
     return size, [cands[i] for i in chosen]
 
 
@@ -647,10 +688,10 @@ def test_branch_agrees_with_exhaustive_on_every_target(q, n):
     g = graph_for(q, n)
     for target, mode in [(VEC, "total"), (FUN, "standard"), (FUN, "total")]:
         b, wb = domination_number(g, target=target, mode=mode)
-        e, _ = domination_number(g, target=target, mode=mode,
-                                 method="exhaustive")
-        assert b == e == len(wb), (target, mode)
+        e, we = _vertex_sweep(g, target, mode)
+        assert b == e == len(wb) == len(we), (target, mode)
         assert is_dominating(g, wb, target=target, mode=mode)
+        assert is_dominating(g, we, target=target, mode=mode)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3),
@@ -667,16 +708,16 @@ def test_total_domination_matches_split_bound(q, n):
 
 
 def test_branch_agrees_with_exhaustive():
-    rng = random.Random(99)
+    """The class search and the subset sweep on the vertex-level instance
+    find one optimum at (2,2), (3,2) and (2,3), and both witnesses
+    dominate."""
     for q, n in [(2, 2), (3, 2), (2, 3)]:
         g = graph_for(q, n)
         for target, mode in [(VEC, "standard"), ("all", "standard"),
                              ("all", "total")]:
-            b, wb = domination_number(g, target=target, mode=mode,
-                                      method="branch")
-            e, we = domination_number(g, target=target, mode=mode,
-                                      method="exhaustive")
-            assert b == e, (q, n, target, mode)
+            b, wb = domination_number(g, target=target, mode=mode)
+            e, we = _vertex_sweep(g, target, mode)
+            assert b == e == len(we), (q, n, target, mode)
             assert is_dominating(g, wb, target=target, mode=mode)
             assert is_dominating(g, we, target=target, mode=mode)
 
@@ -687,15 +728,11 @@ def test_domination_argument_validation():
         domination_number(g, target="nope")
     with pytest.raises(ValueError):
         domination_number(g, mode="nope")
-    with pytest.raises(ValueError):
-        domination_number(g, method="nope")
-    with pytest.raises(ValueError):
-        domination_number(graph_for(3, 3), method="exhaustive")  # > 20 vertices
-    # the target is checked before either guard reads the graph
+    with pytest.raises(TypeError):
+        domination_number(g, method="branch")  # one search, no method knob
+    # the target is checked before the guard reads the graph
     with pytest.raises(ValueError, match="unknown target 'nope'"):
         domination_number(graph_for(5, 3), target="nope")
-    with pytest.raises(ValueError, match="unknown target 'nope'"):
-        domination_number(graph_for(3, 3), target="nope", method="exhaustive")
 
 
 # ---------- serialization ----------

@@ -14,7 +14,7 @@ from lfgraph import build, field_from_order
 from lfgraph.autos import (VertexPerm, formula_card_general, formula_card_n2,
                            formula_component_isos)
 from lfgraph.harness import (CLAIM_IDS, DEFAULT_MATRIX, DEFAULT_SEED,
-                             REGISTRY, main, report_to_json, report_to_text,
+                             REGISTRY, main, report_to_text, reports_to_json,
                              run_verify)
 
 
@@ -441,7 +441,7 @@ def test_report_passed_only_without_a_failed_claim():
 
 def test_json_rendering():
     report = run_verify(2, 2, seed=5)
-    doc = json.loads(report_to_json(report))
+    doc = json.loads(reports_to_json([report]))
     assert doc["q"] == 2 and doc["n"] == 2 and doc["seed"] == 5
     assert len(doc["claims"]) == 14
     for claim in doc["claims"]:
@@ -455,8 +455,8 @@ def test_json_rendering():
 
 
 def test_json_deterministic_for_seed():
-    a = report_to_json(run_verify(2, 2, seed=9))
-    b = report_to_json(run_verify(2, 2, seed=9))
+    a = reports_to_json([run_verify(2, 2, seed=9)])
+    b = reports_to_json([run_verify(2, 2, seed=9)])
     assert a == b
     assert report_to_text(run_verify(2, 2, seed=9)) == \
         report_to_text(run_verify(2, 2, seed=9))

@@ -1,14 +1,16 @@
 """Every name a source module imports is referenced in that module, every
 private helper is used, every decomposition step is tested, no module
 reads the environment nor harness a size guard, only the readers of
-outside data run the public permutation check, and importing the package
-loads neither dataclasses nor inspect."""
+outside data run the public permutation check, README's size table names
+every guard, and importing the package loads neither dataclasses nor
+inspect."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,28 @@ def test_permutations_are_checked_where_outside_data_enters():
                 assert owner in readers, f"{where} runs the public check"
                 checked.add(owner)
     assert checked == readers
+
+
+def test_readme_names_every_guard():
+    """Each row of README's "Supported sizes" table names a module.MAX_*
+    constant with its value, and each module-level MAX_* in src/lfgraph
+    has a row, so a retuned guard cannot leave the table behind."""
+    text = (TESTS.parent / "README.md").read_text()
+    lines = text[text.index("## Supported sizes"):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| limit |"))
+    named = {}
+    for row in takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        m = re.match(r"\| `(\w+\.MAX_\w+)` = (\d+) \|", row)
+        assert m, f"README row names no guard constant: {row}"
+        named[m[1]] = int(m[2])
+    guards = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), path.name).body:
+            if isinstance(node, ast.Assign):
+                guards |= {f"{path.stem}.{t.id}": ast.literal_eval(node.value)
+                           for t in node.targets
+                           if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
+    assert named == guards
 
 
 def test_import_loads_no_dataclasses_nor_inspect():
