@@ -37,11 +37,11 @@ import math
 from collections import namedtuple
 from itertools import chain, islice, repeat
 
-from .gf import factor_prime_power, field_from_order
+from .gf import _ids_below, factor_prime_power, field_from_order
 from .linalg import random_invertible
 from .graph import (GuardError, LfGraph, _bit_list, _build_guard, _coords, _gather,
-                    _ids_below, _inverse, _matrix, _orbit, _row_lists,
-                    _semilinear, _side_swap, build)
+                    _inverse, _matrix, _orbit, _row_lists, _semilinear,
+                    _side_swap, build)
 
 
 class VertexPerm:
@@ -726,14 +726,15 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
 
     # the axis-1 table must be a scaled Frobenius power, hence a bijection
     tab = [0] + [trace(1, a) for a in F.units()]
-    pi_norm = [F.div(t, tab[1]) for t in tab]
+    pi_norm = [mul[t][inv[tab[1]]] for t in tab]
     jstar = next((j for j, row in enumerate(F._frob) if pi_norm == row), None)
     if jstar is None:
         raise DecompositionError("frobenius", {"pi": pi_norm})
 
     # e1 + e_axis fixes the scale of P's column axis
     diag = [1, tab[1]] + [trace(axis, 1) for axis in range(2, n)]
-    gen = (swap, None, tuple(tuple(map(F.mul, row, diag)) for row in P), jstar, None)
+    gen = (swap, None, tuple(tuple(mul[a][d] for a, d in zip(row, diag))
+                             for row in P), jstar, None)
     return Decomposition(*gen, _residual(g, rho, gen))
 
 

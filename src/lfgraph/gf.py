@@ -34,6 +34,12 @@ class GuardError(ValueError):
     """Raised at every size limit: the input is valid, only too large."""
 
 
+def _ids_below(values, bound: int) -> bool:
+    """Is every value an int in [0, bound)?  Never a bool, float or str:
+    an id list or a field table would read True as 1 and 2.0 as 2."""
+    return all(type(x) is int and 0 <= x < bound for x in values)
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -87,10 +93,16 @@ class Field:
 
     # ---------- element encoding ----------
 
+    def _element(self, a: int) -> int:
+        """a, once it is an element index: the public methods read every
+        operand through here, the package's own sweeps the tables."""
+        if not _ids_below((a,), self.q):
+            raise ValueError(f"element index {a!r} out of range for q = {self.q}")
+        return a
+
     def decode(self, a: int) -> tuple[int, ...]:
         """Coefficient tuple (c0..c_{k-1}) of element index a."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} out of range for q = {self.q}")
+        self._element(a)
         digits = []
         for _ in range(self.k):
             a, r = divmod(a, self.p)
@@ -99,7 +111,7 @@ class Field:
 
     def encode(self, digits) -> int:
         digits = tuple(digits)
-        if len(digits) != self.k or any(not 0 <= d < self.p for d in digits):
+        if len(digits) != self.k or not _ids_below(digits, self.p):
             raise ValueError(f"bad coefficient tuple {digits}")
         a = 0
         for d in reversed(digits):
@@ -151,30 +163,32 @@ class Field:
     # ---------- arithmetic ----------
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self._add[self._element(a)][self._element(b)]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self._add[self._element(a)][self._neg[self._element(b)]]
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self._mul[self._element(a)][self._element(b)]
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self._neg[self._element(a)]
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
+        return self._mul[self._element(a)][self.inv(b)]
 
     def pow(self, a: int, e: int) -> int:
+        if type(e) is not int:
+            raise ValueError(f"exponent must be an int, got {e!r}")
         if e < 0:
             return self.pow(self.inv(a), -e)
         acc = 1
-        base = a
+        base = self._element(a)
         while e:
             if e & 1:
                 acc = self._mul[acc][base]
@@ -185,9 +199,9 @@ class Field:
     def frobenius(self, a: int, j: int) -> int:
         """a -> a^(p^j), the j-th power of the absolute Frobenius, read off
         the table _build_tables fills."""
-        if not 0 <= j < self.k:
-            raise ValueError(f"Frobenius exponent {j} out of range [0, {self.k})")
-        return self._frob[j][a]
+        if not _ids_below((j,), self.k):
+            raise ValueError(f"Frobenius exponent {j!r} out of range [0, {self.k})")
+        return self._frob[j][self._element(a)]
 
     # ---------- iteration and identity ----------
 
@@ -217,6 +231,8 @@ def field_automorphisms(field: Field) -> list[int]:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
+    if type(q) is not int:
+        raise ValueError(f"field order must be an int, got {q!r}")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     p = 2
@@ -235,9 +251,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def field_from_order(q: int, modulus=None) -> Field:
-    if type(q) is not int:
-        raise ValueError(f"field order must be an int, got {q!r}")
-    if q > MAX_ORDER:  # before factor_prime_power divides up to sqrt(q)
+    if type(q) is int and q > MAX_ORDER:  # before trial division to sqrt(q)
         raise GuardError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     p, k = factor_prime_power(q)
     return Field(p, k, modulus)

@@ -19,7 +19,7 @@ from itertools import chain, product, repeat
 from math import isqrt
 from operator import itemgetter, mul
 
-from .gf import Field, GuardError
+from .gf import Field, GuardError, _ids_below
 
 VEC = "vec"
 FUN = "fun"
@@ -40,12 +40,6 @@ def _bit_list(mask: int) -> list[int]:
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [8 * i + b for i, byte in enumerate(data) if byte
             for b in _BYTE_BITS[byte]]
-
-
-def _ids_below(values, bound: int) -> bool:
-    """Is every value an int in [0, bound)?  Never a bool, float or str:
-    an id list or a field table would read True as 1 and 2.0 as 2."""
-    return all(type(x) is int and 0 <= x < bound for x in values)
 
 
 def _gather(seq, idx) -> tuple:  # seq[i] for i in idx in C; len(idx) > 1
@@ -131,20 +125,23 @@ class LfGraph:
     def fun_id(self, coords) -> int:
         return self.vec_id(coords) + self.nv
 
+    def _vertex(self, vid: int) -> int:
+        """vid, once it is a vertex id: the id readers and is_dominating
+        refuse anything else here, a bool or a float too."""
+        if not _ids_below((vid,), self.num_vertices):
+            raise ValueError(f"{vid!r} is not a vertex id")
+        return vid
+
     def is_vec(self, vid: int) -> bool:
-        return vid < self.nv
+        return self._vertex(vid) < self.nv
 
     def coords_of(self, vid: int) -> tuple[str, tuple]:
-        if not _ids_below((vid,), self.num_vertices):
-            raise ValueError(f"vertex id {vid!r} out of range")
-        return (VEC if vid < self.nv else FUN), tuple(_coords(self, vid))
+        return (VEC if self.is_vec(vid) else FUN), tuple(_coords(self, vid))
 
     # ---------- basic invariants ----------
 
     def degree(self, vid: int) -> int:
-        if not _ids_below((vid,), self.num_vertices):
-            raise ValueError(f"vertex id {vid!r} out of range")
-        return self.adj[vid].bit_count()
+        return self.adj[self._vertex(vid)].bit_count()
 
     def check_regular(self) -> bool:
         want = self.q ** (self.n - 1) - 1
@@ -416,9 +413,7 @@ def is_dominating(g: LfGraph, dset, target: str = VEC, mode: str = "standard") -
         raise ValueError(f"unknown mode {mode!r}")
     dmask = 0
     for v in dset:
-        if not _ids_below((v,), g.num_vertices):
-            raise ValueError(f"{v!r} is not a vertex id")
-        dmask |= 1 << v
+        dmask |= 1 << g._vertex(v)
     for v in _cover_ids(g.nv, target)[0]:
         hit = g.adj[v] & dmask
         if mode == "standard":

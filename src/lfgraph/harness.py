@@ -314,20 +314,17 @@ CLAIM_IDS = tuple(cid for cid, _, _ in REGISTRY)
 
 
 def run_verify(q: int, n: int, claims=None, seed: int | None = None,
-               budget: float | None = None, deep: bool = False) -> VerificationReport:
+               deep: bool = False) -> VerificationReport:
     """Evaluate every registered claim for one (q, n) instance.
 
     claims: optional iterable of claim ids; everything else is reported as
-    skipped.  seed: DEFAULT_SEED when None.  budget: soft wall-clock limit
-    in seconds, >= 0; claims that have not started when it runs out are
-    skipped, never dropped.  deep: accepted and ignored; selects nothing.
+    skipped.  seed: DEFAULT_SEED when None.  deep: accepted and ignored;
+    selects nothing.
     """
     seed = DEFAULT_SEED if seed is None else seed
     selected = set(CLAIM_IDS if claims is None else claims)
     if unknown := selected - set(CLAIM_IDS):
         raise ValueError(f"unknown claim ids: {sorted(unknown)}")
-    if budget is not None and not budget >= 0:  # NaN compares false
-        raise ValueError(f"budget must be a number >= 0, got {budget}")
     g = build(field_from_order(q), n)
 
     @cache  # one automorphism set for every sweep, built on first use
@@ -344,16 +341,11 @@ def run_verify(q: int, n: int, claims=None, seed: int | None = None,
     def sweep(check):
         return _sweep(g, autos, check)
 
-    start = time.monotonic()
     results = []
     for cid, locus, runner in REGISTRY:
         if cid not in selected:
             results.append(ClaimResult(cid, locus, None, None, "skipped",
                                        {"reason": "not selected"}))
-            continue
-        if budget is not None and time.monotonic() - start > budget:
-            results.append(ClaimResult(cid, locus, None, None, "skipped",
-                                       {"reason": "budget exhausted"}))
             continue
         t0 = time.monotonic()
         formula, oracle, verdict, witness = runner(g, sweep)
@@ -530,8 +522,7 @@ def _cmd_verify(args) -> int:
         return 2
     instances = [(args.q, args.n)] if args.q is not None else list(DEFAULT_MATRIX)
     claims = _parse_claims(args.claims)
-    reports = [run_verify(q, n, claims=claims, seed=args.seed,
-                          budget=args.budget)
+    reports = [run_verify(q, n, claims=claims, seed=args.seed)
                for q, n in instances]
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
@@ -590,8 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_qn(p, required=False)
     p.add_argument("--claims", help="comma-separated claim ids to run")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=float,
-                   help="soft wall-clock limit in seconds per instance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--deep", action="store_true",
                    help="accepted and ignored: selects nothing")

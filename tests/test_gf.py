@@ -103,6 +103,13 @@ def test_factor_prime_power():
         factor_prime_power(1)
 
 
+@pytest.mark.parametrize("q", [7.0, 9.0, True, "9", None])
+def test_factor_prime_power_refuses_a_non_int(q):
+    """7.0 is not factored to (7.0, 1), nor 9.0 to (3, 2), nor True to 1."""
+    with pytest.raises(ValueError, match="must be an int"):
+        factor_prime_power(q)
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_field_axioms_exhaustive(q):
     """Commutativity, associativity, distributivity, identities, inverses."""
@@ -188,6 +195,37 @@ def test_pow():
         for e in range(1, 7):
             acc = F.mul(acc, a)
             assert F.pow(a, e) == acc
+
+
+@pytest.mark.parametrize("name,args", [
+    ("add", (-1, 0)), ("add", (0, 4)), ("sub", (1, -1)), ("neg", (-2,)),
+    ("inv", (-1,)), ("div", (1, -1)), ("div", (-1, 1)), ("mul", (True, 3)),
+    ("mul", (2, 1.0)), ("pow", (5, 2)), ("pow", (2, 1.5)), ("pow", (2, True)),
+    ("frobenius", (-1, 1)), ("frobenius", (1.0, 0)), ("frobenius", (1, 1.0)),
+    ("decode", (1.5,)), ("decode", (True,)), ("encode", ((1.5, 0),)),
+    ("encode", ((0, True),)), ("encode", ((2, 0),)),
+], ids=str)
+def test_public_arithmetic_refuses_what_is_not_an_element(name, args):
+    """Each operand is an int in [0, q), each exponent an int: a negative,
+    a bool, a float or an index past q raises ValueError, never a wrapped
+    table read, an IndexError or a TypeError."""
+    with pytest.raises(ValueError):
+        getattr(field_from_order(4), name)(*args)
+
+
+def test_public_arithmetic_keeps_its_messages():
+    F = field_from_order(4)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+    with pytest.raises(ValueError, match="element index 4 out of range"):
+        F.decode(4)
+    with pytest.raises(ValueError, match="bad coefficient tuple"):
+        F.encode((0, 0, 0))
+    with pytest.raises(ValueError, match="Frobenius exponent 2 out of range"):
+        F.frobenius(1, 2)
+    assert F.pow(2, -1) == F.inv(2) and F.div(3, 2) == F.mul(3, F.inv(2))
 
 
 def test_encode_decode_roundtrip():

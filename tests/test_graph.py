@@ -93,6 +93,16 @@ def test_id_readers_refuse_what_is_not_an_int(bad):
             read()
 
 
+@pytest.mark.parametrize("bad", [-3, 16, 10**6, 1.0, True])
+def test_is_vec_refuses_what_is_not_a_vertex_id(bad):
+    """is_vec reads a vertex id as coords_of and degree do: -3 is not a
+    vector, nor 10**6 a functional."""
+    g = graph_for(3, 2)
+    with pytest.raises(ValueError, match="is not a vertex id"):
+        g.is_vec(bad)
+    assert [g.is_vec(v) for v in (0, 7, 8, 15)] == [True, True, False, False]
+
+
 @pytest.mark.parametrize("q,n,coords", [
     (3, 2, (1, 5)),      # would alias (2, 2), id 7
     (3, 2, (1, 3)),      # would alias (2, 0)

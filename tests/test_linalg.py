@@ -99,6 +99,8 @@ def test_monic_rep():
     assert monic_rep(F5, (3, 1, 0)) == (1, 2, 0)
     with pytest.raises(ValueError):
         monic_rep(F3, (0, 0))
+    with pytest.raises(ValueError):  # -1 is not read as 3, the last element
+        monic_rep(F4, (1, -1))
 
 
 def test_monic_rep_idempotent_and_scalar_invariant():
