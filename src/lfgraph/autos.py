@@ -59,8 +59,8 @@ class VertexPerm:
             raise ValueError(f"image has length {len(image)}, expected {n}")
         if not _ids_below(image, n) or len(set(image)) != n:
             raise ValueError("image is not a permutation of the vertex ids")
-        self.g = g
-        self.image = image
+        _set_g(self, g)
+        _set_image(self, image)
 
     @classmethod
     def _of(cls, g: LfGraph, image) -> "VertexPerm":
@@ -74,8 +74,12 @@ class VertexPerm:
         disjoint pairs); so is a search result; and so is a gather or
         inverse of permutations of g, as _image_on refuses another graph's."""
         perm = cls.__new__(cls)
-        perm.g, perm.image = g, tuple(image)
+        _set_g(perm, g)
+        _set_image(perm, tuple(image))
         return perm
+
+    def __setattr__(self, name, value):  # read-only: a built perm stays one
+        raise AttributeError(f"VertexPerm is read-only; cannot set {name!r}")
 
     def compose(self, other: "VertexPerm") -> "VertexPerm":
         """self after other: (self.compose(other))(v) = self(other(v))."""
@@ -97,6 +101,10 @@ class VertexPerm:
 
     def __repr__(self):
         return f"VertexPerm({list(self.image)})"
+
+
+# the slots' own setters, which VertexPerm.__setattr__ does not reach
+_set_g, _set_image = VertexPerm.g.__set__, VertexPerm.image.__set__
 
 
 def _same_graph(g: LfGraph, h: LfGraph) -> bool:

@@ -6,25 +6,16 @@ prime fields (k = 1) this is the usual residue 0..p-1.  All binary
 operations go through dense q-by-q lookup tables built once at
 construction, so arithmetic is O(1) and reproducible bit for bit.
 
-Extension fields need a monic irreducible modulus of degree k over F_p,
-given as a coefficient tuple (c0, c1, ..., ck) with ck = 1.  A built-in
-table covers the orders this package is normally run at (4, 8, 9, 16, 25,
-27).  Any modulus is validated by the tables themselves: F_p[x]/(m) is a
-field exactly when m is irreducible, so building the inverse table
-succeeds only for an irreducible m.
+An extension field is F_p[x]/(m) for a monic irreducible m of degree k,
+given as a coefficient tuple (c0, c1, ..., ck) with ck = 1.  Any modulus
+is validated by the tables themselves: F_p[x]/(m) is a field exactly when
+m is irreducible, so building the inverse table succeeds only for an
+irreducible m.  Without a modulus, m is x^k + r(x) for the least r in
+1..q-1 (packed as elements are) that passes that test; one exists at every
+degree (Lidl & Niederreiter, Finite Fields, Thm. 3.25).
 """
 
 from __future__ import annotations
-
-# order q -> monic irreducible modulus over F_p, index i = coefficient of x^i
-BUILTIN_MODULI = {
-    4: (1, 1, 1),          # x^2 + x + 1
-    8: (1, 1, 0, 1),       # x^3 + x + 1
-    9: (1, 0, 1),          # x^2 + 1
-    16: (1, 1, 0, 0, 1),   # x^4 + x + 1
-    25: (2, 0, 1),         # x^2 + 2
-    27: (1, 2, 0, 1),      # x^3 + 2x + 1
-}
 
 # tables are dense q*q lists; keep fields deliberately small
 MAX_ORDER = 256
@@ -40,15 +31,18 @@ def _ids_below(values, bound: int) -> bool:
     return all(type(x) is int and 0 <= x < bound for x in values)
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def _least_factor(m: int) -> int:
+    """The least divisor d >= 2 of m >= 2, by trial division: m when prime."""
     d = 2
     while d * d <= m:
         if m % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return m
+
+
+def is_prime(m: int) -> bool:
+    return m >= 2 and _least_factor(m) == m
 
 
 class Field:
@@ -68,18 +62,10 @@ class Field:
         q = p ** k
         if q > MAX_ORDER:
             raise GuardError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
-        self.p = p
-        self.k = k
-        self.q = q
-        if k == 1:
-            if modulus is not None:
+        self.p, self.k, self.q = p, k, q
+        if modulus is not None:
+            if k == 1:
                 raise ValueError("a modulus is only meaningful for k > 1")
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = BUILTIN_MODULI.get(q)
-                if modulus is None:
-                    raise ValueError(f"no built-in modulus for q = {q}; supply one")
             modulus = tuple(modulus)
             if any(type(c) is not int for c in modulus):
                 raise ValueError(f"modulus coefficients must be ints, not {modulus}")
@@ -88,8 +74,7 @@ class Field:
                 raise ValueError(f"modulus must have degree {k}")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            self.modulus = modulus
-        self._build_tables()
+        self._build_tables(modulus)
 
     # ---------- element encoding ----------
 
@@ -120,42 +105,53 @@ class Field:
 
     # ---------- table construction ----------
 
-    def _build_tables(self):
+    def _build_tables(self, modulus):
         """Sweep the digits of b one at a time, least significant fastest,
         as graph._map_ids does at odd p.  A sum row packs (a_i + t) mod p;
         a product row sums b_i (a x^i), where a x^(i+1) is a x^i shifted up
         one digit with its top digit t folded back as t x^k mod the modulus.
-        A unit row without 1 means F_p[x]/(m) is not a field: m is reducible."""
+        A unit row without 1 means F_p[x]/(m) is not a field: m is reducible.
+        With no modulus at k > 1, m = x^k + r(x) for the least r that gives
+        a field, each r's product rows stopped at the first without a 1."""
         p, k, q = self.p, self.k, self.q
-        self._add = []
+        self._add = add = []
         for a in range(q):
             row = [0]
             for ai in reversed(self.decode(a)):
                 row = [x * p + (ai + t) % p for x in row for t in range(p)]
-            self._add.append(row)
-        add = self._add
+            add.append(row)
         self._neg = [row.index(0) for row in add]
-        # F_p is F_p[x]/(x); fold[t] = t x^k = -t (m_0 + ... + m_{k-1} x^{k-1})
-        low = (self.modulus or (0, 1))[:k]
-        fold = [self.encode(-t * c % p for c in low) for t in range(p)]
-        self._mul = []
-        for a in range(q):
-            shifts = [a]
-            for _ in range(k - 1):
-                hi, lo = divmod(shifts[-1], q // p)
-                shifts.append(add[lo * p][fold[hi]])
-            row = [0]
-            for s in reversed(shifts):
-                multiples = [0]
-                for _ in range(p - 1):
-                    multiples.append(add[multiples[-1]][s])
-                row = [add[x][m] for x in row for m in multiples]
-            self._mul.append(row)
-        if any(1 not in row for row in self._mul[1:]):
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
-        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
-        # _frob[j][a] = a^(p^j): row 0 is the identity, each next row the
-        # p-th power of the one before
+        # F_p is F_p[x]/(x); each candidate is m's low part m_0 .. m_{k-1}
+        if k == 1 or modulus is not None:
+            lows = [(modulus or (0, 1))[:k]]
+        else:
+            lows = map(self.decode, range(1, q))
+        for low in lows:
+            # fold[t] = t x^k = -t (m_0 + ... + m_{k-1} x^{k-1})
+            fold = [self.encode(-t * c % p for c in low) for t in range(p)]
+            mul = [[0] * q]
+            for a in range(1, q):
+                shifts = [a]
+                for _ in range(k - 1):
+                    hi, lo = divmod(shifts[-1], q // p)
+                    shifts.append(add[lo * p][fold[hi]])
+                row = [0]
+                for s in reversed(shifts):
+                    multiples = [0]
+                    for _ in range(p - 1):
+                        multiples.append(add[multiples[-1]][s])
+                    row = [add[x][m] for x in row for m in multiples]
+                if 1 not in row:
+                    break  # a zero divisor: try the next candidate
+                mul.append(row)
+            else:
+                break  # every unit row holds a 1: a field
+        else:
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self.modulus = None if k == 1 else low + (1,)
+        self._mul = mul
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
+        # _frob[j][a] = a^(p^j): the identity, then each row's p-th power
         self._frob = [list(range(q))]
         for _ in range(k - 1):
             self._frob.append([self.pow(a, p) for a in self._frob[-1]])
@@ -233,21 +229,13 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
     if type(q) is not int:
         raise ValueError(f"field order must be an int, got {q!r}")
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+    if q >= 2:
+        p, k = _least_factor(q), 1
+        while p ** k < q:
+            k += 1
+        if p ** k == q:
             return p, k
-        p += 1
-    return q, 1  # q itself is prime
+    raise ValueError(f"{q} is not a prime power")
 
 
 def field_from_order(q: int, modulus=None) -> Field:

@@ -24,6 +24,8 @@ def random_invertible(field: Field, n: int, rng) -> tuple:
     """Uniform invertible matrix by rejection sampling.  Forward elimination
     on the field tables tests each draw: it is singular exactly when some
     column has no pivot among the rows not yet used."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     while True:
         P = tuple(tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n))

@@ -59,6 +59,20 @@ def test_perm_validation():
             VertexPerm(g, bad)
 
 
+def test_perm_is_read_only():
+    """No slot can be reassigned, so what compose and inverse build from a
+    permutation unchecked stays a permutation."""
+    g = graph_for(2, 2)
+    perm = identity_perm(g)
+    for name, value in (("image", (0,) * 6), ("g", graph_for(3, 2)), ("x", 1)):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(perm, name, value)
+    with pytest.raises(AttributeError, match="read-only"):
+        VertexPerm(g, range(6)).image = (0,) * 6
+    assert perm.image == tuple(range(6)) and perm.g is g
+    assert perm.inverse() == perm == sigma_swap(g).compose(sigma_swap(g))
+
+
 def test_perm_ids_are_ints():
     """A bool compares equal to 0 or 1 yet is no vertex id: an image of
     them would serialize as JSON true/false, which perm_from_json refuses."""
@@ -1543,8 +1557,8 @@ def test_perm_json_round_trip():
 
 
 def test_documents_name_their_field():
-    """Over GF(8) = F_2[x]/(x^3 + x^2 + 1), not the built-in cubic, a
-    document rebuilds its own field and is refused by the built-in graph;
+    """Over GF(8) = F_2[x]/(x^3 + x^2 + 1), not the default cubic, a
+    document rebuilds its own field and is refused by the default graph;
     one without p, k and modulus loads as before."""
     g = build(Field(2, 3, (1, 0, 1, 1)), 2)
     perm = random_automorphism(g, rng())
@@ -1558,9 +1572,9 @@ def test_documents_name_their_field():
     assert doc["modulus"] == [1, 0, 1, 1]
     back = decomposition_from_json(json.dumps(doc))
     assert compose(back.tau.g, back).image == perm.image and back.P == d.P
-    builtin = graph_for(8, 2)
-    for bad in (lambda: perm_from_json(text, builtin),
-                lambda: decomposition_from_json(json.dumps(doc), builtin),
+    default = graph_for(8, 2)
+    for bad in (lambda: perm_from_json(text, default),
+                lambda: decomposition_from_json(json.dumps(doc), default),
                 lambda: perm_from_json(json.dumps(dict(json.loads(text), k=1)))):
         with pytest.raises(ValueError, match="does not match"):
             bad()
@@ -1571,7 +1585,21 @@ def test_documents_name_their_field():
         with pytest.raises(ValueError, match="integer"):
             perm_from_json(json.dumps({**json.loads(text), key: value}))
     old = {k: v for k, v in json.loads(text).items() if k not in ("p", "k", "modulus")}
-    assert perm_from_json(json.dumps(old), builtin).g is builtin
+    assert perm_from_json(json.dumps(old), default).g is default
+
+
+def test_documents_over_a_derived_field_round_trip():
+    """At q = 32 the field's modulus is derived, not listed anywhere: a
+    document names it, and one without p, k and modulus rebuilds the same
+    graph."""
+    g = graph_for(32, 2)
+    perm = random_automorphism(g, rng())
+    doc = json.loads(perm_to_json(perm))
+    assert (doc["p"], doc["k"], doc["modulus"]) == (2, 5, [1, 0, 1, 0, 0, 1])
+    assert perm_from_json(json.dumps(doc)) == perm
+    bare = {k: v for k, v in doc.items() if k not in ("p", "k", "modulus")}
+    assert perm_from_json(json.dumps(bare)) == perm
+    assert perm_from_json(json.dumps(bare), g).g is g
 
 
 def test_seeded_decompositions_pinned():

@@ -300,10 +300,41 @@ def test_modulus_validation():
             Field(2, 2, modulus)
 
 
-def test_builtin_moduli_cover_needed_orders():
-    for q in [4, 8, 9, 16, 25, 27]:
-        F = field_from_order(q)
-        assert F.q == q
+def test_derived_moduli_keep_the_former_table():
+    """The moduli a table once listed for these orders are the first
+    irreducible x^k + r(x) in element packing, so seeded reports and
+    documents over them are unchanged."""
+    former = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
+              16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1)}
+    assert {q: field_from_order(q).modulus for q in former} == former
+
+
+PRIME_POWERS = sorted(p ** k for p in range(2, gf.MAX_ORDER + 1)
+                      if all(p % d for d in range(2, p))
+                      for k in range(1, 9) if p ** k <= gf.MAX_ORDER)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_every_order_builds_without_a_modulus(q):
+    """With no modulus, GF(p^k) is F_p[x]/(x^k + r(x)) for the least r
+    (packed as elements are) that trial division finds irreducible, and
+    its tables are the ones that modulus, given, builds."""
+    F = field_from_order(q)
+    assert F.q == q
+    if F.k == 1:
+        assert F.modulus is None
+        return
+    r = F.encode(F.modulus[:-1])
+    assert F.modulus == F.decode(r) + (1,) and _is_irreducible(F.modulus, F.p)
+    assert not any(_is_irreducible(F.decode(s) + (1,), F.p) for s in range(1, r))
+    G = Field(F.p, F.k, F.modulus)
+    assert (F._add, F._mul, F._inv, F._frob) == (G._add, G._mul, G._inv, G._frob)
+
+
+def test_field_repr_names_the_derived_modulus():
+    assert repr(field_from_order(7)) == "Field(p=7)"
+    assert repr(field_from_order(32)) == "Field(p=2, k=5, modulus=(1, 0, 1, 0, 0, 1))"
+    assert repr(Field(2, 3, (1, 0, 1, 1))) == "Field(p=2, k=3, modulus=(1, 0, 1, 1))"
 
 
 def test_field_equality_and_hash():

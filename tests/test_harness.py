@@ -547,6 +547,13 @@ def test_cli_build_guard(capsys):
         "q=3 n=3 vertices=52 edges=208 degree=8 components=1"]
 
 
+def test_cli_builds_a_field_with_no_listed_modulus(capsys):
+    """GF(32)'s modulus is derived from its order, so build reaches it."""
+    assert run_cli("build", "--q", "32", "--n", "2") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "q=32 n=2 vertices=2046 edges=31713 degree=31 components=33"]
+
+
 def test_cli_verify_reports_a_refused_instance(capsys):
     """verify skips what a guard refuses instead of exiting 2."""
     assert run_cli("verify", "--q", "11", "--n", "3", "--format", "json") == 0

@@ -56,6 +56,13 @@ def test_mat_inv_round_trip_random():
                 assert mat_mul(F, Ainv, A) == identity(n)
 
 
+@pytest.mark.parametrize("n", [-1, 0, True, 2.0, "2", None])
+def test_random_invertible_refuses_a_bad_size(n):
+    """n = -1 drew an empty matrix and n = True a 1x1 one."""
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        random_invertible(F4, n, random.Random(0))
+
+
 def test_mat_inv_singular():
     for F in (F2, F3, F4, F9):
         a = F.q - 1  # the last nonzero element
