@@ -545,18 +545,23 @@ def count_component_isomorphisms(g: LfGraph) -> int:
 
 # ---------- closed-form counts ----------
 
+def _classes_a_side(q: int, n: int) -> int:
+    """M = (q^n - 1)/(q - 1), once (q, n) passes build's guard and q is a
+    prime power; every closed form starts here."""
+    nv = _build_guard(q, n)
+    factor_prime_power(q)
+    return nv // (q - 1)
+
+
 def formula_card_n2(q: int) -> int:
     """(q+1)! * (2 ((q-1)!)^2)^(q+1)"""
-    _build_guard(q, 2)
-    factor_prime_power(q)
-    return math.factorial(q + 1) * (2 * math.factorial(q - 1) ** 2) ** (q + 1)
+    m = _classes_a_side(q, 2)  # q + 1
+    return math.factorial(m) * (2 * math.factorial(q - 1) ** 2) ** m
 
 
 def formula_card_general(q: int, n: int) -> int:
     """2 * M! * ((q-1)!)^(2M) with M = (q^n - 1)/(q - 1), for n >= 3."""
-    nv = _build_guard(q, n)
-    factor_prime_power(q)
-    m = nv // (q - 1)
+    m = _classes_a_side(q, n)
     if n < 3:
         raise ValueError("the general count applies to n >= 3")
     return 2 * math.factorial(m) * math.factorial(q - 1) ** (2 * m)
@@ -564,16 +569,13 @@ def formula_card_general(q: int, n: int) -> int:
 
 def formula_twin_stabilizer(q: int, n: int) -> int:
     """((q-1)!)^(2M): automorphisms fixing every class setwise."""
-    nv = _build_guard(q, n)
-    factor_prime_power(q)
-    m = nv // (q - 1)
+    m = _classes_a_side(q, n)
     return math.factorial(q - 1) ** (2 * m)
 
 
 def formula_component_isos(q: int) -> int:
     """2 ((q-1)!)^2: isomorphisms between two n = 2 components."""
-    _build_guard(q, 2)
-    factor_prime_power(q)
+    _classes_a_side(q, 2)
     return 2 * math.factorial(q - 1) ** 2
 
 
@@ -870,4 +872,5 @@ def decomposition_from_json(text, g: LfGraph | None = None) -> Decomposition:
         genuine = False
     if not genuine:
         raise ValueError("bad 'delta' in decomposition document")
+    _chain(g, doc["swap"], delta, P, frob, phi)  # raises where compose would
     return Decomposition(doc["swap"], delta, P, frob, phi, tau)

@@ -441,12 +441,14 @@ def test_semilinear_functionals_match_inverse_transpose(q, n):
                                    (4, 2, ((0, 2), (0, 3))),
                                    (3, 3, ((1, 0, 1), (0, 1, 1), (1, 1, 2)))])
 def test_singular_p_is_refused(q, n, P):
-    """chi_p, and compose of a document whose P is singular, both raise."""
+    """chi_p, and compose of a decomposition whose P is singular, both
+    raise; a document with such a P is refused when read (see
+    test_decomposition_json_rejects_malformed_fields)."""
     g = graph_for(q, n)
     with pytest.raises(ValueError, match="singular"):
         chi_p(g, P)
-    doc = json.loads(decomposition_to_json(g, decompose(g, sigma_swap(g))))
-    d = decomposition_from_json(json.dumps(dict(doc, P=P)), g)
+    d = decompose(g, sigma_swap(g))
+    d.P = P
     with pytest.raises(ValueError, match="singular"):
         compose(g, d)
 
@@ -1690,6 +1692,15 @@ def test_decomposition_json_rejects_a_false_delta():
     (4, 3, "swap", "no"),
     (3, 2, "swap", 0),
     (3, 2, "tau", {"vec:9,9": [0, 1]}),
+    # well-formed fields that compose would refuse
+    (3, 2, "P", [[1, 1], [1, 1]]),
+    (4, 3, "P", [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+    (4, 3, "frob", None),
+    (4, 3, "phi", [0, 1, 2, 3]),
+    (3, 2, "phi", None),
+    (3, 2, "frob", 0),
+    (3, 2, "swap", True),
+    (3, 2, "phi", [1, 0, 2]),
 ])
 def test_decomposition_json_rejects_malformed_fields(q, n, key, value):
     """A malformed field is a ValueError, never a TypeError or

@@ -35,6 +35,16 @@ def test_every_claim_appears_once(q, n):
     assert [c.id for c in report.claims] == list(CLAIM_IDS)
 
 
+def test_each_claim_alone_matches_the_full_report():
+    """A claim run alone reports what it reports in a full run: no claim
+    reads state that another claim leaves behind."""
+    for q, n in DEFAULT_MATRIX:
+        full = claims_by_id(run_verify(q, n))
+        for cid in CLAIM_IDS:
+            alone = claims_by_id(run_verify(q, n, claims=[cid]))
+            assert alone[cid] == full[cid], (q, n, cid)
+
+
 def test_report_2_2():
     report = run_verify(2, 2)
     by = claims_by_id(report)
