@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import json
 from binascii import a2b_base64, b2a_base64
+from functools import cache
 from itertools import chain, product, repeat
 from math import isqrt
 from operator import itemgetter, mul
@@ -441,6 +442,8 @@ def domination_number(g: LfGraph, target: str = VEC,
                       mode: str = "standard") -> tuple[int, tuple]:
     """Exact minimum size and one minimum witness set, by orbital branch and
     bound on the class quotient; no component over MAX_SEARCH_VERTICES.
+    The orbital generators are built from _symmetries only if a block's
+    search branches past its greedy witness.
 
     target: "vec", "fun" (dominators come from the other side) or "all".
     mode:   "standard" or "total".
@@ -481,9 +484,11 @@ def domination_number(g: LfGraph, target: str = VEC,
     # so it is dropped there; _min_cover checks every other class map
     # against the masks, which hold every class edge, and refuses a bad one
     lof, firsts = g.line_index(), g.line_firsts()
-    cmaps = (_gather(lof, _gather(s, firsts)) for s in _symmetries(g))
-    gens = [([m[c] - cands.start for c in cands], [m[v] - lo for v in covered])
-            for m in cmaps if all(m[c] in cands for c in cands)]
+
+    def gens():
+        cmaps = (_gather(lof, _gather(s, firsts)) for s in _symmetries(g))
+        return [([m[c] - cands.start for c in cands], [m[v] - lo for v in covered])
+                for m in cmaps if all(m[c] in cands for c in cands)]
     size, chosen = _min_cover(cover_masks, len(covered), gens)
     return size, tuple(firsts[cands[i]] for i in chosen)
 
@@ -492,17 +497,23 @@ def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     """Exact minimum set cover: candidates whose masks overlap, directly or
     through others, form one block, and each block is solved on its own.
 
-    gens are symmetries of the instance, each a pair (candidate image list,
-    element image list) with cover[cand[i]] the element image of cover[i];
-    any other pair raises ValueError.  Each block searches under those
-    that map its candidates onto themselves."""
-    n = len(cover)
-    bits = [_bit_list(c) for c in cover]
-    for cand, elem in gens:
-        if (sorted(cand) != list(range(n)) or sorted(elem) != list(range(m))
-                or any(bits[t] != sorted(map(elem.__getitem__, b))
-                       for b, t in zip(bits, cand))):
-            raise ValueError("a generator is not a symmetry of the cover instance")
+    gens, or gens() when it is a function, holds symmetries of the
+    instance, each a pair (candidate image list, element image list) with
+    cover[cand[i]] the element image of cover[i].  They are read and
+    checked once, when a block's search first branches, and a pair that
+    is no symmetry raises ValueError then.  Each block searches under
+    those that map its candidates onto themselves."""
+    @cache
+    def checked():
+        pairs = gens() if callable(gens) else gens
+        bits, n = [_bit_list(c) for c in cover], len(cover)
+        for cand, elem in pairs:
+            if (sorted(cand) != list(range(n)) or sorted(elem) != list(range(m))
+                    or any(bits[t] != sorted(map(elem.__getitem__, b))
+                           for b, t in zip(bits, cand))):
+                raise ValueError("a generator is not a symmetry of the cover instance")
+        return pairs
+
     # disjoint element masks, so sum() is their union; a candidate merges
     # every block it meets
     blocks: list[int] = []
@@ -515,19 +526,22 @@ def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     for elems in blocks:
         idxs = [i for i, c in enumerate(cover) if c & elems]
         pos = {i: k for k, i in enumerate(idxs)}
-        block_gens = [[pos[cand[i]] for i in idxs] for cand, _ in gens
-                      if all(cand[i] in pos for i in idxs)]
+
+        def block_gens():
+            return [[pos[cand[i]] for i in idxs] for cand, _ in checked()
+                    if all(cand[i] in pos for i in idxs)]
         k, sel = _min_cover_block([cover[i] for i in idxs], elems, block_gens)
         size += k
         chosen += (idxs[i] for i in sel)
     return size, tuple(sorted(chosen))
 
 
-def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list]:
+def _min_cover_block(masks: list[int], full: int, root_gens) -> tuple[int, list]:
     """Branch and bound over candidate masks that together cover full, with
     orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Prog.
-    2011) under gens, image lists on the candidates of symmetries of the
-    instance.
+    2011) under root_gens(), image lists on the candidates of symmetries of
+    the instance.  root_gens is called only when the root branches: where
+    the greedy cover meets the root's bound below, it is never called.
 
     Each node holds generators of a group H of symmetries that keep its
     subproblem (uncovered elements, excluded candidates) fixed setwise.  It
@@ -558,7 +572,7 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
     best = [len(best_sel), best_sel]
     chosen: list[int] = []
 
-    def dfs(uncovered: int, excluded: int, gens: list):
+    def dfs(uncovered: int, excluded: int, gens: list | None):
         if not uncovered:
             if len(chosen) < best[0]:
                 best[0] = len(chosen)
@@ -568,6 +582,8 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
                    if not (excluded >> i) & 1), default=0)
         if not top or len(chosen) - (-uncovered.bit_count() // top) >= best[0]:
             return
+        if gens is None:
+            gens = root_gens()
         pick, width = 0, None
         for e in _bit_list(uncovered):
             w = (elem_cov[e] & ~excluded).bit_count()
@@ -584,7 +600,7 @@ def _min_cover_block(masks: list[int], full: int, gens: list) -> tuple[int, list
             for x in _orbit(gens, c):
                 excluded |= 1 << x
 
-    dfs(full, 0, gens)
+    dfs(full, 0, None)
     return best[0], best[1]
 
 
@@ -613,7 +629,7 @@ def graph6_bytes(n: int, edges) -> bytes:
         raise ValueError(f"vertex count {n} out of graph6 range")
     rows = [0] * n
     for i, j in edges:
-        if i == j or not (0 <= i < n and 0 <= j < n):
+        if i == j or not _ids_below((i, j), n):
             raise ValueError(f"bad edge ({i}, {j})")
         rows[max(i, j)] |= 1 << min(i, j)
     return _graph6_rows(rows)

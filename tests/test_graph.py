@@ -512,9 +512,11 @@ def test_min_cover_refuses_a_non_symmetry():
     for gen in bad:
         with pytest.raises(ValueError, match="not a symmetry"):
             _min_cover(cover, m, [gen])
-    # the 3-cycle maps {0,1} to {1,2} but {1,2} to {2,0}, no mask of a path
+    # greedy takes the middle mask first and needs 3, so the search branches;
+    # the shift e -> e + 1 mod 6 maps {0,1,2} to {1,2,3}, no mask
     with pytest.raises(ValueError, match="not a symmetry"):
-        _min_cover([0b011, 0b110, 0b100], 3, [([1, 2, 0], [1, 2, 0])])
+        _min_cover([0b000111, 0b111000, 0b011110], 6,
+                   [([1, 2, 0], [1, 2, 3, 4, 5, 0])])
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
@@ -534,16 +536,35 @@ def test_symmetries_are_automorphisms(q, n):
 
 def test_domination_refuses_a_bad_generator(monkeypatch):
     """domination_number hands every generator's class map to the cover's
-    symmetry check, so one that is no symmetry raises instead of pruning."""
-    g = graph_for(3, 3)
-    a, b = g.vec_id((0, 0, 1)), g.vec_id((0, 1, 0))
+    symmetry check, so one that is no symmetry raises instead of pruning.
+    q = 2 whole-graph standard domination at (2,4) branches, so the
+    generators are built there."""
+    g = graph_for(2, 4)
+    a, b = g.vec_id((0, 0, 0, 1)), g.vec_id((0, 0, 1, 0))
     bad = list(range(g.num_vertices))
     bad[a], bad[b] = b, a  # two vectors of different classes
     assert not is_automorphism(g, VertexPerm(g, bad))
     monkeypatch.setattr(graph, "_symmetries", lambda g: [bad])
-    for target in (VEC, "all"):
-        with pytest.raises(ValueError, match="not a symmetry"):
-            domination_number(g, target=target)
+    with pytest.raises(ValueError, match="not a symmetry"):
+        domination_number(g, target="all", mode="standard")
+
+
+def test_domination_builds_generators_only_when_it_branches(monkeypatch):
+    """Where the greedy cover meets the root's bound, _symmetries is never
+    called; where the search branches, it is called once a search."""
+    calls = []
+    monkeypatch.setattr(graph, "_symmetries",
+                        lambda g: calls.append(g) or _symmetries(g))
+    for q, n in [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2)]:
+        g = graph_for(q, n)
+        for target in (VEC, FUN, "all"):
+            for mode in ("standard", "total"):
+                domination_number(g, target=target, mode=mode)
+    assert calls == []
+    g = graph_for(2, 4)
+    for k in (1, 2):
+        domination_number(g, target="all", mode="standard")
+        assert calls == [g] * k
 
 
 @pytest.mark.parametrize("q,n,size", [(3, 3, 8), (4, 3, 10), (2, 4, 6),
@@ -986,6 +1007,14 @@ def test_graph6_bytes_rejects_bad_edges(edges):
     i, j = edges[-1]
     with pytest.raises(ValueError, match=rf"bad edge \({i}, {j}\)"):
         graph6_bytes(5, edges)
+
+
+@pytest.mark.parametrize("edge", [(True, 2), (0.0, 1), (0, 1.5)])
+def test_graph6_bytes_refuses_ids_that_are_not_ints(edge):
+    """An id is an int: True would encode as vertex 1, and a float would
+    raise TypeError from the bit shift."""
+    with pytest.raises(ValueError, match="bad edge"):
+        graph6_bytes(3, [edge])
 
 
 def test_export_dispatch():
