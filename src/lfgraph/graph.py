@@ -502,7 +502,8 @@ def _min_cover(cover: list[int], m: int, gens=()) -> tuple[int, tuple]:
     cover[cand[i]] the element image of cover[i].  They are read and
     checked once, when a block's search first branches, and a pair that
     is no symmetry raises ValueError then.  Each block searches under
-    those that map its candidates onto themselves."""
+    those that map its candidates onto themselves.  domination_number
+    passes a function; the list form is there for the tests."""
     @cache
     def checked():
         pairs = gens() if callable(gens) else gens
