@@ -13,14 +13,16 @@ only what that test leaves unproved: that the class map is semilinear
 (twin-residual).  compose, decompose and random_automorphism share one
 chain evaluator, _chain, built on graph._semilinear, so no chain inverts P
 and no round trip calls linalg: the rows of P^-1, the traces and phi are
-read off the field tables.  Whatever acts on whole scalar classes (delta,
-phi_bar, the n = 2 sampler, the twin shuffle tau) is one gather, _lift, of
-class members at the graph's member_positions().  Class-level questions
-read the graph's cached class readers (line_index(), line_firsts(),
-line_neighbors(), line_partners()); autos keeps no state.  line_action is
-the one place that reads a class map off a permutation: it checks that
-the map is well defined and sends every quotient edge to an edge, and
-scans vertex rows only to name a broken edge.  The one structural fact no
+read off the field tables; decompose's result keeps its chain image, which
+compose reuses.  Whatever acts on whole scalar classes (delta, phi_bar,
+the n = 2 sampler, the twin shuffle tau) is one gather, _lift, of class
+members at the graph's member_positions().  Class-level questions read
+the graph's cached class readers (line_index(), line_firsts(),
+line_neighbors(), line_partners()); autos writes no graph state.
+line_action is the one place that reads a class map off a permutation,
+and keeps it there: it checks that the map is well defined and sends
+every quotient edge to an edge, and scans vertex rows only to name a
+broken edge.  The one structural fact no
 class map shows, the neighbourhood intersection identity, is a graph fact
 that _intersection_holds checks once per graph.
 
@@ -36,6 +38,7 @@ import json
 import math
 from collections import namedtuple
 from itertools import chain, islice, repeat
+from operator import is_
 
 from .gf import _ids_below, factor_prime_power, field_from_order
 from .linalg import random_invertible
@@ -47,7 +50,7 @@ from .graph import (GuardError, LfGraph, _bit_list, _build_guard, _coords, _gath
 class VertexPerm:
     """A permutation of the vertex ids of one graph."""
 
-    __slots__ = ("g", "image")
+    __slots__ = ("g", "image", "_lmap")  # _lmap: line_action's class map
 
     def __init__(self, g: LfGraph, image):
         try:
@@ -61,6 +64,7 @@ class VertexPerm:
             raise ValueError("image is not a permutation of the vertex ids")
         _set_g(self, g)
         _set_image(self, image)
+        _set_lmap(self, None)
 
     @classmethod
     def _of(cls, g: LfGraph, image) -> "VertexPerm":
@@ -76,6 +80,7 @@ class VertexPerm:
         perm = cls.__new__(cls)
         _set_g(perm, g)
         _set_image(perm, tuple(image))
+        _set_lmap(perm, None)
         return perm
 
     def __setattr__(self, name, value):  # read-only: a built perm stays one
@@ -105,6 +110,7 @@ class VertexPerm:
 
 # the slots' own setters, which VertexPerm.__setattr__ does not reach
 _set_g, _set_image = VertexPerm.g.__set__, VertexPerm.image.__set__
+_set_lmap = VertexPerm._lmap.__set__
 
 
 def _same_graph(g: LfGraph, h: LfGraph) -> bool:
@@ -113,7 +119,9 @@ def _same_graph(g: LfGraph, h: LfGraph) -> bool:
 
 
 def _image_on(g: LfGraph, perm: VertexPerm, what: str = "perm") -> tuple:
-    """perm's image; a perm of another graph raises ValueError."""
+    """perm's image; a non-VertexPerm or another graph's raises ValueError."""
+    if not isinstance(perm, VertexPerm):
+        raise ValueError(f"{what} is not a VertexPerm")
     if not _same_graph(g, perm.g):
         raise ValueError(f"{what} is a permutation of another graph")
     return perm.image
@@ -144,15 +152,19 @@ def line_action(g: LfGraph, perm: VertexPerm) -> list[int]:
     a bijection; every edge has a vector end, so it sends the finite edge
     set into, hence onto, itself.  Only a failing perm is scanned row by
     row, to name its first broken edge: every edge has one vector endpoint
-    x, so only the vector rows are read.  A perm of another graph raises
-    ValueError."""
-    lof, img = g.line_index(), _image_on(g, perm)
+    x, so only the vector rows are read.  Anything but a perm of g's graph
+    raises ValueError.  The map is kept on perm: a second call copies it."""
+    img = _image_on(g, perm)
+    if perm._lmap is not None:
+        return list(perm._lmap)
+    lof = g.line_index()
     cls = _gather(lof, img)
     lmap = list(_gather(cls, g.line_firsts()))
     half, nbrs = len(lmap) // 2, g.line_neighbors()
     images = map(map, repeat(lmap.__getitem__), nbrs[:half])  # mapped neighbours
     if _gather(lmap, lof) == cls and all(map(
             frozenset.issuperset, map(nbrs.__getitem__, lmap), images)):
+        _set_lmap(perm, tuple(lmap))
         return lmap
     adj = g.adj
     # the test accepts every automorphism, and a bijection that keeps every
@@ -635,12 +647,14 @@ class Decomposition:
     n >= 3: sigma^swap . chi_P . pi_frob . tau     (delta, phi unused)
     n  = 2: delta . chi_P . phi_bar(phi) . tau     (swap, frob unused)
     """
-    __slots__ = ("swap", "delta", "P", "frob", "phi", "tau")
+    # _kept: decompose's (graph, generator fields, chain image), see compose
+    __slots__ = ("swap", "delta", "P", "frob", "phi", "tau", "_kept")
 
     def __init__(self, swap: bool, delta: VertexPerm | None, P: tuple,
                  frob: int | None, phi: tuple | None, tau: VertexPerm):
         self.swap, self.delta, self.P = swap, delta, P
         self.frob, self.phi, self.tau = frob, phi, tau
+        self._kept = None
 
 
 def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:
@@ -658,10 +672,13 @@ def _chain(g: LfGraph, swap, delta, P, frob, phi) -> list[int] | tuple:
 
 
 def compose(g: LfGraph, d: Decomposition) -> VertexPerm:
-    """Multiply a decomposition back into a single vertex permutation.
-    A tau or delta of another graph raises ValueError."""
-    gen = _chain(g, d.swap, d.delta, d.P, d.frob, d.phi)
-    return VertexPerm._of(g, _gather(gen, _image_on(g, d.tau, "tau")))
+    """Multiply a decomposition back into one vertex permutation; a tau or
+    delta that is no perm of g's graph raises ValueError.  d._kept is used
+    while d holds the (immutable) objects it was built from, on g's graph."""
+    gen, kept = (d.swap, d.delta, d.P, d.frob, d.phi), d._kept
+    reuse = kept is not None and _same_graph(g, kept[0]) and all(map(is_, gen, kept[1]))
+    image = kept[2] if reuse else _chain(g, *gen)
+    return VertexPerm._of(g, _gather(image, _image_on(g, d.tau, "tau")))
 
 
 def decompose(g: LfGraph, perm: VertexPerm) -> Decomposition:
@@ -688,13 +705,17 @@ def _basis_change(g: LfGraph, rho_p):
                        for i in range(g.n))))
 
 
-def _residual(g: LfGraph, rho: VertexPerm, gen) -> VertexPerm:
-    """tau = chain(gen)^-1 . rho, which must fix every twin class."""
-    tau = _gather(_inverse(_chain(g, *gen)), rho.image)
+def _residual(g: LfGraph, rho: VertexPerm, gen) -> Decomposition:
+    """rho's decomposition with generator part gen, keeping the chain image:
+    tau = chain(gen)^-1 . rho, which must fix every twin class."""
+    image = _chain(g, *gen)
+    tau = _gather(_inverse(image), rho.image)
     v = _class_escape(g, tau)
     if v is not None:
         raise DecompositionError("twin-residual", {"vertex": v, "image": tau[v]})
-    return VertexPerm._of(g, tau)
+    d = Decomposition(*gen, VertexPerm._of(g, tau))
+    d._kept = (g, gen, image)
+    return d
 
 
 def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
@@ -745,7 +766,7 @@ def _decompose_general(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
     diag = [1, tab[1]] + [trace(axis, 1) for axis in range(2, n)]
     gen = (swap, None, tuple(tuple(mul[a][d] for a, d in zip(row, diag))
                              for row in P), jstar, None)
-    return Decomposition(*gen, _residual(g, rho, gen))
+    return _residual(g, rho, gen)
 
 
 def _decompose_n2(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
@@ -767,7 +788,7 @@ def _decompose_n2(g: LfGraph, rho: VertexPerm, lmap) -> Decomposition:
                 for x, y in (divmod(dimg[img[v]] + 1 - nv, q)
                              for v in range(nv + q - 1, nv + 2 * q - 1)))
     gen = (False, delta, P, None, phi)
-    return Decomposition(*gen, _residual(g, rho, gen))
+    return _residual(g, rho, gen)
 
 
 # ---------- serialization ----------
@@ -828,12 +849,14 @@ def _tau_keys(g: LfGraph) -> dict:
 
 
 def decomposition_to_json(g: LfGraph, d: Decomposition) -> str:
+    """A tau or delta that is no perm of g's graph raises ValueError."""
+    tau = _image_on(g, d.tau, "tau")
     doc = {**_header(g), "swap": d.swap, "P": [list(row) for row in d.P],
            "frob": d.frob, "phi": None if d.phi is None else list(d.phi),
-           "delta": None if d.delta is None else list(d.delta.image),
-           "tau": {key: [d.tau.image[m] for m in line.members]
+           "delta": None if d.delta is None else list(_image_on(g, d.delta, "delta")),
+           "tau": {key: [tau[m] for m in line.members]
                    for key, line in _tau_keys(g).items()
-                   if any(d.tau.image[m] != m for m in line.members)}}
+                   if any(tau[m] != m for m in line.members)}}
     return json.dumps(doc, separators=(",", ":"))
 
 

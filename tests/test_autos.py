@@ -19,12 +19,13 @@ from lfgraph.autos import (MAX_ENUM_VERTICES, MAX_QUOTIENT_CLASSES,
                            line_action, perm_from_json, perm_to_json, phi_bar,
                            pi_extend, quotient_adjacency, random_automorphism,
                            random_twin_permutation, sigma_swap,
-                           tau_from_table, _decompose_general, _decompose_n2,
+                           tau_from_table, _chain, _decompose_general,
+                           _decompose_n2,
                            _automorphism_search, _count_by_orbits,
                            _count_with_searches, _narrow,
                            _intersection_holds, _lift, _lift_classes,
                            _uncoloured)
-from lfgraph.graph import LfGraph, _bit_list, _map_ids, _semilinear
+from lfgraph.graph import LfGraph, _bit_list, _gather, _map_ids, _semilinear
 from lfgraph.linalg import monic_rep, random_invertible
 
 from conftest import graph_for
@@ -101,9 +102,11 @@ def test_perm_equality_names_its_graph():
 def test_perm_of_another_graph_is_refused():
     """A permutation of (2,4) has as many ids as one of (4,2), yet every
     reader of a perm on (4,2) refuses it, instead of reading it as a map
-    of (4,2)'s vertices: compose for tau and delta, VertexPerm.compose for
-    other, and line_action with everything built on it.  A perm read back
-    onto a graph built afresh over an equal field is one of g's own."""
+    of (4,2)'s vertices: compose and decomposition_to_json for tau and
+    delta, VertexPerm.compose for other, and line_action with everything
+    built on it.  A (3,2) decomposition written for (3,3) is refused too,
+    not read out of range.  A perm read back onto a graph built afresh
+    over an equal field is one of g's own."""
     g, h = graph_for(4, 2), graph_for(2, 4)
     own, alien = random_automorphism(g, rng()), identity_perm(h)
     d = decompose(g, own)
@@ -112,6 +115,11 @@ def test_perm_of_another_graph_is_refused():
          "tau"),
         (lambda: compose(g, Decomposition(False, alien, d.P, None, d.phi, d.tau)),
          "delta"),
+        (lambda: decomposition_to_json(g, decompose(h, alien)), "tau"),
+        (lambda: decomposition_to_json(
+            g, Decomposition(False, alien, d.P, None, d.phi, d.tau)), "delta"),
+        (lambda: decomposition_to_json(graph_for(3, 3), decompose(
+            graph_for(3, 2), identity_perm(graph_for(3, 2)))), "tau"),
         (lambda: own.compose(alien), "other"),
         (lambda: alien.compose(own), "other"),
     ] + [(lambda f=f: f(g, alien), "perm")
@@ -126,6 +134,35 @@ def test_perm_of_another_graph_is_refused():
     assert compose(g, decompose(g, back)) == own
     assert line_action(g, back) == line_action(g, own)
     assert own.compose(back.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("bad", ["image", "list", None])
+def test_a_non_perm_is_refused(bad):
+    """Where a permutation belongs, an image tuple, a list or None raises
+    ValueError naming the argument, before any slot of it is read."""
+    g = graph_for(3, 2)
+    bad = {"image": tuple(range(g.num_vertices)),
+           "list": list(range(g.num_vertices)), None: None}[bad]
+    own = random_automorphism(g, rng())
+    d = decompose(g, own)
+    calls = [
+        (lambda: compose(g, Decomposition(False, None, d.P, None, d.phi, bad)),
+         "tau"),
+        (lambda: decomposition_to_json(
+            g, Decomposition(False, None, d.P, None, d.phi, bad)), "tau"),
+        (lambda: own.compose(bad), "other"),
+    ] + [(lambda f=f: f(g, bad), "perm")
+         for f in (line_action, check_structure, decompose,
+                   automorphism_defect, is_automorphism, delta_for)]
+    if bad is not None:  # None is the n = 2 chain's identity delta
+        calls += [
+            (lambda: compose(g, Decomposition(False, bad, d.P, None, d.phi, d.tau)),
+             "delta"),
+            (lambda: decomposition_to_json(
+                g, Decomposition(False, bad, d.P, None, d.phi, d.tau)), "delta")]
+    for call, what in calls:
+        with pytest.raises(ValueError, match=f"^{what} is not a VertexPerm$"):
+            call()
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2),
@@ -742,6 +779,34 @@ def test_line_action_rejects_non_automorphism():
     img[0], img[2] = img[2], img[0]
     with pytest.raises(LineActionError):
         line_action(g, VertexPerm(g, img))
+
+
+def test_line_action_keeps_its_class_map(monkeypatch):
+    """A second line_action on one perm gathers nothing: it returns an
+    equal list that aliases neither the kept map nor an earlier result.
+    A non-automorphism keeps nothing, so every call tests it again and
+    names the same broken edge."""
+    import lfgraph.autos as autos
+    g = graph_for(3, 3)
+    perm = random_automorphism(g, rng())
+    first = line_action(g, perm)
+    kept = list(first)
+    gathers = []
+    monkeypatch.setattr(autos, "_gather",
+                        lambda *args: gathers.append(args) or _gather(*args))
+    second = line_action(g, perm)
+    assert gathers == [] and second == kept and second is not first
+    first[0] = second[1] = -1
+    assert line_action(g, perm) == kept and gathers == []
+    bad = _exchanged(g, ("vec", (0, 1, 1)), ("vec", (0, 1, 2)))
+    witnesses = []
+    for _ in range(2):
+        gathers.clear()
+        with pytest.raises(LineActionError) as exc:
+            line_action(g, bad)
+        assert gathers
+        witnesses.append(exc.value.witness)
+    assert witnesses[0] == witnesses[1]
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3)])
@@ -1410,21 +1475,20 @@ def test_decomposition_error_steps(q, n, a, b, step, witness):
 
 def test_round_trip_work(monkeypatch):
     """One decompose + compose at n >= 3 builds two permutations (tau and
-    the result) from one semilinear chain each: 4 _map_ids sweeps, and no
-    call into lfgraph.linalg, as P^-1's rows are read off the functional
-    images and the chains sweep P^T.  At n = 2 it also builds delta and
-    chi_P once per chain, and lifts phi_bar's class map as a plain list:
-    five permutations from the same sweeps, and no linalg call either, as
-    phi is read off the field tables.  Each is built unchecked
-    (VertexPerm._of), as autos proved it a permutation; none runs the
-    public check.  A second line_action on one graph decodes no quotient
-    row."""
+    the result) from one semilinear chain, which decompose builds and
+    compose reuses: 2 _map_ids sweeps, and no call into lfgraph.linalg, as
+    P^-1's rows are read off the functional images and the chain sweeps
+    P^T.  At n = 2 it also builds delta and chi_P once, and lifts
+    phi_bar's class map as a plain list: four permutations from the same
+    sweeps, and no linalg call either, as phi is read off the field
+    tables.  Each is built unchecked (VertexPerm._of), as autos proved it
+    a permutation; none runs the public check.  A second line_action on
+    one graph decodes no quotient row."""
     import inspect
     import sys
     import lfgraph.autos as autos
     import lfgraph.linalg as linalg
-    cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 5)]
-    perms = [random_automorphism(g, rng()) for g, _ in cases]
+    cases = [(graph_for(3, 3), 2), (graph_for(3, 2), 4)]
     calls = {"VertexPerm": 0, "_of": 0, "_map_ids": 0}
 
     def counted(name, fn):
@@ -1447,6 +1511,8 @@ def test_round_trip_work(monkeypatch):
 
     import lfgraph.graph as graph
     monkeypatch.setattr(autos, "VertexPerm", CountedPerm)
+    # built after the patch: the readers refuse what is no (Counted)VertexPerm
+    perms = [random_automorphism(g, rng()) for g, _ in cases]
     monkeypatch.setattr(graph, "_map_ids", counted("_map_ids", graph._map_ids))
     # every function linalg defines, under every name a module binds it to
     modules = [m for key, m in sys.modules.items() if key.startswith("lfgraph")]
@@ -1462,7 +1528,7 @@ def test_round_trip_work(monkeypatch):
     for (g, built), perm in zip(cases, perms):
         calls.update(dict.fromkeys(calls, 0))
         assert compose(g, decompose(g, perm)).image == perm.image
-        assert calls == {"VertexPerm": 0, "_of": built, "_map_ids": 4,
+        assert calls == {"VertexPerm": 0, "_of": built, "_map_ids": 2,
                          **dict.fromkeys(helpers.values(), 0)}
     # a fresh graph, so the first line_action decodes the quotient rows
     g = build(field_from_order(2), 3)
@@ -1517,6 +1583,47 @@ def test_decompose_random_generator_chains(q, n):
         swaps += d.swap
         assert compose(g, d) == perm
     assert 0 < swaps < 100  # both branches exercised
+
+
+@pytest.mark.parametrize("q,n,field", [(4, 3, "swap"), (4, 3, "frob"),
+                                       (5, 2, "phi"), (5, 2, "delta")])
+def test_reassigned_chain_field_is_composed_afresh(q, n, field):
+    """compose reuses the chain image decompose kept only while the result
+    holds the fields it was built from: with one chain field reassigned,
+    compose equals compose of a Decomposition built from the fields."""
+    g = graph_for(q, n)
+    r = rng()
+    for _ in range(10):
+        perm = random_automorphism(g, r)
+        d = decompose(g, perm)
+        new = {"swap": lambda: not d.swap,
+               "frob": lambda: (d.frob + 1) % g.field.k,
+               # phi with the images of 1 and 2 exchanged: still fixes 0
+               "phi": lambda: (0, d.phi[2], d.phi[1]) + d.phi[3:],
+               "delta": lambda: sigma_swap(g).compose(d.delta)}[field]()
+        setattr(d, field, new)
+        fresh = Decomposition(d.swap, d.delta, d.P, d.frob, d.phi, d.tau)
+        assert compose(g, d) == compose(g, fresh) != perm
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (2, 4), (3, 3), (4, 3)])
+def test_rebuilt_decomposition_composes_back(q, n, monkeypatch):
+    """decompose builds one chain and compose reuses it; a Decomposition
+    rebuilt from the same fields evaluates the chain afresh, and it too
+    gives the automorphism back."""
+    import lfgraph.autos as autos
+    g = graph_for(q, n)
+    r = rng()
+    chains = []
+    monkeypatch.setattr(autos, "_chain",
+                        lambda *args: chains.append(args) or _chain(*args))
+    for _ in range(20):
+        perm = random_automorphism(g, r)
+        chains.clear()
+        d = decompose(g, perm)
+        assert compose(g, d) == perm and len(chains) == 1
+        fresh = Decomposition(d.swap, d.delta, d.P, d.frob, d.phi, d.tau)
+        assert compose(g, fresh) == perm and len(chains) == 2
 
 
 def test_decompose_swap_only():
